@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energies import MeanFieldEnergy, ParametrizedEnergy
+from .energies import MeanFieldEnergy, ParametrizedEnergy, quadratic_as_parametrized
 from .errors import GibbsUndefinedError, TheoremInvalidError
-from .measures import DiscreteMeasure, empirical, mix, w2_squared
+from .measures import DiscreteMeasure, mix, w2_squared
 
 __all__ = [
     "PoincareInputs",
@@ -29,6 +29,7 @@ __all__ = [
     "quadratic_example_constants",
     "kernel_example_constants",
     "parametrized_cost_bound",
+    "quadratic_corollary_report",
     "check_semi_convexity",
     "check_cost_convexity",
     "hessian_block_bound",
@@ -257,6 +258,19 @@ def parametrized_cost_bound(
     return lam_p, alpha_N
 
 
+def quadratic_corollary_report(
+    a: float, N: int, d: int, var_phi: float, epsilon: float
+) -> ConstantsReport:
+    """Full report of the quadratic-mean energy through its parametrized form,
+    given the variance Var(phi) of the stationary mean-field measure."""
+    lam_p, alpha_N = parametrized_cost_bound(quadratic_as_parametrized(a), var_phi, epsilon)
+    # its proximal Gibbs measure is N(0, I) for every input measure: LSI constant 1
+    lsi = LsiInputs(
+        rho=1.0, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=a, epsilon=epsilon, N=N, d=d
+    )
+    return full_report(lsi, quadratic_example_constants(a, N).inputs)
+
+
 def _mixture_deficit(energy, mu, nu, t_grid, penalty) -> float:
     f_mu = energy.eval(mu)
     f_nu = energy.eval(nu)
@@ -313,14 +327,7 @@ def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:
     worst = math.inf
     for x in configs:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        N, d = x.shape
-        mu = empirical(x)
-        K = np.zeros((N * d, N * d))
-        for i in range(N):
-            for j in range(i, N):
-                blk = energy.intrinsic_hess(mu, x[i], x[j])
-                K[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
-                K[j * d : (j + 1) * d, i * d : (i + 1) * d] = blk.T
-        lam_min = float(np.linalg.eigvalsh(K)[0])
-        worst = min(worst, lam_min / N)
+        N = x.shape[0]
+        K = energy._hess_mm_matrix(x, np.full(N, 1.0 / N))
+        worst = min(worst, float(np.linalg.eigvalsh(K)[0]) / N)
     return worst

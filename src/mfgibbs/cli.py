@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,9 +18,9 @@ import numpy as np
 from . import __version__, bounds, verify
 from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import run_chain
-from .errors import BlowUpError, GibbsUndefinedError
+from .errors import BlowUpError, GibbsUndefinedError, TheoremInvalidError
 from .estimators import estimate_gap_autocorr
-from .spectral1d import proximal_gibbs_fixed_point
+from .spectral1d import boundary_negligible, proximal_gibbs_fixed_point
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -28,17 +29,25 @@ EXIT_INAPPLICABLE = 3
 EXIT_BLOWUP = 4
 
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_path(path: str):
+    """Yield a temporary path next to `path`; it replaces `path` when the
+    block succeeds and is removed when it fails."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mfgibbs-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str):
+    with _atomic_path(path) as tmp, open(tmp, "w") as fh:
+        fh.write(text)
 
 
 def _emit(payload: dict, out_path: str | None):
@@ -54,42 +63,36 @@ def _wrap(cfg: ExperimentConfig, body: dict) -> dict:
 
 
 def _stationary_variance(cfg: ExperimentConfig, energy) -> float:
+    """Var(phi) under the proximal-Gibbs fixed point on the analysis grid;
+    TheoremInvalidError when that fixed point cannot be trusted."""
     fp = proximal_gibbs_fixed_point(
         energy,
         float(cfg.analysis["grid_lo"]),
         float(cfg.analysis["grid_hi"]),
         int(cfg.analysis["grid_n"]),
     )
+    ends_ok = boundary_negligible(fp.density)
+    if not (fp.converged and ends_ok):
+        raise TheoremInvalidError(
+            f"fixed-point-untrusted: converged={fp.converged} (residual {fp.residual:.3g}, "
+            f"{fp.iterations} iterations), negligible density at the grid ends={ends_ok}"
+        )
     return fp.variance()
 
 
-def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
+def _constants_report(cfg: ExperimentConfig):
     eps = float(cfg.analysis["epsilon"])
     p = cfg.energy_params
-    extras: dict = {}
     if cfg.energy_type in ("quadratic", "parametrized"):
         a = float(p["a"])
-        try:
-            q = bounds.quadratic_example_constants(a, cfg.N)
-        except GibbsUndefinedError as exc:
-            _emit({"version": __version__, "error": str(exc)}, out_path)
-            return EXIT_INAPPLICABLE
-        par = verify.quadratic_as_parametrized(a)
+        q = bounds.quadratic_example_constants(a, cfg.N)
         var_phi = _stationary_variance(cfg, cfg.build_energy())
-        lam_p, alpha_N = bounds.parametrized_cost_bound(par, var_phi, eps)
-        # the proximal Gibbs measure of this energy is a unit-variance
-        # Gaussian for every input measure, hence LSI constant 1
-        lsi = bounds.LsiInputs(
-            rho=1.0, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=a,
-            epsilon=eps, N=cfg.N, d=cfg.d,
-        )
-        report = bounds.full_report(lsi, q.inputs)
-        extras = {
+        return bounds.quadratic_corollary_report(a, cfg.N, cfg.d, var_phi, eps), {
             "exact_poincare": q.exact_poincare,
             "gap_to_exact": q.gap,
             "var_phi": var_phi,
         }
-    elif cfg.energy_type == "kernel":
+    if cfg.energy_type == "kernel":
         k = bounds.kernel_example_constants(
             L=float(p.get("l", 0.0)),
             alpha=float(p.get("alpha", 0.0)),
@@ -108,16 +111,22 @@ def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
         poin = bounds.PoincareInputs(
             rho_N=k.rho_N, lam=energy.declared_lambda, Mmm=k.Mmm, N=cfg.N
         )
-        report = bounds.full_report(lsi, poin)
-        extras = {
+        return bounds.full_report(lsi, poin), {
             "rho": k.rho,
             "Mmm": k.Mmm,
             "condition_holds": k.condition_holds,
             "beta_max": k.beta_max,
             "var_phi": var_phi,
         }
-    else:
-        raise ConfigError(f"constants: unsupported energy type {cfg.energy_type!r}")
+    raise ConfigError(f"constants: unsupported energy type {cfg.energy_type!r}")
+
+
+def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
+    try:
+        report, extras = _constants_report(cfg)
+    except (GibbsUndefinedError, TheoremInvalidError) as exc:
+        _emit({"version": __version__, "error": str(exc)}, out_path)
+        return EXIT_INAPPLICABLE
     payload = _wrap(cfg, {"report": report.to_dict(), "example": extras})
     _emit(payload, out_path)
     if not report.flags.get("corollary_valid", False):
@@ -147,16 +156,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     path = out_path or cfg.out_path
     if path is None:
         raise ConfigError("simulate needs an output path (--out or [output] path)")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mfgibbs-")
-    os.close(fd)
-    try:
+    with _atomic_path(path) as tmp:
         traj.to_csv(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
     meta = _wrap(cfg, {"acceptance_rates": [None if np.isnan(r) else r
                                             for r in traj.acceptance_rates]})
     _atomic_write(path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")

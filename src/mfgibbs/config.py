@@ -9,9 +9,9 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-from . import verify
 from .dynamics import SimConfig
-from .energies import MeanFieldEnergy, PairwiseKernelEnergy, ParticleSystem, QuadraticMeanEnergy
+from .energies import MeanFieldEnergy, PairwiseKernelEnergy, ParticleSystem
+from .energies import QuadraticMeanEnergy, quadratic_as_parametrized
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config"]
 
@@ -60,7 +60,7 @@ class ExperimentConfig:
         if self.energy_type == "parametrized":
             if p.get("feature_map", "identity") != "identity":
                 raise ConfigError("only the identity feature map is configurable")
-            return verify.quadratic_as_parametrized(p["a"])
+            return quadratic_as_parametrized(p["a"])
         raise ConfigError(f"unknown energy type {self.energy_type!r}")
 
     def build_system(self) -> ParticleSystem:

@@ -8,6 +8,7 @@ Ornstein-Uhlenbeck propagator used as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,31 +68,6 @@ def make_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_finite(x: np.ndarray, step_index: int, replica: int | None = None):
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_THRESHOLD:
-        raise BlowUpError(
-            f"blow-up at step {step_index}"
-            + (f" (replica {replica})" if replica is not None else ""),
-            step=step_index,
-            replica=replica,
-        )
-
-
-def ula_step(
-    system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
-) -> ChainState:
-    """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    x = state.configuration
-    grad = system.grad_u_n(x)
-    _check_finite(grad, state.step_index)
-    noise = rng.standard_normal(x.shape)
-    new = x - h * grad + np.sqrt(2.0 * h) * noise
-    _check_finite(new, state.step_index + 1)
-    return ChainState(new, state.step_index + 1, state.acceptance_count)
-
-
 def _mala_log_q(x_from, x_to, grad_from, h):
     # log density of the ULA proposal x_to ~ N(x_from - h grad, 2h I), up to
     # the shared normalization
@@ -99,27 +75,56 @@ def _mala_log_q(x_from, x_to, grad_from, h):
     return -float(np.sum(resid * resid)) / (4.0 * h)
 
 
+def _ula_update(x, grad, h, noise, step, replica) -> np.ndarray:
+    """The ULA move x - h grad + sqrt(2h) noise numbered `step`; also the
+    MALA proposal."""
+    y = x - h * grad + math.sqrt(2.0 * h) * noise
+    # NaN compares false, so a non-finite move blows up too
+    if not np.abs(y).max() < BLOWUP_THRESHOLD:
+        raise BlowUpError(f"blow-up at step {step}", step=step, replica=replica)
+    return y
+
+
+def _mala_update(energy, w, x, grad_x, u_x, h, noise, log_u, step, replica):
+    """ULA proposal from x (with grad U_N and U_N cached there), accepted
+    when log_u < log alpha. Returns (x, grad_x, u_x, accepted) after the move."""
+    y = _ula_update(x, grad_x, h, noise, step, replica)
+    grad_y = energy._grad_all(y, w)
+    u_y = len(w) * energy._eval(y, w)
+    log_alpha = u_x - u_y + _mala_log_q(y, x, grad_y, h) - _mala_log_q(x, y, grad_x, h)
+    if log_u < log_alpha:
+        return y, grad_y, u_y, True
+    return x, grad_x, u_x, False
+
+
+def _start(system: ParticleSystem, state: ChainState, h: float):
+    """(x, uniform weights) for one public step."""
+    if h <= 0:
+        raise ValueError("step must be positive")
+    return system._check(state.configuration), np.full(system.N, 1.0 / system.N)
+
+
+def ula_step(
+    system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
+) -> ChainState:
+    """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
+    x, w = _start(system, state, h)
+    grad = system.energy._grad_all(x, w)
+    y = _ula_update(x, grad, h, rng.standard_normal(x.shape), state.step_index + 1, None)
+    return ChainState(y, state.step_index + 1, state.acceptance_count)
+
+
 def mala_step(
     system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
 ) -> ChainState:
     """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    x = state.configuration
-    grad_x = system.grad_u_n(x)
-    _check_finite(grad_x, state.step_index)
-    u_x = system.u_n(x)
-    y = x - h * grad_x + np.sqrt(2.0 * h) * rng.standard_normal(x.shape)
-    _check_finite(y, state.step_index + 1)
-    grad_y = system.grad_u_n(y)
-    u_y = system.u_n(y)
-    log_alpha = (
-        u_x - u_y + _mala_log_q(y, x, grad_y, h) - _mala_log_q(x, y, grad_x, h)
+    x, w = _start(system, state, h)
+    noise, log_u = rng.standard_normal(x.shape), np.log(rng.uniform())
+    grad_x, u_x = system.energy._grad_all(x, w), system.N * system.energy._eval(x, w)
+    x, _, _, accepted = _mala_update(
+        system.energy, w, x, grad_x, u_x, h, noise, log_u, state.step_index + 1, None
     )
-    accept = np.log(rng.uniform()) < log_alpha
-    if accept:
-        return ChainState(y, state.step_index + 1, state.acceptance_count + 1)
-    return ChainState(x, state.step_index + 1, state.acceptance_count)
+    return ChainState(x, state.step_index + 1, state.acceptance_count + accepted)
 
 
 @dataclass
@@ -158,10 +163,9 @@ _RNG_CHUNK = 4096
 def _run_single_chain(
     system, config, rng, x0, observables, record_steps, values, replica
 ) -> float:
-    """Sequential chain with chunked noise draws; same update rule as
-    ula_step / mala_step but without per-step object churn."""
+    """Sequential chain through the ula_step / mala_step transitions, with
+    noise and uniforms drawn in chunks of _RNG_CHUNK steps."""
     h = config.step
-    sqrt2h = np.sqrt(2.0 * h)
     energy = system.energy
     N = system.N
     w = np.full(N, 1.0 / N)
@@ -170,7 +174,7 @@ def _run_single_chain(
     if mala:
         grad_x = energy._grad_all(x, w)
         u_x = N * energy._eval(x, w)
-        accepted = 0
+    accepted = 0
     k = 0
     n_rec = len(record_steps)
     fns = list(observables.items())
@@ -182,27 +186,12 @@ def _run_single_chain(
         for c in range(chunk):
             s += 1
             if mala:
-                y = x - h * grad_x + sqrt2h * noise[c]
-                m = np.abs(y).max()
-                if not m < BLOWUP_THRESHOLD:
-                    raise BlowUpError(f"blow-up at step {s}", step=s, replica=replica)
-                grad_y = energy._grad_all(y, w)
-                u_y = N * energy._eval(y, w)
-                log_alpha = (
-                    u_x
-                    - u_y
-                    + _mala_log_q(y, x, grad_y, h)
-                    - _mala_log_q(x, y, grad_x, h)
+                x, grad_x, u_x, acc = _mala_update(
+                    energy, w, x, grad_x, u_x, h, noise[c], log_u[c], s, replica
                 )
-                if log_u[c] < log_alpha:
-                    x, grad_x, u_x = y, grad_y, u_y
-                    accepted += 1
+                accepted += acc
             else:
-                grad = energy._grad_all(x, w)
-                x = x - h * grad + sqrt2h * noise[c]
-                m = np.abs(x).max()
-                if not m < BLOWUP_THRESHOLD:
-                    raise BlowUpError(f"blow-up at step {s}", step=s, replica=replica)
+                x = _ula_update(x, energy._grad_all(x, w), h, noise[c], s, replica)
             if k < n_rec and s == record_steps[k]:
                 for name, fn in fns:
                     values[name][replica, k] = fn(x)

@@ -24,6 +24,7 @@ __all__ = [
     "PairwiseKernelEnergy",
     "ParametrizedEnergy",
     "ParticleSystem",
+    "quadratic_as_parametrized",
 ]
 
 
@@ -57,6 +58,17 @@ class MeanFieldEnergy(abc.ABC):
     def _grad_all(self, points, weights) -> np.ndarray:
         """D_m F(mu, x_i) for every atom; override for vectorized paths."""
         return np.stack([self._grad(points, weights, x) for x in points])
+
+    def _hess_mm_matrix(self, points, weights) -> np.ndarray:
+        """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
+        N, d = points.shape
+        K = np.zeros((N * d, N * d))
+        for i in range(N):
+            for j in range(i, N):
+                blk = self._hess_mm(points, weights, points[i], points[j])
+                K[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
+                K[j * d : (j + 1) * d, i * d : (i + 1) * d] = blk.T
+        return K
 
     # DiscreteMeasure-facing API.
 
@@ -334,6 +346,27 @@ class ParametrizedEnergy(MeanFieldEnergy):
         return self.alpha_r * float(diff @ diff)
 
 
+def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:
+    """The quadratic-mean energy in parametrized form: F0 = 1/2 int |x|^2,
+    identity features, outer R(m) = -(a/2) m^2 (so alpha_r = a/2)."""
+    base = LinearPotentialEnergy(
+        v=lambda x: 0.5 * float(x @ x),
+        v_grad=lambda x: np.asarray(x, float),
+        v_hess=lambda x: np.eye(len(x)),
+    )
+    return ParametrizedEnergy(
+        base=base,
+        phi=lambda x: np.asarray(x, float),
+        phi_jac=lambda x: np.eye(len(x)),
+        phi_lip=1.0,
+        r=lambda m: -0.5 * a * float(m @ m),
+        r_grad=lambda m: -a * np.asarray(m, float),
+        r_hess=lambda m: -a * np.eye(len(np.atleast_1d(m))),
+        alpha_r=a / 2.0,
+        r_hess_bound=a,
+    )
+
+
 @dataclass(frozen=True)
 class ParticleSystem:
     """(energy, N, d) bundle exposing U_N = N F(mu_x) and its derivatives."""
@@ -369,14 +402,9 @@ class ParticleSystem:
         x = self._check(x)
         N, d = self.N, self.d
         w = np.full(N, 1.0 / N)
-        H = np.zeros((N * d, N * d))
+        H = self.energy._hess_mm_matrix(x, w) / N
         for i in range(N):
-            for j in range(i, N):
-                blk = self.energy._hess_mm(x, w, x[i], x[j]) / N
-                if i == j:
-                    blk = blk + self.energy._grad_x_of_Dm(x, w, x[i])
-                H[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
-                H[j * d : (j + 1) * d, i * d : (i + 1) * d] = blk.T
+            H[i * d : (i + 1) * d, i * d : (i + 1) * d] += self.energy._grad_x_of_Dm(x, w, x[i])
         return H
 
     def empirical_measure(self, x) -> DiscreteMeasure:

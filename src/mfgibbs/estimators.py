@@ -8,6 +8,7 @@ sampled frozen configurations.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +28,11 @@ __all__ = [
     "entropy_decay_gaussian",
     "conditional_gap_mc",
 ]
+
+#: The variance-decay fit window ends where the excess variance first falls to
+#: this fraction of its start: a clean exponential spans just under ln(1/cutoff)
+#: e-folds. A fit spanning under ln(1/(2 cutoff)), a factor 2 short, is low_confidence.
+_WINDOW_CUTOFF = 0.05
 
 
 @dataclass(frozen=True)
@@ -134,16 +140,7 @@ def estimate_gap_variance_decay(
     `observable` maps a configuration to a scalar.
     """
     n_steps = max(2, int(round(horizon / config.step)))
-    cfg = SimConfig(
-        step=config.step,
-        n_steps=n_steps,
-        burn_in=0,
-        thin=config.thin,
-        replicas=config.replicas,
-        seed=config.seed,
-        sampler=config.sampler,
-        initial=config.initial,
-    )
+    cfg = dataclasses.replace(config, n_steps=n_steps, burn_in=0)
     traj = run_chain(system, cfg, observables={"obs": observable})
     data = traj.observables["obs"]  # (replicas, n_records)
     var = data.var(axis=0, ddof=1)
@@ -154,7 +151,7 @@ def estimate_gap_variance_decay(
     times = traj.times
     tail = float(np.mean(var[-max(1, len(var) // 10) :]))
     excess = var - tail
-    thresh = 0.05 * (excess[0] if excess[0] > 0 else np.max(excess))
+    thresh = _WINDOW_CUTOFF * (excess[0] if excess[0] > 0 else np.max(excess))
     window = excess > max(thresh, 0.0)
     # keep the initial contiguous window only
     stop = int(np.argmin(window)) if not window.all() else len(window)
@@ -167,7 +164,7 @@ def estimate_gap_variance_decay(
     slope = float(np.polyfit(t_w, y, 1, w=np.sqrt(np.maximum(excess[:stop], 0)))[0])
     rate = -slope / 2.0
     n_efolds = (t_w[-1] - t_w[0]) * max(rate, 0.0) * 2.0
-    if n_efolds < 3.0:
+    if n_efolds < math.log(0.5 / _WINDOW_CUTOFF):
         flags["low_confidence"] = True
     # stderr from replica-halves
     half = config.replicas // 2

@@ -16,6 +16,7 @@ __all__ = [
     "Grid1D",
     "SpectralResult",
     "grid_poincare",
+    "boundary_negligible",
     "conditional_potential",
     "proximal_gibbs_fixed_point",
     "gaussian_exact",
@@ -106,15 +107,19 @@ def _gap_on_grid(grid: Grid1D) -> tuple[float, float]:
     return float(vals[1]), ground_mass
 
 
+def boundary_negligible(density: np.ndarray) -> bool:
+    """True when the density at both end nodes of a grid is at most 1e-12
+    of its maximum, so that the window cuts off no mass that matters."""
+    return bool(max(density[0], density[-1]) <= 1e-12 * density.max())
+
+
 def grid_poincare(grid: Grid1D, check_convergence: bool = True) -> SpectralResult:
     """Spectral gap (= Poincare constant) of exp(-U)/Z restricted to the grid.
 
     Uses a second-order symmetric discretization of f'' - U' f' with
     reflecting boundaries. Requires negligible boundary mass.
     """
-    u = grid.potential - grid.potential.min()
-    dens = np.exp(-u)
-    if max(dens[0], dens[-1]) > 1e-12 * dens.max():
+    if not boundary_negligible(np.exp(-(grid.potential - grid.potential.min()))):
         raise ValueError("window too small: boundary density not negligible")
     gap, ground_mass = _gap_on_grid(grid)
     converged = True

@@ -11,11 +11,10 @@ import numpy as np
 from . import bounds, spectral1d
 from .dynamics import SimConfig
 from .energies import (
-    LinearPotentialEnergy,
-    ParametrizedEnergy,
     PairwiseKernelEnergy,
     ParticleSystem,
     QuadraticMeanEnergy,
+    quadratic_as_parametrized,
 )
 from .estimators import conditional_gap_mc, entropy_decay_gaussian
 from .measures import DiscreteMeasure, empirical
@@ -24,27 +23,6 @@ __all__ = ["SUITES", "run_suite"]
 
 SHARPNESS_A = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 SHARPNESS_N = (10, 50, 200)
-
-
-def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:
-    """The quadratic-mean energy in parametrized form: F0 = 1/2 int |x|^2,
-    identity features, outer R(m) = -(a/2) m^2 (so alpha_r = a/2)."""
-    base = LinearPotentialEnergy(
-        v=lambda x: 0.5 * float(x @ x),
-        v_grad=lambda x: np.asarray(x, float),
-        v_hess=lambda x: np.eye(len(x)),
-    )
-    return ParametrizedEnergy(
-        base=base,
-        phi=lambda x: np.asarray(x, float),
-        phi_jac=lambda x: np.eye(len(x)),
-        phi_lip=1.0,
-        r=lambda m: -0.5 * a * float(m @ m),
-        r_grad=lambda m: -a * np.asarray(m, float),
-        r_hess=lambda m: -a * np.eye(len(np.atleast_1d(m))),
-        alpha_r=a / 2.0,
-        r_hess_bound=a,
-    )
 
 
 def _random_measure(rng, max_atoms=6, d=1) -> DiscreteMeasure:
@@ -170,14 +148,7 @@ def suite_entropy(rng=None):
     results = []
     a, N = 0.2, 50
     system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
-    par = quadratic_as_parametrized(a)
-    eps = 0.5
-    lam_p, alpha_N = bounds.parametrized_cost_bound(par, var_phi=1.0, epsilon=eps)
-    lsi = bounds.LsiInputs(
-        rho=1.0, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=a, epsilon=eps, N=N, d=1
-    )
-    poin = bounds.quadratic_example_constants(a, N).inputs
-    report = bounds.full_report(lsi, poin)
+    report = bounds.quadratic_corollary_report(a, N, 1, var_phi=1.0, epsilon=0.5)
     times = np.linspace(0.0, 4.0, 60)
     curve = entropy_decay_gaussian(
         system,

@@ -17,7 +17,7 @@ from mfgibbs.energies import (
 from mfgibbs.estimators import conditional_gap_mc, entropy_decay_gaussian
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
 from mfgibbs.spectral1d import conditional_potential, grid_poincare
-from mfgibbs.verify import quadratic_as_parametrized
+from mfgibbs.energies import quadratic_as_parametrized
 
 RESULTS = []
 

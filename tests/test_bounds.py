@@ -7,7 +7,7 @@ from mfgibbs import bounds
 from mfgibbs.energies import PairwiseKernelEnergy, QuadraticMeanEnergy
 from mfgibbs.errors import GibbsUndefinedError, TheoremInvalidError
 from mfgibbs.measures import DiscreteMeasure, empirical
-from mfgibbs.verify import quadratic_as_parametrized
+from mfgibbs.energies import quadratic_as_parametrized
 
 
 class TestPoincareConstant:

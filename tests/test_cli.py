@@ -114,6 +114,18 @@ class TestConstants:
         code = main(["constants", "--config", cfg, "--out", str(tmp_path / "r.json")])
         assert code == 3
 
+    def test_truncated_fixed_point_exit_3(self, tmp_path):
+        # the stationary law has unit variance: [-1, 1] cuts off much of its
+        # mass, and the fixed point on it would give a wrong Var(phi)
+        text = QUADRATIC.replace("[analysis]\n", "[analysis]\ngrid_lo = -1\ngrid_hi = 1\n")
+        cfg = write(tmp_path, text)
+        out = tmp_path / "r.json"
+        code = main(["constants", "--config", cfg, "--out", str(out)])
+        assert code == 3
+        payload = json.loads(out.read_text())
+        assert "report" not in payload
+        assert payload["error"].startswith("fixed-point-untrusted")
+
 
 class TestVerify:
     def test_sharpness_suite_passes(self, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfgibbs.dynamics import (
+    _RNG_CHUNK,
     ChainState,
     SimConfig,
     Trajectory,
@@ -27,6 +28,47 @@ def ou_system(kappa=1.0, N=1):
         v_hess=lambda x: kappa * np.eye(len(x)),
     )
     return ParticleSystem(energy, N, 1)
+
+
+class _Replay:
+    """Stub generator replaying a chain's draws in its order: per chunk of
+    _RNG_CHUNK steps all normals, then (MALA only) all uniforms."""
+
+    def __init__(self, seed, n_steps, shape, mala):
+        rng = make_rng(seed, 0)
+        self.noise, self.unifs = [], []
+        for start in range(0, n_steps, _RNG_CHUNK):
+            chunk = min(_RNG_CHUNK, n_steps - start)
+            self.noise.extend(rng.standard_normal((chunk, *shape)))
+            if mala:
+                self.unifs.extend(rng.uniform(size=chunk))
+        self.k = 0
+
+    def standard_normal(self, shape):
+        out = self.noise[self.k]
+        assert out.shape == shape
+        self.k += 1
+        return out
+
+    def uniform(self):
+        return self.unifs[self.k - 1]
+
+
+def _assert_chain_replays_steps(sampler):
+    """run_chain and the public step function fed the same draws agree bit
+    for bit; the run crosses a noise-chunk boundary."""
+    system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
+    n_steps, h = _RNG_CHUNK + 4, 0.05
+    cfg = SimConfig(step=h, n_steps=n_steps, replicas=1, seed=9, sampler=sampler)
+    traj = run_chain(system, cfg, observables={"x1": lambda x: x[0, 0]})
+    step = mala_step if sampler == "MALA" else ula_step
+    replay = _Replay(9, n_steps, (4, 1), sampler == "MALA")
+    state = ChainState(np.zeros((4, 1)))
+    ref = []
+    for _ in range(n_steps):
+        state = step(system, state, h, replay)
+        ref.append(state.configuration[0, 0])
+    np.testing.assert_array_equal(traj.observables["x1"][0], ref)
 
 
 class _ZeroNoise:
@@ -76,6 +118,14 @@ class TestSteps:
         traj = run_chain(system, cfg)
         assert traj.acceptance_rates[0] > 0.99
 
+    def test_ula_blow_up_reports_step(self):
+        system = ou_system()
+        state = ChainState(np.array([[1e9]]), step_index=7)
+        with pytest.raises(BlowUpError) as exc:
+            ula_step(system, state, 0.1, make_rng(0))
+        assert exc.value.step == 8
+        assert exc.value.replica is None
+
     def test_invalid_step(self):
         system = ou_system()
         with pytest.raises(ValueError):
@@ -116,51 +166,24 @@ class TestRunChain:
             np.testing.assert_array_equal(a.observables[name], b.observables[name])
 
     def test_ula_matches_single_step_reference(self):
-        # the optimized inner loop reproduces the public single-step map
-        system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
-        cfg = SimConfig(step=0.05, n_steps=50, replicas=1, seed=9, sampler="ULA")
-        traj = run_chain(system, cfg, observables={"x1": lambda x: x[0, 0]})
-        rng = make_rng(9, 0)
-        state = ChainState(np.zeros((4, 1)))
-        ref = []
-        for _ in range(50):
-            state = ula_step(system, state, 0.05, rng)
-            ref.append(state.configuration[0, 0])
-        np.testing.assert_allclose(traj.observables["x1"][0], ref, atol=1e-12)
+        _assert_chain_replays_steps("ULA")
 
     def test_mala_matches_single_step_reference(self):
-        # replay the block draw order (all normals, then all uniforms)
-        # through the public step function
-        system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
-        n_steps = 50
-        cfg = SimConfig(step=0.05, n_steps=n_steps, replicas=1, seed=9, sampler="MALA")
-        traj = run_chain(system, cfg, observables={"x1": lambda x: x[0, 0]})
+        _assert_chain_replays_steps("MALA")
 
-        rng = make_rng(9, 0)
-        noise = rng.standard_normal((n_steps, 4, 1))
-        unifs = rng.uniform(size=n_steps)
-
-        class Replay:
-            def __init__(self):
-                self.k = 0
-
-            def standard_normal(self, shape):
-                out = noise[self.k]
-                assert out.shape == shape
-                return out
-
-            def uniform(self):
-                u = unifs[self.k]
-                self.k += 1
-                return u
-
-        state = ChainState(np.zeros((4, 1)))
-        replay = Replay()
-        ref = []
-        for _ in range(n_steps):
-            state = mala_step(system, state, 0.05, replay)
-            ref.append(state.configuration[0, 0])
-        np.testing.assert_allclose(traj.observables["x1"][0], ref, atol=1e-12)
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    def test_replica_independent_of_replica_count(self, sampler):
+        system = ParticleSystem(QuadraticMeanEnergy(0.3), 5, 1)
+        one, three = (
+            run_chain(system, SimConfig(
+                step=0.05, n_steps=300, burn_in=20, thin=3, replicas=r, seed=21,
+                sampler=sampler, initial=("gaussian", 1.0),
+            ))
+            for r in (1, 3)
+        )
+        for name in one.observables:
+            np.testing.assert_array_equal(one.observables[name][0], three.observables[name][0])
+        assert np.array_equal(one.acceptance_rates[:1], three.acceptance_rates[:1], equal_nan=True)
 
     def test_ula_stationary_variance(self):
         # 1-D OU target kappa x^2/2: ULA is Gaussian with variance

@@ -9,7 +9,7 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
-from mfgibbs.verify import quadratic_as_parametrized
+from mfgibbs.energies import quadratic_as_parametrized
 
 
 def random_measure(rng, d=1, max_atoms=5):

@@ -116,6 +116,8 @@ class TestVarianceDecayGap:
         )
         assert est.method == "variance-decay"
         assert abs(est.rate - 1.0) < 0.05  # 5%
+        # a clean exponential over the whole fit window is not low-confidence
+        assert "low_confidence" not in est.flags
 
     def test_rate_halving(self):
         # kappa = 2: variance of the observable decays at 2*kappa; the
