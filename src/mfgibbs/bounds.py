@@ -30,6 +30,7 @@ __all__ = [
     "kernel_example_constants",
     "parametrized_cost_bound",
     "quadratic_corollary_report",
+    "kernel_corollary_report",
     "check_semi_convexity",
     "check_cost_convexity",
     "hessian_block_bound",
@@ -220,9 +221,9 @@ class KernelExampleConstants:
 def kernel_example_constants(
     L: float, alpha: float, eta: float, v1_sup: float = 0.0
 ) -> KernelExampleConstants:
-    if L < 0 or alpha < 0 or v1_sup < 0:
+    if not (L >= 0 and alpha >= 0 and v1_sup >= 0):  # NaN fails too
         raise ValueError("L, alpha, v1_sup must be nonnegative")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     Mmm = 2.0 * L * (1.0 + 2.0 * math.exp(-1.0)) + 2.0 * alpha
     rho = eta * math.exp(-v1_sup - L)
@@ -244,18 +245,23 @@ def kernel_example_constants(
     )
 
 
+def _cost_bound(alpha_r: float, phi_lip: float, var_phi: float, epsilon: float):
+    """(lambda', alpha_N) = (alpha_r (1 + eps) Lip(phi)^2, alpha_r (1 + 1/eps) Var(phi))."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie strictly inside (0, 1)")
+    if var_phi < 0:
+        raise ValueError("variance must be nonnegative")
+    lam_p = alpha_r * (1.0 + epsilon) * phi_lip**2
+    alpha_N = alpha_r * (1.0 + 1.0 / epsilon) * var_phi
+    return lam_p, alpha_N
+
+
 def parametrized_cost_bound(
     energy: ParametrizedEnergy, var_phi: float, epsilon: float
 ) -> tuple[float, float]:
     """(lambda', alpha_N) for a parametrized energy:
     lambda' = alpha_r (1 + eps) Lip(phi)^2, alpha_N = alpha_r (1 + 1/eps) Var(phi)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if var_phi < 0:
-        raise ValueError("variance must be nonnegative")
-    lam_p = energy.alpha_r * (1.0 + epsilon) * energy.phi_lip**2
-    alpha_N = energy.alpha_r * (1.0 + 1.0 / epsilon) * var_phi
-    return lam_p, alpha_N
+    return _cost_bound(energy.alpha_r, energy.phi_lip, var_phi, epsilon)
 
 
 def quadratic_corollary_report(
@@ -269,6 +275,22 @@ def quadratic_corollary_report(
         rho=1.0, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=a, epsilon=epsilon, N=N, d=d
     )
     return full_report(lsi, quadratic_example_constants(a, N).inputs)
+
+
+def kernel_corollary_report(
+    L: float, alpha: float, eta: float, v1_sup: float, N: int, d: int,
+    var_phi: float, epsilon: float,
+) -> ConstantsReport:
+    """Full report of the pairwise-kernel energy, given Var(phi) of the
+    stationary mean-field measure. Its attraction 1/2 iint alpha |x - y|^2 is
+    alpha int |x|^2 - alpha |int x|^2: parametrized with identity features
+    (Lip 1) and alpha_r = alpha, whence lambda = 2 alpha."""
+    k = kernel_example_constants(L, alpha, eta, v1_sup)
+    lam_p, alpha_N = _cost_bound(alpha, 1.0, var_phi, epsilon)
+    lsi = LsiInputs(
+        rho=k.rho, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=k.Mmm, epsilon=epsilon, N=N, d=d
+    )
+    return full_report(lsi, PoincareInputs(rho_N=k.rho_N, lam=2.0 * alpha, Mmm=k.Mmm, N=N))
 
 
 def _mixture_deficit(energy, mu, nu, t_grid, penalty) -> float:

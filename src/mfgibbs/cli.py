@@ -93,25 +93,12 @@ def _constants_report(cfg: ExperimentConfig):
             "var_phi": var_phi,
         }
     if cfg.energy_type == "kernel":
-        k = bounds.kernel_example_constants(
-            L=float(p.get("l", 0.0)),
-            alpha=float(p.get("alpha", 0.0)),
-            eta=float(p.get("eta", 1.0)),
-            v1_sup=float(p.get("v1_sup", 0.0)),
-        )
-        energy = cfg.build_energy()
-        var_phi = _stationary_variance(cfg, energy)
-        alpha = float(p.get("alpha", 0.0))
-        lam_p = alpha * (1.0 + eps)
-        alpha_N = alpha * (1.0 + 1.0 / eps) * var_phi
-        lsi = bounds.LsiInputs(
-            rho=k.rho, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=k.Mmm,
-            epsilon=eps, N=cfg.N, d=cfg.d,
-        )
-        poin = bounds.PoincareInputs(
-            rho_N=k.rho_N, lam=energy.declared_lambda, Mmm=k.Mmm, N=cfg.N
-        )
-        return bounds.full_report(lsi, poin), {
+        L, alpha = float(p.get("l", 0.0)), float(p.get("alpha", 0.0))
+        eta, v1_sup = float(p.get("eta", 1.0)), float(p.get("v1_sup", 0.0))
+        k = bounds.kernel_example_constants(L=L, alpha=alpha, eta=eta, v1_sup=v1_sup)
+        var_phi = _stationary_variance(cfg, cfg.build_energy())
+        report = bounds.kernel_corollary_report(L, alpha, eta, v1_sup, cfg.N, cfg.d, var_phi, eps)
+        return report, {
             "rho": k.rho,
             "Mmm": k.Mmm,
             "condition_holds": k.condition_holds,

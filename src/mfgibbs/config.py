@@ -140,6 +140,9 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
     analysis = dict(_DEFAULT_ANALYSIS)
     if "analysis" in parser:
         analysis.update({k: _coerce(v) for k, v in parser["analysis"].items()})
+    eps = analysis["epsilon"]
+    if not (isinstance(eps, (int, float)) and 0 < eps < 1):  # NaN fails too
+        raise ConfigError(f"[analysis] epsilon must lie strictly inside (0, 1), got {eps!r}")
     out_path = parser["output"].get("path") if "output" in parser else None
     cfg = ExperimentConfig(
         energy_type=energy_type,

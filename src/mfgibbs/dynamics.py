@@ -44,7 +44,7 @@ class SimConfig:
     initial: object = "zeros"  # "zeros" | ("gaussian", scale) | explicit (N, d) array
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:  # NaN fails too
             raise ValueError("step must be positive")
         if self.n_steps < 1 or self.thin < 1 or self.replicas < 1:
             raise ValueError("n_steps, thin, replicas must be positive")
@@ -89,8 +89,8 @@ def _mala_update(energy, w, x, grad_x, u_x, h, noise, log_u, step, replica):
     """ULA proposal from x (with grad U_N and U_N cached there), accepted
     when log_u < log alpha. Returns (x, grad_x, u_x, accepted) after the move."""
     y = _ula_update(x, grad_x, h, noise, step, replica)
-    grad_y = energy._grad_all(y, w)
-    u_y = len(w) * energy._eval(y, w)
+    f_y, grad_y = energy._value_and_grad(y, w)
+    u_y = len(w) * f_y
     log_alpha = u_x - u_y + _mala_log_q(y, x, grad_y, h) - _mala_log_q(x, y, grad_x, h)
     if log_u < log_alpha:
         return y, grad_y, u_y, True
@@ -99,7 +99,7 @@ def _mala_update(energy, w, x, grad_x, u_x, h, noise, log_u, step, replica):
 
 def _start(system: ParticleSystem, state: ChainState, h: float):
     """(x, uniform weights) for one public step."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("step must be positive")
     return system._check(state.configuration), np.full(system.N, 1.0 / system.N)
 
@@ -120,9 +120,9 @@ def mala_step(
     """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N."""
     x, w = _start(system, state, h)
     noise, log_u = rng.standard_normal(x.shape), np.log(rng.uniform())
-    grad_x, u_x = system.energy._grad_all(x, w), system.N * system.energy._eval(x, w)
+    f_x, grad_x = system.energy._value_and_grad(x, w)
     x, _, _, accepted = _mala_update(
-        system.energy, w, x, grad_x, u_x, h, noise, log_u, state.step_index + 1, None
+        system.energy, w, x, grad_x, system.N * f_x, h, noise, log_u, state.step_index + 1, None
     )
     return ChainState(x, state.step_index + 1, state.acceptance_count + accepted)
 
@@ -172,8 +172,8 @@ def _run_single_chain(
     mala = config.sampler == "MALA"
     x = np.array(x0, dtype=float)
     if mala:
-        grad_x = energy._grad_all(x, w)
-        u_x = N * energy._eval(x, w)
+        f_x, grad_x = energy._value_and_grad(x, w)
+        u_x = N * f_x
     accepted = 0
     k = 0
     n_rec = len(record_steps)

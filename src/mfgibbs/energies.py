@@ -59,6 +59,11 @@ class MeanFieldEnergy(abc.ABC):
         """D_m F(mu, x_i) for every atom; override for vectorized paths."""
         return np.stack([self._grad(points, weights, x) for x in points])
 
+    def _value_and_grad(self, points, weights) -> tuple[float, np.ndarray]:
+        """(F(mu), D_m F(mu, x_i) for every atom); override to share work
+        between the two."""
+        return self._eval(points, weights), self._grad_all(points, weights)
+
     def _hess_mm_matrix(self, points, weights) -> np.ndarray:
         """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
         N, d = points.shape
@@ -101,7 +106,7 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
+        if not self.a > 0:  # NaN fails too
             raise ValueError("attraction strength a must be positive")
 
     @property
@@ -194,9 +199,9 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     v1_sup: float = 0.0
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:  # NaN fails too
             raise ValueError("eta must be positive")
-        if self.L < 0 or self.alpha < 0:
+        if not (self.L >= 0 and self.alpha >= 0 and self.v1_sup >= 0):
             raise ValueError("kernel parameters must be nonnegative")
         if self.v1 is None:
             object.__setattr__(self, "v1", _zero)
@@ -236,13 +241,44 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     def _v_hess(self, x):
         return self.eta * np.eye(len(x)) + self.v1_hess(x)
 
+    def _value_and_grad(self, points, weights):
+        """One O(N^2) pass for F and D_m F at every atom (weights summing to 1).
+
+        exp(-|x_i - x_j|^2) is built in place in a single (N, N) buffer and
+        contracted with [w, w c] in one matmul, where c = x - m are the points
+        centred at the mean m. The alpha |z|^2 part needs only the first two
+        moments: value alpha sum_i w_i |c_i|^2, gradient 2 alpha c_i.
+        """
+        d = points.shape[1]
+        gauss = np.subtract.outer(points[:, 0], points[:, 0])
+        np.square(gauss, out=gauss)
+        if d > 1:
+            diff = np.empty_like(gauss)
+            for k in range(1, d):
+                np.subtract.outer(points[:, k], points[:, k], out=diff)
+                np.square(diff, out=diff)
+                gauss += diff
+        np.negative(gauss, out=gauss)
+        np.exp(gauss, out=gauss)
+        c = points - weights @ points
+        ew = gauss @ np.column_stack((weights, weights[:, None] * c))
+        value = (
+            0.5 * self.eta * float(weights @ np.sum(points * points, axis=1))
+            + 0.5 * self.L * float(weights @ ew[:, 0])
+            + self.alpha * float(weights @ np.sum(c * c, axis=1))
+        )
+        grad = (
+            self.eta * points
+            - 2.0 * self.L * (c * ew[:, :1] - ew[:, 1:])
+            + 2.0 * self.alpha * c
+        )
+        if self.v1 is not _zero:
+            value += float(sum(w * self.v1(x) for w, x in zip(weights, points)))
+            grad += np.stack([self.v1_grad(x) for x in points])
+        return value, grad
+
     def _eval(self, points, weights, /):
-        conf = float(
-            np.sum(weights * (0.5 * self.eta * np.sum(points * points, axis=1)))
-        ) + float(sum(w * self.v1(x) for w, x in zip(weights, points)))
-        z = points[:, None, :] - points[None, :, :]
-        pair = 0.5 * float(weights @ self._w(z) @ weights)
-        return conf + pair
+        return self._value_and_grad(points, weights)[0]
 
     def _flat(self, points, weights, x):
         return self._v(x) + float(weights @ self._w(x[None, :] - points))
@@ -251,11 +287,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         return self._v_grad(x) + weights @ self._w_grad(x[None, :] - points)
 
     def _grad_all(self, points, weights):
-        z = points[:, None, :] - points[None, :, :]
-        conv = np.einsum("j,ijk->ik", weights, self._w_grad(z))
-        if self.v1 is _zero:
-            return self.eta * points + conv
-        return np.stack([self._v_grad(x) for x in points]) + conv
+        return self._value_and_grad(points, weights)[1]
 
     def _hess_mm(self, points, weights, x, xp):
         return -self._w_hess(x - xp)
@@ -293,7 +325,7 @@ class ParametrizedEnergy(MeanFieldEnergy):
     def __post_init__(self):
         if self.base.declared_lambda != 0.0:
             raise ValueError("base energy must be flat-convex (declared_lambda = 0)")
-        if self.alpha_r < 0:
+        if not self.alpha_r >= 0:  # NaN fails too
             raise ValueError("alpha_r must be nonnegative")
 
     @property

@@ -149,7 +149,8 @@ def estimate_gap_variance_decay(
             math.nan, math.nan, "variance-decay", 0.0, {"constant_observable": True}
         )
     times = traj.times
-    tail = float(np.mean(var[-max(1, len(var) // 10) :]))
+    n_tail = max(1, len(var) // 10)
+    tail = float(np.mean(var[-n_tail:]))
     excess = var - tail
     thresh = _WINDOW_CUTOFF * (excess[0] if excess[0] > 0 else np.max(excess))
     window = excess > max(thresh, 0.0)
@@ -166,6 +167,11 @@ def estimate_gap_variance_decay(
     n_efolds = (t_w[-1] - t_w[0]) * max(rate, 0.0) * 2.0
     if n_efolds < math.log(0.5 / _WINDOW_CUTOFF):
         flags["low_confidence"] = True
+    # the tail mean stands in for the stationary variance only if the fitted
+    # decay exp(-2 rate t) has fallen below the window cutoff where the tail
+    # starts; otherwise subtracting it biases the rate upward
+    if not 2.0 * rate * (times[-n_tail] - times[0]) > math.log(1.0 / _WINDOW_CUTOFF):
+        flags["tail_not_stationary"] = True
     # stderr from replica-halves
     half = config.replicas // 2
     sub_rates = []

@@ -236,6 +236,31 @@ class TestConfigErrors:
         assert main(["simulate", "--config", bad, "--out", "/tmp/x.csv"]) == 2
 
 
+class TestNonFiniteInputs:
+    """NaN parameters and an out-of-range epsilon are config errors (exit 2),
+    not tracebacks or blow-ups."""
+
+    def _assert_config_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_nan_attraction_constants(self, tmp_path, capsys):
+        cfg = write(tmp_path, QUADRATIC.replace("a = 0.5", "a = nan"))
+        self._assert_config_error(capsys, ["constants", "--config", cfg])
+
+    def test_nan_kernel_strength_simulate(self, tmp_path, capsys):
+        cfg = write(tmp_path, KERNEL.replace("l = 1.0", "l = nan"))
+        out = str(tmp_path / "t.csv")
+        self._assert_config_error(capsys, ["simulate", "--config", cfg, "--out", out])
+
+    @pytest.mark.parametrize("eps", ["1.5", "0", "nan", "abc"])
+    def test_epsilon_outside_unit_interval(self, tmp_path, capsys, eps):
+        cfg = write(tmp_path, QUADRATIC.replace("epsilon = 0.5", f"epsilon = {eps}"))
+        self._assert_config_error(capsys, ["constants", "--config", cfg])
+
+
 class TestLoadConfig:
     def test_round_trip_values(self, tmp_path):
         cfg = load_config(write(tmp_path, QUADRATIC))

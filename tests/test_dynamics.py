@@ -14,6 +14,7 @@ from mfgibbs.dynamics import (
 )
 from mfgibbs.energies import (
     LinearPotentialEnergy,
+    PairwiseKernelEnergy,
     ParticleSystem,
     QuadraticMeanEnergy,
 )
@@ -54,16 +55,18 @@ class _Replay:
         return self.unifs[self.k - 1]
 
 
-def _assert_chain_replays_steps(sampler):
+def _assert_chain_replays_steps(sampler, system=None):
     """run_chain and the public step function fed the same draws agree bit
     for bit; the run crosses a noise-chunk boundary."""
-    system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
+    if system is None:
+        system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
+    shape = (system.N, system.d)
     n_steps, h = _RNG_CHUNK + 4, 0.05
     cfg = SimConfig(step=h, n_steps=n_steps, replicas=1, seed=9, sampler=sampler)
     traj = run_chain(system, cfg, observables={"x1": lambda x: x[0, 0]})
     step = mala_step if sampler == "MALA" else ula_step
-    replay = _Replay(9, n_steps, (4, 1), sampler == "MALA")
-    state = ChainState(np.zeros((4, 1)))
+    replay = _Replay(9, n_steps, shape, sampler == "MALA")
+    state = ChainState(np.zeros(shape))
     ref = []
     for _ in range(n_steps):
         state = step(system, state, h, replay)
@@ -128,8 +131,9 @@ class TestSteps:
 
     def test_invalid_step(self):
         system = ou_system()
-        with pytest.raises(ValueError):
-            ula_step(system, ChainState(np.zeros((1, 1))), 0.0, make_rng(0))
+        for h in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                ula_step(system, ChainState(np.zeros((1, 1))), h, make_rng(0))
 
 
 class TestRng:
@@ -170,6 +174,10 @@ class TestRunChain:
 
     def test_mala_matches_single_step_reference(self):
         _assert_chain_replays_steps("MALA")
+
+    def test_kernel_mala_matches_single_step_reference(self):
+        kernel = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        _assert_chain_replays_steps("MALA", ParticleSystem(kernel, 20, 1))
 
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
     def test_replica_independent_of_replica_count(self, sampler):
@@ -272,6 +280,8 @@ class TestRunChain:
             SimConfig(step=0.1, n_steps=10, burn_in=10)
         with pytest.raises(ValueError):
             SimConfig(step=0.1, n_steps=10, sampler="HMC")
+        with pytest.raises(ValueError):
+            SimConfig(step=float("nan"), n_steps=10)
 
 
 class TestTrajectoryCsv:

@@ -150,6 +150,73 @@ class TestClosedForms:
             assert abs(e.eval(empirical(pts)) - e.eval(empirical(pts[perm]))) < 1e-13
 
 
+def _kernel_reference(e, x, w):
+    """F and D_m F of the kernel energy through the (N, N, d) displacement tensor."""
+    z = x[:, None, :] - x[None, :, :]
+    sq = np.sum(z * z, axis=-1)
+    gauss = np.exp(-sq)
+    value = float(np.sum(w * (0.5 * e.eta * np.sum(x * x, axis=1))))
+    value += float(sum(wi * e.v1(xi) for wi, xi in zip(w, x)))
+    value += 0.5 * float(w @ (e.L * gauss + e.alpha * sq) @ w)
+    pair_grad = (-2.0 * e.L * gauss + 2.0 * e.alpha)[..., None] * z
+    grad = np.stack([e.eta * xi + e.v1_grad(xi) for xi in x])
+    return value, grad + np.einsum("j,ijk->ik", w, pair_grad)
+
+
+def _cos_perturbed_kernel():
+    return PairwiseKernelEnergy(
+        eta=1.0, L=1.0, alpha=0.05,
+        v1=lambda x: 0.3 * float(np.cos(x[0])),
+        v1_grad=lambda x: np.eye(len(x))[0] * (-0.3 * np.sin(x[0])),
+        v1_hess=lambda x: np.diag(np.eye(len(x))[0]) * (-0.3 * np.cos(x[0])),
+        v1_sup=0.3,
+    )
+
+
+def _assert_rel_close(got, ref, rel=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= rel * max(np.max(np.abs(ref)), 1e-300)
+
+
+class TestValueAndGrad:
+    """The fused (F, D_m F at every atom) primitive that MALA calls once per proposal."""
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["v1=0", "v1=cos"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 7, 200])
+    def test_kernel_matches_displacement_tensor(self, N, d, perturbed):
+        e = _cos_perturbed_kernel() if perturbed else PairwiseKernelEnergy(1.0, 1.0, 0.05)
+        rng = np.random.default_rng(100 * N + d)
+        x = rng.normal(size=(N, d)) * 1.5
+        w = rng.random(N) + 0.1
+        w /= w.sum()
+        value, grad = e._value_and_grad(x, w)
+        ref_value, ref_grad = _kernel_reference(e, x, w)
+        _assert_rel_close(value, ref_value)
+        _assert_rel_close(grad, ref_grad)
+        assert grad.shape == (N, d)
+        # _eval and _grad_all are the same pass
+        assert e._eval(x, w) == value
+        np.testing.assert_array_equal(e._grad_all(x, w), grad)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_other_energies_match_eval_and_grad_all(self, d):
+        linear = LinearPotentialEnergy(
+            v=lambda x: 0.5 * float(x @ x) + float(np.sin(x[0])),
+            v_grad=lambda x: x + np.eye(len(x))[0] * np.cos(x[0]),
+            v_hess=lambda x: np.eye(len(x)) - np.diag(np.eye(len(x))[0]) * np.sin(x[0]),
+        )
+        rng = np.random.default_rng(d)
+        for e in (QuadraticMeanEnergy(0.5), linear, quadratic_as_parametrized(0.5)):
+            for N in (1, 7, 200):
+                x = rng.normal(size=(N, d)) * 1.5
+                w = np.full(N, 1.0 / N)
+                value, grad = e._value_and_grad(x, w)
+                assert value == e._eval(x, w)
+                np.testing.assert_array_equal(grad, e._grad_all(x, w))
+                _assert_rel_close(grad, np.stack([e._grad(x, w, xi) for xi in x]))
+
+
 class TestDerivativeLadder:
     """Finite-difference consistency between each level of the ladder."""
 
@@ -217,6 +284,25 @@ class TestDerivativeLadder:
                             system.grad_u_n(xp) - system.grad_u_n(xm)
                         ).ravel() / (2 * h)
                 np.testing.assert_allclose(H, fd, atol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda nan: QuadraticMeanEnergy(nan),
+        lambda nan: PairwiseKernelEnergy(eta=nan),
+        lambda nan: PairwiseKernelEnergy(eta=1.0, L=nan),
+        lambda nan: PairwiseKernelEnergy(eta=1.0, alpha=nan),
+        lambda nan: PairwiseKernelEnergy(eta=1.0, v1_sup=nan),
+        lambda nan: ParametrizedEnergy(
+            base=LinearPotentialEnergy(v=None, v_grad=None, v_hess=None), alpha_r=nan
+        ),
+    ],
+    ids=["quadratic-a", "kernel-eta", "kernel-L", "kernel-alpha", "kernel-v1_sup", "alpha_r"],
+)
+def test_nan_parameter_rejected(build):
+    with pytest.raises(ValueError):
+        build(float("nan"))
 
 
 class TestParticleSystem:

@@ -118,6 +118,7 @@ class TestVarianceDecayGap:
         assert abs(est.rate - 1.0) < 0.05  # 5%
         # a clean exponential over the whole fit window is not low-confidence
         assert "low_confidence" not in est.flags
+        assert "tail_not_stationary" not in est.flags
 
     def test_rate_halving(self):
         # kappa = 2: variance of the observable decays at 2*kappa; the
@@ -132,6 +133,22 @@ class TestVarianceDecayGap:
         )
         # ULA bias alone gives -ln(1 - kappa h)/h = 2.01
         assert abs(est.rate - 2.0) < 0.15
+        assert "tail_not_stationary" not in est.flags
+
+    def test_short_horizon_tail_flagged(self):
+        # at horizon 1 the unit-gap excess variance is still exp(-2 * 0.9) = 17%
+        # of its start where the tail window begins: the tail mean is not the
+        # stationary variance, and subtracting it inflates the rate to ~1.5
+        system = ou_system(kappa=1.0)
+        cfg = SimConfig(
+            step=0.01, n_steps=2, replicas=1000, seed=5, sampler="ULA",
+            initial=("gaussian", 3.0),
+        )
+        est = estimate_gap_variance_decay(
+            system, cfg, lambda x: float(x[0, 0]), horizon=1.0
+        )
+        assert est.rate > 1.3
+        assert est.flags.get("tail_not_stationary")
 
     def test_constant_observable_flagged(self):
         system = ou_system()
