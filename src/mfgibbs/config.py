@@ -7,9 +7,10 @@ run; every command output embeds the resolved values.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
-from .dynamics import SimConfig
+from .dynamics import SimConfig, default_observables
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy, ParticleSystem
 from .energies import QuadraticMeanEnergy, quadratic_as_parametrized
 
@@ -70,16 +71,7 @@ class ExperimentConfig:
         return {
             "energy": {"type": self.energy_type, **self.energy_params},
             "system": {"n": self.N, "d": self.d},
-            "sim": {
-                "step": self.sim.step,
-                "n_steps": self.sim.n_steps,
-                "burn_in": self.sim.burn_in,
-                "thin": self.sim.thin,
-                "replicas": self.sim.replicas,
-                "seed": self.sim.seed,
-                "sampler": self.sim.sampler,
-                "initial": str(self.sim.initial),
-            },
+            "sim": {**asdict(self.sim), "initial": str(self.sim.initial)},
             "analysis": dict(self.analysis),
         }
 
@@ -118,12 +110,6 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [system] values: {exc}") from None
     sim_raw = dict(parser["sim"]) if "sim" in parser else {}
-    initial = sim_raw.get("initial", "zeros")
-    if initial.startswith("gaussian"):
-        scale = 1.0
-        if "(" in initial:
-            scale = float(initial.split("(")[1].rstrip(")"))
-        initial = ("gaussian", scale)
     try:
         sim = SimConfig(
             step=float(sim_raw.get("step", 0.05)),
@@ -133,28 +119,47 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
             replicas=replicas if replicas is not None else int(sim_raw.get("replicas", 1)),
             seed=seed if seed is not None else int(sim_raw.get("seed", 0)),
             sampler=sim_raw.get("sampler", "MALA"),
-            initial=initial,
+            initial=_parse_initial(sim_raw.get("initial", "zeros")),
         )
     except ValueError as exc:
         raise ConfigError(f"bad [sim] values: {exc}") from None
     analysis = dict(_DEFAULT_ANALYSIS)
     if "analysis" in parser:
         analysis.update({k: _coerce(v) for k, v in parser["analysis"].items()})
-    eps = analysis["epsilon"]
-    if not (isinstance(eps, (int, float)) and 0 < eps < 1):  # NaN fails too
-        raise ConfigError(f"[analysis] epsilon must lie strictly inside (0, 1), got {eps!r}")
     out_path = parser["output"].get("path") if "output" in parser else None
-    cfg = ExperimentConfig(
-        energy_type=energy_type,
-        energy_params=energy_params,
-        N=N,
-        d=d,
-        sim=sim,
-        analysis=analysis,
-        out_path=out_path,
-    )
+    cfg = ExperimentConfig(energy_type, energy_params, N, d, sim, analysis, out_path)
     try:
-        cfg.build_energy()
+        system = cfg.build_system()
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad [energy] parameters: {exc}") from None
+        raise ConfigError(f"bad [energy] or [system] values: {exc}") from None
+    _check_analysis(analysis, sorted(default_observables(system)))
     return cfg
+
+
+def _parse_initial(text: str):
+    """`zeros`, `gaussian` or `gaussian(scale)` with a finite scale."""
+    if text == "zeros":
+        return text
+    if text == "gaussian":
+        return ("gaussian", 1.0)
+    if text.startswith("gaussian(") and text.endswith(")"):
+        scale = float(text[len("gaussian(") : -1])
+        if math.isfinite(scale):
+            return ("gaussian", scale)
+    raise ValueError(f"initial must be zeros, gaussian or gaussian(<finite scale>), got {text!r}")
+
+
+def _check_analysis(an: dict, observables: list):
+    def finite(key):
+        return isinstance(an[key], (int, float)) and math.isfinite(an[key])
+
+    for key, ok, rule in (
+        ("epsilon", finite("epsilon") and 0 < an["epsilon"] < 1, "strictly inside (0, 1)"),
+        ("grid_lo", finite("grid_lo") and finite("grid_hi") and an["grid_lo"] < an["grid_hi"],
+         "finite and below a finite grid_hi"),
+        ("grid_n", isinstance(an["grid_n"], int) and an["grid_n"] >= 3, "an integer >= 3"),
+        ("max_lag", isinstance(an["max_lag"], int) and an["max_lag"] >= 1, "an integer >= 1"),
+        ("observable", an["observable"] in observables, f"one of {observables}"),
+    ):
+        if not ok:
+            raise ConfigError(f"[analysis] {key} must be {rule}, got {an[key]!r}")

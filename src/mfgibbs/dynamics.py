@@ -109,7 +109,7 @@ def ula_step(
 ) -> ChainState:
     """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
     x, w = _start(system, state, h)
-    grad = system.energy._grad_all(x, w)
+    grad = system.energy._grad(x, w, x)
     y = _ula_update(x, grad, h, rng.standard_normal(x.shape), state.step_index + 1, None)
     return ChainState(y, state.step_index + 1, state.acceptance_count)
 
@@ -191,7 +191,7 @@ def _run_single_chain(
                 )
                 accepted += acc
             else:
-                x = _ula_update(x, energy._grad_all(x, w), h, noise[c], s, replica)
+                x = _ula_update(x, energy._grad(x, w, x), h, noise[c], s, replica)
             if k < n_rec and s == record_steps[k]:
                 for name, fn in fns:
                     values[name][replica, k] = fn(x)

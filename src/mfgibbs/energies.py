@@ -5,6 +5,11 @@ natural closed form, without mean-zero normalization), the intrinsic
 derivative D_m F = grad_x dF/dm, and the second intrinsic derivative
 D_m^2 F. `ParticleSystem` lifts an energy to U_N = N F(mu_x) with exact
 gradient and Hessian.
+
+The private primitives share one array convention: mu is given by its atoms
+`points` (n, d) and `weights` (n,), and each derivative is evaluated at all
+query rows `xs` (m, d) at once (pairs with `ys` (m', d) for D_m^2 F), query
+axes first. The public single-point methods are the case m = 1.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import DiscreteMeasure, empirical
+from .measures import DiscreteMeasure
 
 __all__ = [
     "MeanFieldEnergy",
@@ -36,63 +41,58 @@ class MeanFieldEnergy(abc.ABC):
     #: uniform operator-norm bound on D_m^2 F
     declared_Mmm: float
 
-    # Array-level primitives; points (n, d), weights (n,).
+    # Array-level primitives: atoms points (n, d) with weights (n,) summing
+    # to one, query rows xs (m, d) and ys (m', d).
 
     @abc.abstractmethod
     def _eval(self, points: np.ndarray, weights: np.ndarray) -> float: ...
 
     @abc.abstractmethod
-    def _flat(self, points, weights, x: np.ndarray) -> float: ...
+    def _flat(self, points, weights, xs) -> np.ndarray: ...  # dF/dm(mu, xs_i): (m,)
 
     @abc.abstractmethod
-    def _grad(self, points, weights, x: np.ndarray) -> np.ndarray: ...
+    def _grad(self, points, weights, xs) -> np.ndarray: ...  # D_m F(mu, xs_i): (m, d)
 
     @abc.abstractmethod
-    def _hess_mm(self, points, weights, x, xp) -> np.ndarray:
-        """D_m^2 F(mu, x, xp), a d x d matrix."""
+    def _hess_mm(self, points, weights, xs, ys) -> np.ndarray: ...  # D_m^2 F: (m, m', d, d)
 
     @abc.abstractmethod
-    def _grad_x_of_Dm(self, points, weights, x) -> np.ndarray:
-        """grad_x D_m F(mu, x) at frozen mu, a d x d matrix."""
-
-    def _grad_all(self, points, weights) -> np.ndarray:
-        """D_m F(mu, x_i) for every atom; override for vectorized paths."""
-        return np.stack([self._grad(points, weights, x) for x in points])
+    def _grad_x_of_Dm(self, points, weights, xs) -> np.ndarray: ...  # grad_x D_m F: (m, d, d)
 
     def _value_and_grad(self, points, weights) -> tuple[float, np.ndarray]:
         """(F(mu), D_m F(mu, x_i) for every atom); override to share work
         between the two."""
-        return self._eval(points, weights), self._grad_all(points, weights)
+        return self._eval(points, weights), self._grad(points, weights, points)
 
     def _hess_mm_matrix(self, points, weights) -> np.ndarray:
         """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
         N, d = points.shape
-        K = np.zeros((N * d, N * d))
-        for i in range(N):
-            for j in range(i, N):
-                blk = self._hess_mm(points, weights, points[i], points[j])
-                K[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
-                K[j * d : (j + 1) * d, i * d : (i + 1) * d] = blk.T
-        return K
+        blocks = self._hess_mm(points, weights, points, points)
+        return blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
 
-    # DiscreteMeasure-facing API.
+    # DiscreteMeasure-facing API: one query point x (and xp).
 
     def eval(self, mu: DiscreteMeasure) -> float:
         return self._eval(mu.points, mu.weights)
 
     def flat_derivative(self, mu: DiscreteMeasure, x) -> float:
-        return self._flat(mu.points, mu.weights, np.atleast_1d(np.asarray(x, float)))
+        return float(self._flat(mu.points, mu.weights, _row(x))[0])
 
     def intrinsic_grad(self, mu: DiscreteMeasure, x) -> np.ndarray:
-        return self._grad(mu.points, mu.weights, np.atleast_1d(np.asarray(x, float)))
+        return self._grad(mu.points, mu.weights, _row(x))[0]
 
     def intrinsic_hess(self, mu: DiscreteMeasure, x, xp) -> np.ndarray:
-        return self._hess_mm(
-            mu.points,
-            mu.weights,
-            np.atleast_1d(np.asarray(x, float)),
-            np.atleast_1d(np.asarray(xp, float)),
-        )
+        return self._hess_mm(mu.points, mu.weights, _row(x), _row(xp))[0, 0]
+
+
+def _row(x) -> np.ndarray:
+    """One query point as a (1, d) array of query rows."""
+    return np.atleast_2d(np.asarray(x, float))
+
+
+def _rows(fn, xs, ndmin=0) -> np.ndarray:
+    """A per-point callable evaluated at every query row, stacked."""
+    return np.stack([np.array(fn(x), dtype=float, ndmin=ndmin) for x in xs])
 
 
 @dataclass(frozen=True)
@@ -123,21 +123,18 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
             mean @ mean
         )
 
-    def _flat(self, points, weights, x):
+    def _flat(self, points, weights, xs):
         mean = weights @ points
-        return 0.5 * float(x @ x) - self.a * float(x @ mean)
+        return 0.5 * np.sum(xs * xs, axis=1) - self.a * np.sum(xs * mean, axis=1)
 
-    def _grad(self, points, weights, x):
-        return x - self.a * (weights @ points)
+    def _grad(self, points, weights, xs):
+        return xs - self.a * (weights @ points)
 
-    def _grad_all(self, points, weights):
-        return points - self.a * (weights @ points)
+    def _hess_mm(self, points, weights, xs, ys):
+        return np.tile(-self.a * np.eye(xs.shape[1]), (len(xs), len(ys), 1, 1))
 
-    def _hess_mm(self, points, weights, x, xp):
-        return -self.a * np.eye(len(x))
-
-    def _grad_x_of_Dm(self, points, weights, x):
-        return np.eye(len(x))
+    def _grad_x_of_Dm(self, points, weights, xs):
+        return np.tile(np.eye(xs.shape[1]), (len(xs), 1, 1))
 
 
 @dataclass(frozen=True)
@@ -154,29 +151,21 @@ class LinearPotentialEnergy(MeanFieldEnergy):
     def _eval(self, points, weights, /):
         return float(sum(w * self.v(x) for w, x in zip(weights, points)))
 
-    def _flat(self, points, weights, x):
-        return float(self.v(x))
+    def _flat(self, points, weights, xs):
+        return _rows(self.v, xs)
 
-    def _grad(self, points, weights, x):
-        return np.asarray(self.v_grad(x), dtype=float)
+    def _grad(self, points, weights, xs):
+        return _rows(self.v_grad, xs)
 
-    def _hess_mm(self, points, weights, x, xp):
-        return np.zeros((len(x), len(xp)))
+    def _hess_mm(self, points, weights, xs, ys):
+        return np.zeros((len(xs), len(ys)) + 2 * xs.shape[1:])
 
-    def _grad_x_of_Dm(self, points, weights, x):
-        return np.asarray(self.v_hess(x), dtype=float)
+    def _grad_x_of_Dm(self, points, weights, xs):
+        return _rows(self.v_hess, xs)
 
 
 def _zero(x):
     return 0.0
-
-
-def _zero_grad(x):
-    return np.zeros_like(x)
-
-
-def _zero_hess(x):
-    return np.zeros((len(x), len(x)))
 
 
 @dataclass(frozen=True)
@@ -205,8 +194,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
             raise ValueError("kernel parameters must be nonnegative")
         if self.v1 is None:
             object.__setattr__(self, "v1", _zero)
-            object.__setattr__(self, "v1_grad", _zero_grad)
-            object.__setattr__(self, "v1_hess", _zero_hess)
+            object.__setattr__(self, "v1_grad", np.zeros_like)
 
     @property
     def declared_lambda(self) -> float:
@@ -216,88 +204,94 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     def declared_Mmm(self) -> float:
         return 2.0 * self.L * (1.0 + 2.0 * np.exp(-1.0)) + 2.0 * self.alpha
 
-    # kernel helpers on displacement arrays z of shape (..., d)
-
-    def _w(self, z):
-        sq = np.sum(z * z, axis=-1)
-        return self.L * np.exp(-sq) + self.alpha * sq
-
-    def _w_grad(self, z):
-        sq = np.sum(z * z, axis=-1)[..., None]
-        return (-2.0 * self.L * np.exp(-sq) + 2.0 * self.alpha) * z
-
     def _w_hess(self, z):
-        d = z.shape[-1]
-        sq = float(z @ z)
-        outer = np.outer(z, z)
-        return self.L * np.exp(-sq) * (4.0 * outer - 2.0 * np.eye(d)) + 2.0 * self.alpha * np.eye(d)
+        """W''(z) for displacements z of shape (..., d): shape (..., d, d)."""
+        eye = np.eye(z.shape[-1])
+        gauss = np.exp(-np.sum(z * z, axis=-1))[..., None, None]
+        outer = z[..., :, None] * z[..., None, :]
+        return self.L * gauss * (4.0 * outer - 2.0 * eye) + 2.0 * self.alpha * eye
 
-    def _v(self, x):
-        return 0.5 * self.eta * float(x @ x) + self.v1(x)
+    def _pair_sums(self, points, weights, xs):
+        """(mean, c, ew): the mean of mu, the atoms c centred there, and
+        ew = exp(-|xs_i - p_j|^2) @ [w, w c] (m, 1 + d), which carries the
+        Gaussian pair terms in O(n m). The alpha |z|^2 terms need only moments:
+        sum_j w_j |x - p_j|^2 = |x - mean|^2 + sum_j w_j |c_j|^2."""
+        mean = weights @ points
+        c = points - mean
+        return mean, c, _gauss_matmul(xs, points, np.column_stack((weights, weights[:, None] * c)))
 
-    def _v_grad(self, x):
-        return self.eta * x + self.v1_grad(x)
-
-    def _v_hess(self, x):
-        return self.eta * np.eye(len(x)) + self.v1_hess(x)
+    def _grad_from_sums(self, xs, cx, ew):
+        grad = self.eta * xs - 2.0 * self.L * (cx * ew[:, :1] - ew[:, 1:]) + 2.0 * self.alpha * cx
+        if self.v1 is not _zero:
+            grad += _rows(self.v1_grad, xs)
+        return grad
 
     def _value_and_grad(self, points, weights):
-        """One O(N^2) pass for F and D_m F at every atom (weights summing to 1).
-
-        exp(-|x_i - x_j|^2) is built in place in a single (N, N) buffer and
-        contracted with [w, w c] in one matmul, where c = x - m are the points
-        centred at the mean m. The alpha |z|^2 part needs only the first two
-        moments: value alpha sum_i w_i |c_i|^2, gradient 2 alpha c_i.
-        """
-        d = points.shape[1]
-        gauss = np.subtract.outer(points[:, 0], points[:, 0])
-        np.square(gauss, out=gauss)
-        if d > 1:
-            diff = np.empty_like(gauss)
-            for k in range(1, d):
-                np.subtract.outer(points[:, k], points[:, k], out=diff)
-                np.square(diff, out=diff)
-                gauss += diff
-        np.negative(gauss, out=gauss)
-        np.exp(gauss, out=gauss)
-        c = points - weights @ points
-        ew = gauss @ np.column_stack((weights, weights[:, None] * c))
+        """F and D_m F at every atom from one O(N^2) pass of `_pair_sums`."""
+        _, c, ew = self._pair_sums(points, weights, points)
         value = (
             0.5 * self.eta * float(weights @ np.sum(points * points, axis=1))
             + 0.5 * self.L * float(weights @ ew[:, 0])
             + self.alpha * float(weights @ np.sum(c * c, axis=1))
         )
-        grad = (
-            self.eta * points
-            - 2.0 * self.L * (c * ew[:, :1] - ew[:, 1:])
-            + 2.0 * self.alpha * c
-        )
         if self.v1 is not _zero:
             value += float(sum(w * self.v1(x) for w, x in zip(weights, points)))
-            grad += np.stack([self.v1_grad(x) for x in points])
-        return value, grad
+        return value, self._grad_from_sums(points, c, ew)
 
     def _eval(self, points, weights, /):
         return self._value_and_grad(points, weights)[0]
 
-    def _flat(self, points, weights, x):
-        return self._v(x) + float(weights @ self._w(x[None, :] - points))
+    def _flat(self, points, weights, xs):
+        mean, c, ew = self._pair_sums(points, weights, xs)
+        cx = xs - mean
+        flat = 0.5 * self.eta * np.sum(xs * xs, axis=1) + self.L * ew[:, 0]
+        flat += self.alpha * (np.sum(cx * cx, axis=1) + float(weights @ np.sum(c * c, axis=1)))
+        if self.v1 is not _zero:
+            flat += _rows(self.v1, xs)
+        return flat
 
-    def _grad(self, points, weights, x):
-        return self._v_grad(x) + weights @ self._w_grad(x[None, :] - points)
+    def _grad(self, points, weights, xs):
+        mean, _, ew = self._pair_sums(points, weights, xs)
+        return self._grad_from_sums(xs, xs - mean, ew)
 
-    def _grad_all(self, points, weights):
-        return self._value_and_grad(points, weights)[1]
+    def _hess_mm(self, points, weights, xs, ys):
+        return -self._w_hess(xs[:, None, :] - ys[None, :, :])
 
-    def _hess_mm(self, points, weights, x, xp):
-        return -self._w_hess(x - xp)
+    def _grad_x_of_Dm(self, points, weights, xs):
+        pair = np.tensordot(weights, self._w_hess(xs[:, None, :] - points), axes=(0, 1))
+        hess = self.eta * np.eye(xs.shape[1]) + pair
+        if self.v1 is not _zero:
+            hess += _rows(self.v1_hess, xs)
+        return hess
 
-    def _grad_x_of_Dm(self, points, weights, x):
-        z = x[None, :] - points
-        acc = self._v_hess(x)
-        for w, zi in zip(weights, z):
-            acc = acc + w * self._w_hess(zi)
-        return acc
+
+#: Entries of one row block of the Gaussian matrix in `_gauss_matmul`.
+_BLOCK_ENTRIES = 2**16
+
+
+def _gauss_rows(xs, points):
+    """exp(-|xs_i - p_j|^2), shape (m, n), built in place in one buffer."""
+    gauss = np.subtract.outer(xs[:, 0], points[:, 0])
+    np.square(gauss, out=gauss)
+    if xs.shape[1] > 1:
+        diff = np.empty_like(gauss)
+        for k in range(1, xs.shape[1]):
+            np.subtract.outer(xs[:, k], points[:, k], out=diff)
+            np.square(diff, out=diff)
+            gauss += diff
+    np.negative(gauss, out=gauss)
+    np.exp(gauss, out=gauss)
+    return gauss
+
+
+def _gauss_matmul(xs, points, rhs):
+    """exp(-|xs_i - p_j|^2) @ rhs over row blocks of at most _BLOCK_ENTRIES
+    entries: one block, with no copy, up to 256 x 256."""
+    rows = max(1, _BLOCK_ENTRIES // len(points))
+    if len(xs) <= rows:
+        return _gauss_rows(xs, points) @ rhs
+    blocks = range(0, len(xs), rows)
+    return np.concatenate([_gauss_rows(xs[s : s + rows], points) @ rhs for s in blocks])
 
 
 @dataclass(frozen=True)
@@ -337,37 +331,36 @@ class ParametrizedEnergy(MeanFieldEnergy):
         return self.base.declared_Mmm + self.r_hess_bound * self.phi_lip**2
 
     def _feature_mean(self, points, weights):
-        feats = np.stack([np.atleast_1d(self.phi(x)) for x in points])
-        return weights @ feats
+        return weights @ _rows(self.phi, points, 1)
+
+    def _outer_grad(self, points, weights):
+        return np.atleast_1d(self.r_grad(self._feature_mean(points, weights)))
 
     def _eval(self, points, weights, /):
         return self.base._eval(points, weights) + float(
             self.r(self._feature_mean(points, weights))
         )
 
-    def _flat(self, points, weights, x):
-        g = self.r_grad(self._feature_mean(points, weights))
-        return self.base._flat(points, weights, x) + float(
-            np.atleast_1d(g) @ np.atleast_1d(self.phi(x))
-        )
+    def _flat(self, points, weights, xs):
+        g = self._outer_grad(points, weights)
+        return self.base._flat(points, weights, xs) + np.sum(_rows(self.phi, xs, 1) * g, axis=1)
 
-    def _grad(self, points, weights, x):
-        g = np.atleast_1d(self.r_grad(self._feature_mean(points, weights)))
-        jac = np.atleast_2d(self.phi_jac(x))
-        return self.base._grad(points, weights, x) + jac.T @ g
+    def _grad(self, points, weights, xs):
+        jac = _rows(self.phi_jac, xs, 2)
+        g = self._outer_grad(points, weights)
+        return self.base._grad(points, weights, xs) + np.sum(jac * g[:, None], axis=1)
 
-    def _hess_mm(self, points, weights, x, xp):
+    def _hess_mm(self, points, weights, xs, ys):
         h = np.atleast_2d(self.r_hess(self._feature_mean(points, weights)))
-        jx = np.atleast_2d(self.phi_jac(x))
-        jxp = np.atleast_2d(self.phi_jac(xp))
-        return self.base._hess_mm(points, weights, x, xp) + jx.T @ h @ jxp
+        jx, jy = _rows(self.phi_jac, xs, 2), _rows(self.phi_jac, ys, 2)
+        pair = np.einsum("ika,kl,jlb->ijab", jx, h, jy)
+        return self.base._hess_mm(points, weights, xs, ys) + pair
 
-    def _grad_x_of_Dm(self, points, weights, x):
-        m = self._feature_mean(points, weights)
-        g = np.atleast_1d(self.r_grad(m))
-        acc = self.base._grad_x_of_Dm(points, weights, x)
+    def _grad_x_of_Dm(self, points, weights, xs):
+        acc = self.base._grad_x_of_Dm(points, weights, xs)
         if self.phi_hess is not None:
-            acc = acc + np.tensordot(g, np.asarray(self.phi_hess(x)), axes=1)
+            g = self._outer_grad(points, weights)
+            acc = acc + np.einsum("k,ikab->iab", g, _rows(self.phi_hess, xs))
         return acc
 
     def cost_functional(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -425,8 +418,7 @@ class ParticleSystem:
     def grad_u_n(self, x) -> np.ndarray:
         """Gradient blocks; block i equals D_m F(mu_x, x_i)."""
         x = self._check(x)
-        w = np.full(self.N, 1.0 / self.N)
-        return self.energy._grad_all(x, w)
+        return self.energy._grad(x, np.full(self.N, 1.0 / self.N), x)
 
     def hess_u_n(self, x) -> np.ndarray:
         """Exact Nd x Nd Hessian from the block decomposition
@@ -435,12 +427,6 @@ class ParticleSystem:
         N, d = self.N, self.d
         w = np.full(N, 1.0 / N)
         H = self.energy._hess_mm_matrix(x, w) / N
-        for i in range(N):
-            H[i * d : (i + 1) * d, i * d : (i + 1) * d] += self.energy._grad_x_of_Dm(x, w, x[i])
+        i = np.arange(N)
+        H.reshape(N, d, N, d)[i, :, i] += self.energy._grad_x_of_Dm(x, w, x)
         return H
-
-    def empirical_measure(self, x) -> DiscreteMeasure:
-        return empirical(self._check(x))
-
-    def gibbs_log_density_unnormalized(self, x) -> float:
-        return -self.u_n(x)

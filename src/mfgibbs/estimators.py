@@ -137,8 +137,11 @@ def estimate_gap_variance_decay(
     """Across-replica variance decay from an over-dispersed start.
 
     Var(P_t f) decays at rate 2*gap, so the fitted rate is halved.
-    `observable` maps a configuration to a scalar.
+    `observable` maps a configuration to a scalar. Needs 2 replicas; below 4
+    the replica-half stderr is NaN and flagged `stderr_unavailable`.
     """
+    if config.replicas < 2:
+        raise ValueError("variance decay needs at least 2 replicas")
     n_steps = max(2, int(round(horizon / config.step)))
     cfg = dataclasses.replace(config, n_steps=n_steps, burn_in=0)
     traj = run_chain(system, cfg, observables={"obs": observable})
@@ -172,7 +175,10 @@ def estimate_gap_variance_decay(
     # starts; otherwise subtracting it biases the rate upward
     if not 2.0 * rate * (times[-n_tail] - times[0]) > math.log(1.0 / _WINDOW_CUTOFF):
         flags["tail_not_stationary"] = True
-    # stderr from replica-halves
+    # stderr from replica-halves, each needing 2 replicas for its variance
+    if config.replicas < 4:
+        flags["stderr_unavailable"] = True
+        return GapEstimate(rate, math.nan, "variance-decay", float(config.replicas), flags)
     half = config.replicas // 2
     sub_rates = []
     for sel in (slice(0, half), slice(half, None)):

@@ -209,7 +209,7 @@ def proximal_gibbs_fixed_point(
         w = dens * trap * h
         w = w / w.sum()
         mu = DiscreteMeasure(points, w)
-        flat = np.array([energy.flat_derivative(mu, xi) for xi in x])
+        flat = energy._flat(mu.points, mu.weights, points)
         flat -= flat.min()
         target = np.exp(-flat)
         target /= np.trapezoid(target, dx=h)

@@ -261,6 +261,32 @@ class TestNonFiniteInputs:
         self._assert_config_error(capsys, ["constants", "--config", cfg])
 
 
+BAD_INPUTS = {
+    "n=0-simulate": ("simulate", "n = 20", "n = 0"),
+    "n=0-constants": ("constants", "n = 20", "n = 0"),
+    "d=0-simulate": ("simulate", "d = 1", "d = 0"),
+    "d=0-constants": ("constants", "d = 1", "d = 0"),
+    "initial=gaussian(abc)": ("simulate", "sampler = MALA", "sampler = MALA\ninitial = gaussian(abc)"),
+    "initial=uniform": ("simulate", "sampler = MALA", "sampler = MALA\ninitial = uniform"),
+    "initial=gaussian(nan)": ("simulate", "sampler = MALA", "sampler = MALA\ninitial = gaussian(nan)"),
+    "observable=bogus": ("estimate", "max_lag = 20", "max_lag = 20\nobservable = bogus"),
+    "max_lag=abc": ("estimate", "max_lag = 20", "max_lag = abc"),
+    "grid_lo=abc": ("constants", "max_lag = 20", "max_lag = 20\ngrid_lo = abc"),
+    "grid_n=2": ("constants", "max_lag = 20", "max_lag = 20\ngrid_n = 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_system_sim_or_analysis_input_exits_2(tmp_path, capsys, case):
+    command, old, new = BAD_INPUTS[case]
+    cfg = write(tmp_path, QUADRATIC.replace(old, new))
+    argv = [command, "--config", cfg] + (["--out", str(tmp_path / "t.csv")] if command == "simulate" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 class TestLoadConfig:
     def test_round_trip_values(self, tmp_path):
         cfg = load_config(write(tmp_path, QUADRATIC))

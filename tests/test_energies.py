@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfgibbs.energies import (
+    _BLOCK_ENTRIES,
     LinearPotentialEnergy,
     PairwiseKernelEnergy,
     ParametrizedEnergy,
@@ -9,7 +10,7 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
-from mfgibbs.energies import quadratic_as_parametrized
+from mfgibbs.energies import _gauss_matmul, quadratic_as_parametrized
 
 
 def random_measure(rng, d=1, max_atoms=5):
@@ -195,9 +196,9 @@ class TestValueAndGrad:
         _assert_rel_close(value, ref_value)
         _assert_rel_close(grad, ref_grad)
         assert grad.shape == (N, d)
-        # _eval and _grad_all are the same pass
+        # _eval and _grad(x, w, x) are the same pass
         assert e._eval(x, w) == value
-        np.testing.assert_array_equal(e._grad_all(x, w), grad)
+        np.testing.assert_array_equal(e._grad(x, w, x), grad)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_other_energies_match_eval_and_grad_all(self, d):
@@ -213,8 +214,103 @@ class TestValueAndGrad:
                 w = np.full(N, 1.0 / N)
                 value, grad = e._value_and_grad(x, w)
                 assert value == e._eval(x, w)
-                np.testing.assert_array_equal(grad, e._grad_all(x, w))
-                _assert_rel_close(grad, np.stack([e._grad(x, w, xi) for xi in x]))
+                np.testing.assert_array_equal(grad, e._grad(x, w, x))
+                _assert_rel_close(grad, np.stack([e._grad(x, w, xi[None])[0] for xi in x]))
+
+
+def _sine_linear():
+    return LinearPotentialEnergy(
+        v=lambda x: 0.5 * float(x @ x) + float(np.sin(x[0])),
+        v_grad=lambda x: x + np.eye(len(x))[0] * np.cos(x[0]),
+        v_hess=lambda x: np.eye(len(x)) - np.diag(np.eye(len(x))[0]) * np.sin(x[0]),
+    )
+
+
+def _curved_features():
+    """Parametrized energy with the non-affine features (sin x_0, |x|^2)."""
+    return ParametrizedEnergy(
+        base=_sine_linear(),
+        phi=lambda x: np.array([np.sin(x[0]), float(x @ x)]),
+        phi_jac=lambda x: np.stack([np.eye(len(x))[0] * np.cos(x[0]), 2.0 * x]),
+        phi_hess=lambda x: np.stack(
+            [-np.diag(np.eye(len(x))[0]) * np.sin(x[0]), 2.0 * np.eye(len(x))]
+        ),
+        r=lambda m: 0.5 * float(m @ m),
+        r_grad=lambda m: np.asarray(m, float),
+        r_hess=lambda m: np.eye(2),
+        r_hess_bound=1.0,
+    )
+
+
+ARRAY_ENERGIES = {
+    "quadratic": (lambda: QuadraticMeanEnergy(0.5), True),
+    "linear": (_sine_linear, True),
+    "parametrized": (lambda: quadratic_as_parametrized(0.5), True),
+    "curved-features": (_curved_features, True),
+    "kernel": (lambda: PairwiseKernelEnergy(1.0, 1.0, 0.05), False),
+    "kernel-v1=cos": (_cos_perturbed_kernel, False),
+}
+
+
+class TestArrayConvention:
+    """Each primitive evaluated at m query rows at once equals its evaluation
+    one row (or one pair of rows) at a time: bit for bit where the energy
+    has no pair sums, to 1e-12 relative for the kernel."""
+
+    @staticmethod
+    def _compare(exact, got, ref):
+        assert got.shape == ref.shape
+        if exact:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            _assert_rel_close(got, ref)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
+    def test_rows_match_row_by_row(self, name, d):
+        build, exact = ARRAY_ENERGIES[name]
+        e = build()
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(9, d)) * 1.5
+        w = rng.random(9) + 0.1
+        w /= w.sum()
+        xs = rng.normal(size=(6, d)) * 1.5
+        ys = rng.normal(size=(4, d)) * 1.5
+        rows = [xs[i : i + 1] for i in range(len(xs))]
+        for prim in (e._flat, e._grad, e._grad_x_of_Dm):
+            got = prim(points, w, xs)
+            self._compare(exact, got, np.concatenate([prim(points, w, r) for r in rows]))
+        got = e._hess_mm(points, w, xs, ys)
+        ref = np.array([[e._hess_mm(points, w, r, ys[j : j + 1])[0, 0] for j in range(len(ys))]
+                        for r in rows])
+        self._compare(exact, got, ref)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_kernel_row_blocks_match_unblocked(self, d):
+        n = m = 400
+        assert _BLOCK_ENTRIES // n < m / 2  # at least two row blocks
+        rng = np.random.default_rng(40 + d)
+        points = rng.normal(size=(n, d)) * 2.0
+        xs = rng.normal(size=(m, d)) * 2.0
+        rhs = rng.normal(size=(n, 1 + d))
+        ref = np.exp(-np.sum((xs[:, None, :] - points[None, :, :]) ** 2, axis=-1)) @ rhs
+        _assert_rel_close(_gauss_matmul(xs, points, rhs), ref)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
+    def test_hess_u_n_matches_block_loop(self, name, d):
+        e = ARRAY_ENERGIES[name][0]()
+        N = 6
+        x = np.random.default_rng(60 + d).normal(size=(N, d))
+        w = np.full(N, 1.0 / N)
+        ref = np.zeros((N * d, N * d))
+        for i in range(N):
+            for j in range(N):
+                blk = e._hess_mm(x, w, x[i : i + 1], x[j : j + 1])[0, 0] / N
+                if i == j:
+                    blk = blk + e._grad_x_of_Dm(x, w, x[i : i + 1])[0]
+                ref[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
+        _assert_rel_close(ParticleSystem(e, N, d).hess_u_n(x), ref)
 
 
 class TestDerivativeLadder:

@@ -150,6 +150,26 @@ class TestVarianceDecayGap:
         assert est.rate > 1.3
         assert est.flags.get("tail_not_stationary")
 
+    @pytest.mark.parametrize("replicas", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_few_replicas_stderr_unavailable(self, replicas, seed):
+        # a replica half of one chain has no variance: the stderr is skipped
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 1)
+        cfg = SimConfig(
+            step=0.05, n_steps=2, replicas=replicas, seed=seed, sampler="MALA",
+            initial=("gaussian", 3.0),
+        )
+        est = estimate_gap_variance_decay(system, cfg, lambda x: float(x[0, 0]), horizon=6.0)
+        assert math.isfinite(est.rate)
+        assert math.isnan(est.stderr)
+        assert est.flags["stderr_unavailable"]
+
+    def test_one_replica_rejected(self):
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 1)
+        cfg = SimConfig(step=0.05, n_steps=2, replicas=1, seed=1, initial=("gaussian", 3.0))
+        with pytest.raises(ValueError):
+            estimate_gap_variance_decay(system, cfg, lambda x: float(x[0, 0]), horizon=6.0)
+
     def test_constant_observable_flagged(self):
         system = ou_system()
         cfg = SimConfig(step=0.01, n_steps=2, replicas=8, seed=7, sampler="ULA")
