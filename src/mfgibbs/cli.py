@@ -1,7 +1,7 @@
 """Command-line front end: `constants`, `verify`, `simulate`, `estimate`.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 theorem inapplicable, 4 numerical blow-up.
+3 theorem inapplicable, 4 numerical blow-up or a frozen chain.
 """
 
 from __future__ import annotations
@@ -138,11 +138,10 @@ def cmd_verify(suite: str) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
-    system = cfg.build_system()
-    traj = run_chain(system, cfg.sim)
     path = out_path or cfg.out_path
     if path is None:
         raise ConfigError("simulate needs an output path (--out or [output] path)")
+    traj = run_chain(cfg.build_system(), cfg.sim)
     with _atomic_path(path) as tmp:
         traj.to_csv(tmp)
     meta = _wrap(cfg, {"acceptance_rates": [None if np.isnan(r) else r
@@ -158,7 +157,13 @@ def cmd_estimate(cfg: ExperimentConfig, out_path: str | None) -> int:
     if n_records <= max_lag:
         raise ConfigError("trajectory too short for the requested max_lag")
     traj = run_chain(system, cfg.sim)
-    est = estimate_gap_autocorr(traj, str(cfg.analysis["observable"]), max_lag)
+    observable = str(cfg.analysis["observable"])
+    try:
+        est = estimate_gap_autocorr(traj, observable, max_lag)
+    except ValueError as exc:
+        # a chain that never moved, e.g. MALA rejecting every proposal
+        print(f"frozen chain: {exc} {observable!r}, no gap to estimate", file=sys.stderr)
+        return EXIT_BLOWUP
     payload = _wrap(cfg, {"estimate": json.loads(est.to_json())})
     _emit(payload, out_path)
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +31,10 @@ __all__ = [
 BLOWUP_THRESHOLD = 1e8
 
 SAMPLERS = ("ULA", "MALA")
+
+#: Steps per draw of noise and uniforms; also the largest block of recorded
+#: states the chain buffers, and of records `Trajectory.to_csv` formats at once.
+_RNG_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,23 +77,23 @@ def _mala_log_q(x_from, x_to, grad_from, h):
     # log density of the ULA proposal x_to ~ N(x_from - h grad, 2h I), up to
     # the shared normalization
     resid = x_to - x_from + h * grad_from
-    return -float(np.sum(resid * resid)) / (4.0 * h)
+    return -float(np.add.reduce(resid * resid, axis=None)) / (4.0 * h)
 
 
-def _ula_update(x, grad, h, noise, step, replica) -> np.ndarray:
-    """The ULA move x - h grad + sqrt(2h) noise numbered `step`; also the
-    MALA proposal."""
-    y = x - h * grad + math.sqrt(2.0 * h) * noise
+def _ula_update(x, grad, h, kick, step, replica) -> np.ndarray:
+    """The ULA move x - h grad + kick numbered `step`, kick = sqrt(2h) noise;
+    also the MALA proposal."""
+    y = x - h * grad + kick
     # NaN compares false, so a non-finite move blows up too
-    if not np.abs(y).max() < BLOWUP_THRESHOLD:
+    if not np.maximum.reduce(np.abs(y), axis=None) < BLOWUP_THRESHOLD:
         raise BlowUpError(f"blow-up at step {step}", step=step, replica=replica)
     return y
 
 
-def _mala_update(energy, w, x, grad_x, u_x, h, noise, log_u, step, replica):
+def _mala_update(energy, w, x, grad_x, u_x, h, kick, log_u, step, replica):
     """ULA proposal from x (with grad U_N and U_N cached there), accepted
     when log_u < log alpha. Returns (x, grad_x, u_x, accepted) after the move."""
-    y = _ula_update(x, grad_x, h, noise, step, replica)
+    y = _ula_update(x, grad_x, h, kick, step, replica)
     f_y, grad_y = energy._value_and_grad(y, w)
     u_y = len(w) * f_y
     log_alpha = u_x - u_y + _mala_log_q(y, x, grad_y, h) - _mala_log_q(x, y, grad_x, h)
@@ -110,7 +115,8 @@ def ula_step(
     """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
     x, w = _start(system, state, h)
     grad = system.energy._grad(x, w, x)
-    y = _ula_update(x, grad, h, rng.standard_normal(x.shape), state.step_index + 1, None)
+    kick = math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
+    y = _ula_update(x, grad, h, kick, state.step_index + 1, None)
     return ChainState(y, state.step_index + 1, state.acceptance_count)
 
 
@@ -119,10 +125,10 @@ def mala_step(
 ) -> ChainState:
     """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N."""
     x, w = _start(system, state, h)
-    noise, log_u = rng.standard_normal(x.shape), np.log(rng.uniform())
+    kick, log_u = math.sqrt(2.0 * h) * rng.standard_normal(x.shape), np.log(rng.uniform())
     f_x, grad_x = system.energy._value_and_grad(x, w)
     x, _, _, accepted = _mala_update(
-        system.energy, w, x, grad_x, system.N * f_x, h, noise, log_u, state.step_index + 1, None
+        system.energy, w, x, grad_x, system.N * f_x, h, kick, log_u, state.step_index + 1, None
     )
     return ChainState(x, state.step_index + 1, state.acceptance_count + accepted)
 
@@ -145,26 +151,32 @@ class Trajectory:
         return self.steps * self.step
 
     def to_csv(self, path):
-        """Rows `replica,step,time,observable,value`, replica-major order."""
+        """Rows `replica,step,time,observable,value`, replica-major order,
+        formatted and written one block of at most _RNG_CHUNK records at a time."""
         names = sorted(self.observables)
         with open(path, "w") as fh:
             fh.write("replica,step,time,observable,value\n")
             for r in range(self.acceptance_rates.shape[0]):
-                for k, s in enumerate(self.steps):
-                    t = s * self.step
-                    for name in names:
-                        v = self.observables[name][r, k]
-                        fh.write(f"{r},{s},{t:.17g},{name},{v:.17g}\n")
-
-
-_RNG_CHUNK = 4096
+                for k in range(0, len(self.steps), _RNG_CHUNK):
+                    block = slice(k, k + _RNG_CHUNK)
+                    steps = self.steps[block]
+                    times = (steps * self.step).tolist()
+                    prefixes = [f"{r},{s},{t:.17g}," for s, t in zip(steps.tolist(), times)]
+                    columns = [self.observables[name][r, block].tolist() for name in names]
+                    fh.write("".join([
+                        f"{p}{name},{v:.17g}\n"
+                        for p, *row in zip(prefixes, *columns)
+                        for name, v in zip(names, row)
+                    ]))
 
 
 def _run_single_chain(
     system, config, rng, x0, observables, record_steps, values, replica
 ) -> float:
     """Sequential chain through the ula_step / mala_step transitions, with
-    noise and uniforms drawn in chunks of _RNG_CHUNK steps."""
+    noise and uniforms drawn in chunks of _RNG_CHUNK steps. The recorded
+    states of a chunk (with U_N under MALA) are buffered, and the observables
+    are evaluated on that block after the chunk: no callback runs per step."""
     h = config.step
     energy = system.energy
     N = system.N
@@ -175,28 +187,51 @@ def _run_single_chain(
         f_x, grad_x = energy._value_and_grad(x, w)
         u_x = N * f_x
     accepted = 0
+    record = record_steps.tolist() + [0]  # the 0 sentinel is never reached
     k = 0
-    n_rec = len(record_steps)
-    fns = list(observables.items())
+    states = np.empty((min(_RNG_CHUNK, len(record_steps)), N, system.d))
+    u_cached = np.empty(len(states)) if mala else None
     s = 0
     while s < config.n_steps:
         chunk = min(_RNG_CHUNK, config.n_steps - s)
-        noise = rng.standard_normal((chunk, N, system.d))
-        log_u = np.log(rng.uniform(size=chunk)) if mala else None
+        kicks = rng.standard_normal((chunk, N, system.d))
+        kicks *= math.sqrt(2.0 * h)
+        log_u = np.log(rng.uniform(size=chunk)).tolist() if mala else None
+        k0 = k
         for c in range(chunk):
             s += 1
             if mala:
                 x, grad_x, u_x, acc = _mala_update(
-                    energy, w, x, grad_x, u_x, h, noise[c], log_u[c], s, replica
+                    energy, w, x, grad_x, u_x, h, kicks[c], log_u[c], s, replica
                 )
                 accepted += acc
             else:
-                x = _ula_update(x, energy._grad(x, w, x), h, noise[c], s, replica)
-            if k < n_rec and s == record_steps[k]:
-                for name, fn in fns:
-                    values[name][replica, k] = fn(x)
+                x = _ula_update(x, energy._grad(x, w, x), h, kicks[c], s, replica)
+            if s == record[k]:
+                states[k - k0] = x
+                if mala:
+                    u_cached[k - k0] = u_x
                 k += 1
+        if k > k0:
+            n = k - k0
+            u_block = u_cached[:n] if mala else None
+            _record(observables, states[:n], u_block, values, replica, slice(k0, k))
     return accepted / config.n_steps if mala else np.nan
+
+
+def _record(observables, states, u_n, values, replica, records):
+    """Observables of a block of recorded states (K, N, d) into
+    values[name][replica, records]: built-ins as array expressions over the
+    block, any other callable once per state, in record order."""
+    per_state = []
+    for name, fn in observables.items():
+        if isinstance(fn, _Observable):
+            values[name][replica, records] = fn.block(states, u_n)
+        else:
+            per_state.append((name, fn))
+    for j, x in enumerate(states, records.start):
+        for name, fn in per_state:
+            values[name][replica, j] = fn(x)
 
 
 def _initial_configuration(system: ParticleSystem, initial, rng) -> np.ndarray:
@@ -213,11 +248,33 @@ def _initial_configuration(system: ParticleSystem, initial, rng) -> np.ndarray:
     return x
 
 
+@dataclass(frozen=True)
+class _Observable:
+    """A built-in observable: `obs(x)` on one state (N, d), and
+    `obs.block(states, u_n)` on a block of states (K, N, d) with their U_N
+    (K,) when the sampler holds it (MALA), else None. `run_chain` evaluates
+    it on blocks; any other callable, including one that wraps an _Observable,
+    is called once per recorded state."""
+
+    one: Callable
+    block: Callable
+
+    def __call__(self, x) -> float:
+        return self.one(x)
+
+
 def default_observables(system: ParticleSystem) -> dict:
+    """The built-in observables by name; the one table of their names."""
+
+    def u_n_block(states, u_n):
+        return u_n if u_n is not None else [system.u_n(x) for x in states]
+
     return {
-        "xbar": lambda x: float(np.mean(x[:, 0])),
-        "x1": lambda x: float(x[0, 0]),
-        "u_n": system.u_n,
+        "xbar": _Observable(
+            lambda x: float(np.mean(x[:, 0])), lambda xs, u: np.mean(xs[:, :, 0], axis=1)
+        ),
+        "x1": _Observable(lambda x: float(x[0, 0]), lambda xs, u: xs[:, 0, 0]),
+        "u_n": _Observable(system.u_n, u_n_block),
     }
 
 

@@ -117,11 +117,17 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
     def declared_Mmm(self) -> float:
         return self.a
 
+    def _value(self, points, weights, mean):
+        second = float(weights @ np.add.reduce(points * points, axis=1))
+        return 0.5 * second - 0.5 * self.a * float(mean @ mean)
+
     def _eval(self, points, weights, /):
+        return self._value(points, weights, weights @ points)
+
+    def _value_and_grad(self, points, weights):
+        """F and D_m F at every atom, with the mean computed once."""
         mean = weights @ points
-        return 0.5 * float(weights @ np.sum(points * points, axis=1)) - 0.5 * self.a * float(
-            mean @ mean
-        )
+        return self._value(points, weights, mean), points - self.a * mean
 
     def _flat(self, points, weights, xs):
         mean = weights @ points

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mfgibbs import __version__
+from mfgibbs import __version__, cli
 from mfgibbs.cli import main
 from mfgibbs.config import ConfigError, load_config
 
@@ -176,6 +176,15 @@ class TestSimulate:
         cfg = write(tmp_path, QUADRATIC)
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_missing_output_path_fails_before_the_chain(self, tmp_path, monkeypatch, capsys):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("run_chain called without an output path")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        cfg = write(tmp_path, QUADRATIC)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: simulate needs an output path")
+
     def test_blow_up_exit_4(self, tmp_path):
         text = QUADRATIC.replace("step = 0.1", "step = 1e7").replace(
             "sampler = MALA", "sampler = ULA\ninitial = gaussian(2.0)"
@@ -197,6 +206,16 @@ class TestEstimate:
         assert est["quantity"] == "spectral-gap"
         assert est["method"] == "autocorr-fit"
         assert "rate" in est and "stderr" in est and "flags" in est
+
+    def test_frozen_chain_exit_4(self, tmp_path, capsys):
+        # with this step MALA rejects every proposal, so xbar never changes
+        cfg = write(tmp_path, QUADRATIC.replace("step = 0.1", "step = 1e6"))
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("frozen chain: constant observable 'xbar'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_too_short_for_lag_exit_2(self, tmp_path):
         text = QUADRATIC.replace("max_lag = 20", "max_lag = 1000")
