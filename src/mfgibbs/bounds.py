@@ -8,15 +8,15 @@ examples, and the mixture-convexity / Hessian-block checkers.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .energies import MeanFieldEnergy, ParametrizedEnergy, quadratic_as_parametrized
+from .energies import MeanFieldEnergy, PairwiseKernelEnergy
+from .energies import ParametrizedEnergy, QuadraticMeanEnergy
 from .errors import GibbsUndefinedError, TheoremInvalidError
-from .measures import DiscreteMeasure, mix, w2_squared
+from .measures import DiscreteMeasure, w2_squared
 
 __all__ = [
     "PoincareInputs",
@@ -29,8 +29,8 @@ __all__ = [
     "quadratic_example_constants",
     "kernel_example_constants",
     "parametrized_cost_bound",
-    "quadratic_corollary_report",
-    "kernel_corollary_report",
+    "example_inputs",
+    "corollary_report",
     "check_semi_convexity",
     "check_cost_convexity",
     "hessian_block_bound",
@@ -52,11 +52,7 @@ class PoincareInputs:
     N: int
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.rho_N)
-            and math.isfinite(self.lam)
-            and math.isfinite(self.Mmm)
-        ):
+        if not all(math.isfinite(v) for v in (self.rho_N, self.lam, self.Mmm)):
             raise ValueError("non-finite inputs")
         if self.rho_N <= 0 or self.lam < 0 or self.Mmm < 0 or self.N < 1:
             raise ValueError("invalid Poincare inputs")
@@ -100,19 +96,7 @@ class ConstantsReport:
     flags: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "poincare_bound": self.poincare_bound,
-            "N0": self.N0,
-            "lambda_tilde": self.lambda_tilde,
-            "beta_N": self.beta_N,
-            "delta_N": self.delta_N,
-            "rho_prime_star": self.rho_prime_star,
-            "rho_star": self.rho_star,
-            "flags": dict(self.flags),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+        return asdict(self)
 
 
 def poincare_constant(inputs: PoincareInputs) -> float:
@@ -221,11 +205,9 @@ class KernelExampleConstants:
 def kernel_example_constants(
     L: float, alpha: float, eta: float, v1_sup: float = 0.0
 ) -> KernelExampleConstants:
-    if not (L >= 0 and alpha >= 0 and v1_sup >= 0):  # NaN fails too
-        raise ValueError("L, alpha, v1_sup must be nonnegative")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    Mmm = 2.0 * L * (1.0 + 2.0 * math.exp(-1.0)) + 2.0 * alpha
+    """Closed forms of the kernel example; PairwiseKernelEnergy checks the
+    parameters and declares Mmm."""
+    Mmm = PairwiseKernelEnergy(eta=eta, L=L, alpha=alpha, v1_sup=v1_sup).declared_Mmm
     rho = eta * math.exp(-v1_sup - L)
     if alpha == 0.0:
         beta_max = math.inf
@@ -264,41 +246,54 @@ def parametrized_cost_bound(
     return _cost_bound(energy.alpha_r, energy.phi_lip, var_phi, epsilon)
 
 
-def quadratic_corollary_report(
-    a: float, N: int, d: int, var_phi: float, epsilon: float
-) -> ConstantsReport:
-    """Full report of the quadratic-mean energy through its parametrized form,
-    given the variance Var(phi) of the stationary mean-field measure."""
-    lam_p, alpha_N = parametrized_cost_bound(quadratic_as_parametrized(a), var_phi, epsilon)
-    # its proximal Gibbs measure is N(0, I) for every input measure: LSI constant 1
-    lsi = LsiInputs(
-        rho=1.0, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=a, epsilon=epsilon, N=N, d=d
-    )
-    return full_report(lsi, quadratic_example_constants(a, N).inputs)
+def example_inputs(energy: MeanFieldEnergy, N: int) -> tuple[float, float, dict]:
+    """(rho, rho_N, example block) from the closed forms of a worked example:
+    GibbsUndefinedError when it has no Gibbs measure, TypeError for an energy
+    that is not one."""
+    if isinstance(energy, QuadraticMeanEnergy):
+        q = quadratic_example_constants(energy.a, N)
+        # its proximal Gibbs measure is N(0, I) for every input measure: LSI constant 1
+        return 1.0, q.inputs.rho_N, {"exact_poincare": q.exact_poincare, "gap_to_exact": q.gap}
+    if isinstance(energy, PairwiseKernelEnergy):
+        k = kernel_example_constants(energy.L, energy.alpha, energy.eta, energy.v1_sup)
+        return k.rho, k.rho_N, {
+            "rho": k.rho, "Mmm": k.Mmm, "beta_max": k.beta_max,
+            "condition_holds": k.condition_holds,
+        }
+    raise TypeError(f"no closed-form theorem inputs for {type(energy).__name__}")
 
 
-def kernel_corollary_report(
-    L: float, alpha: float, eta: float, v1_sup: float, N: int, d: int,
-    var_phi: float, epsilon: float,
-) -> ConstantsReport:
-    """Full report of the pairwise-kernel energy, given Var(phi) of the
-    stationary mean-field measure. Its attraction 1/2 iint alpha |x - y|^2 is
-    alpha int |x|^2 - alpha |int x|^2: parametrized with identity features
-    (Lip 1) and alpha_r = alpha, whence lambda = 2 alpha."""
-    k = kernel_example_constants(L, alpha, eta, v1_sup)
-    lam_p, alpha_N = _cost_bound(alpha, 1.0, var_phi, epsilon)
+def corollary_report(
+    energy: MeanFieldEnergy, N: int, d: int, var_phi: float, epsilon: float
+) -> tuple[ConstantsReport, dict]:
+    """Full report and example block of a worked example, given Var(phi) of
+    the stationary mean-field measure, with the energy's declared lambda and
+    Mmm. Both examples are parametrized with identity features (Lip 1) and
+    alpha_r = lambda/2: the quadratic-mean outer function is -(a/2) m^2, and
+    the kernel's attraction 1/2 iint alpha |x - y|^2 is alpha int |x|^2 - alpha |int x|^2."""
+    rho, rho_N, example = example_inputs(energy, N)
+    lam, Mmm = energy.declared_lambda, energy.declared_Mmm
+    lam_p, alpha_N = _cost_bound(lam / 2.0, 1.0, var_phi, epsilon)
     lsi = LsiInputs(
-        rho=k.rho, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=k.Mmm, epsilon=epsilon, N=N, d=d
+        rho=rho, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=Mmm, epsilon=epsilon, N=N, d=d
     )
-    return full_report(lsi, PoincareInputs(rho_N=k.rho_N, lam=2.0 * alpha, Mmm=k.Mmm, N=N))
+    report = full_report(lsi, PoincareInputs(rho_N=rho_N, lam=lam, Mmm=Mmm, N=N))
+    return report, {**example, "var_phi": var_phi}
 
 
 def _mixture_deficit(energy, mu, nu, t_grid, penalty) -> float:
     f_mu = energy.eval(mu)
     f_nu = energy.eval(nu)
+    # the atoms of every mixture t mu + (1 - t) nu, stacked once; each t
+    # evaluates the measure `measures.mix` would build
+    points = np.vstack([mu.points, nu.points])
     worst = -math.inf
     for t in t_grid:
-        lhs = energy.eval(mix(mu, nu, t))
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"mixture weight t={t} outside [0, 1]")
+        w = np.concatenate([t * mu.weights, (1.0 - t) * nu.weights])
+        keep = w > 0
+        lhs = energy._eval(points[keep], w[keep] / w[keep].sum())
         deficit = lhs - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty
         worst = max(worst, deficit)
     return worst

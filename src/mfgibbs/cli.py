@@ -1,7 +1,7 @@
 """Command-line front end: `constants`, `verify`, `simulate`, `estimate`.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 theorem inapplicable, 4 numerical blow-up or a frozen chain.
+3 theorem inapplicable (or no Gibbs measure), 4 numerical blow-up or a frozen chain.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__, bounds, verify
 from .config import ConfigError, ExperimentConfig, load_config
-from .dynamics import run_chain
+from .dynamics import default_observables, run_chain
+from .energies import QuadraticMeanEnergy
 from .errors import BlowUpError, GibbsUndefinedError, TheoremInvalidError
 from .estimators import estimate_gap_autocorr
 from .spectral1d import boundary_negligible, proximal_gibbs_fixed_point
@@ -80,37 +81,23 @@ def _stationary_variance(cfg: ExperimentConfig, energy) -> float:
     return fp.variance()
 
 
-def _constants_report(cfg: ExperimentConfig):
-    eps = float(cfg.analysis["epsilon"])
-    p = cfg.energy_params
-    if cfg.energy_type in ("quadratic", "parametrized"):
-        a = float(p["a"])
-        q = bounds.quadratic_example_constants(a, cfg.N)
-        var_phi = _stationary_variance(cfg, cfg.build_energy())
-        return bounds.quadratic_corollary_report(a, cfg.N, cfg.d, var_phi, eps), {
-            "exact_poincare": q.exact_poincare,
-            "gap_to_exact": q.gap,
-            "var_phi": var_phi,
-        }
-    if cfg.energy_type == "kernel":
-        L, alpha = float(p.get("l", 0.0)), float(p.get("alpha", 0.0))
-        eta, v1_sup = float(p.get("eta", 1.0)), float(p.get("v1_sup", 0.0))
-        k = bounds.kernel_example_constants(L=L, alpha=alpha, eta=eta, v1_sup=v1_sup)
-        var_phi = _stationary_variance(cfg, cfg.build_energy())
-        report = bounds.kernel_corollary_report(L, alpha, eta, v1_sup, cfg.N, cfg.d, var_phi, eps)
-        return report, {
-            "rho": k.rho,
-            "Mmm": k.Mmm,
-            "condition_holds": k.condition_holds,
-            "beta_max": k.beta_max,
-            "var_phi": var_phi,
-        }
-    raise ConfigError(f"constants: unsupported energy type {cfg.energy_type!r}")
+def _reported_energy(cfg: ExperimentConfig, energy):
+    """The built energy as the theorems read it, after its closed forms
+    checked that a Gibbs measure exists (GibbsUndefinedError otherwise). The
+    parametrized type is the quadratic-mean energy in parametrized form."""
+    if cfg.energy_type == "parametrized":
+        energy = QuadraticMeanEnergy(cfg.energy_params["a"])
+    bounds.example_inputs(energy, cfg.N)
+    return energy
 
 
 def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
+    energy = cfg.build_energy()
     try:
-        report, extras = _constants_report(cfg)
+        reported = _reported_energy(cfg, energy)  # exit 3 before the fixed point
+        var_phi = _stationary_variance(cfg, energy)
+        eps = float(cfg.analysis["epsilon"])
+        report, extras = bounds.corollary_report(reported, cfg.N, cfg.d, var_phi, eps)
     except (GibbsUndefinedError, TheoremInvalidError) as exc:
         _emit({"version": __version__, "error": str(exc)}, out_path)
         return EXIT_INAPPLICABLE
@@ -141,7 +128,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     path = out_path or cfg.out_path
     if path is None:
         raise ConfigError("simulate needs an output path (--out or [output] path)")
-    traj = run_chain(cfg.build_system(), cfg.sim)
+    system = cfg.build_system()
+    _reported_energy(cfg, system.energy)  # no Gibbs measure: exit 3 before the chain
+    traj = run_chain(system, cfg.sim)
     with _atomic_path(path) as tmp:
         traj.to_csv(tmp)
     meta = _wrap(cfg, {"acceptance_rates": [None if np.isnan(r) else r
@@ -156,8 +145,9 @@ def cmd_estimate(cfg: ExperimentConfig, out_path: str | None) -> int:
     max_lag = int(cfg.analysis["max_lag"])
     if n_records <= max_lag:
         raise ConfigError("trajectory too short for the requested max_lag")
-    traj = run_chain(system, cfg.sim)
+    _reported_energy(cfg, system.energy)  # no Gibbs measure: exit 3 before the chain
     observable = str(cfg.analysis["observable"])
+    traj = run_chain(system, cfg.sim, {observable: default_observables(system)[observable]})
     try:
         est = estimate_gap_autocorr(traj, observable, max_lag)
     except ValueError as exc:
@@ -208,6 +198,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except GibbsUndefinedError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INAPPLICABLE
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

@@ -15,6 +15,7 @@ axes first. The public single-point methods are the case m = 1.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -208,7 +209,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
 
     @property
     def declared_Mmm(self) -> float:
-        return 2.0 * self.L * (1.0 + 2.0 * np.exp(-1.0)) + 2.0 * self.alpha
+        return 2.0 * self.L * (1.0 + 2.0 * math.exp(-1.0)) + 2.0 * self.alpha
 
     def _w_hess(self, z):
         """W''(z) for displacements z of shape (..., d): shape (..., d, d)."""

@@ -43,6 +43,12 @@ class GapEstimate:
     effective_samples: float
     flags: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # an overflowed rate or stderr (e.g. from a step near zero) is no
+        # estimate; a NaN one carries the flag of the step that failed
+        if math.isinf(self.rate) or math.isinf(self.stderr):
+            self.flags["non_finite"] = True
+
     def to_json(self, quantity: str = "spectral-gap") -> str:
         return json.dumps(
             {
@@ -61,7 +67,8 @@ def _autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     n = len(x)
     acf = np.empty(max_lag + 1)
     var = float(x @ x) / n
-    if var == 0:
+    # the mean of equal values can be off by round-off, so x need not vanish
+    if var == 0 or np.ptp(series) == 0:
         raise ValueError("constant observable")
     for lag in range(max_lag + 1):
         acf[lag] = float(x[: n - lag] @ x[lag:]) / n / var
@@ -108,19 +115,24 @@ def estimate_gap_autocorr(
     # batch-means stderr
     batch_rates = []
     if data.shape[0] >= 4:
-        batches = list(data)
-    else:
-        flat = data.reshape(-1)
-        n_b = 8
-        size = len(flat) // n_b
-        batches = [flat[i * size : (i + 1) * size] for i in range(n_b)]
+        batches = data
+    else:  # 8 batches of the flattened series
+        size = data.size // 8
+        batches = data.reshape(-1)[: 8 * size].reshape(8, size)
     for b in batches:
         if len(b) > 3 * max_lag:
-            r = _fit_rate(_autocorrelation(np.asarray(b), max_lag), dt)
+            try:
+                r = _fit_rate(_autocorrelation(b, max_lag), dt)
+            except ValueError:
+                # a constant batch: the chain stalled, and batch means that
+                # leave it out would understate the error
+                batch_rates = []
+                break
             if math.isfinite(r) and r > 0:
                 batch_rates.append(r)
     if len(batch_rates) >= 2:
-        stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(len(batch_rates)))
+        with np.errstate(over="ignore"):  # huge rates overflow to an inf stderr
+            stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(len(batch_rates)))
     else:
         stderr = math.nan
         flags["stderr_unavailable"] = True

@@ -62,10 +62,6 @@ class DiscreteMeasure:
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
 
-    def expect(self, values: np.ndarray) -> float | np.ndarray:
-        """Integrate per-atom `values` (shape (n,) or (n, k)) against the weights."""
-        return np.tensordot(self.weights, np.asarray(values), axes=1)
-
 
 def empirical(points) -> DiscreteMeasure:
     """Uniform measure on the rows of an (N, d) configuration."""

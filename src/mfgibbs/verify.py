@@ -120,25 +120,26 @@ def suite_conditional(rng=None):
     results = []
     a, N = 0.5, 20
     system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
+    _, rho_N, _ = bounds.example_inputs(system.energy, N)
     cfg = SimConfig(step=0.1, n_steps=400, burn_in=100, thin=10, seed=7, sampler="MALA")
-    res = conditional_gap_mc(system, cfg, n_frozen=8, claimed_rho_N=1.0 - a / N)
+    res = conditional_gap_mc(system, cfg, n_frozen=8, claimed_rho_N=rho_N)
     results.append(
         (
             "quadratic conditional gap",
-            abs(res.median - (1.0 - a / N)) <= 1e-3 and res.spread < 1e-6,
+            abs(res.median - rho_N) <= 1e-3 and res.spread < 1e-6,
             f"median={res.median:.6f} spread={res.spread:.2e}",
         )
     )
     kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
     ksys = ParticleSystem(kern, 8, 1)
     kcfg = SimConfig(step=0.05, n_steps=400, burn_in=100, thin=10, seed=8, sampler="MALA")
-    kconst = bounds.kernel_example_constants(1.0, 0.05, 1.0)
-    kres = conditional_gap_mc(ksys, kcfg, n_frozen=8, claimed_rho_N=kconst.rho_N)
+    _, krho_N, _ = bounds.example_inputs(kern, ksys.N)
+    kres = conditional_gap_mc(ksys, kcfg, n_frozen=8, claimed_rho_N=krho_N)
     results.append(
         (
             "kernel conditional gap >= rho",
             bool(kres.passed),
-            f"min={kres.minimum:.6f} rho={kconst.rho_N:.6f}",
+            f"min={kres.minimum:.6f} rho={krho_N:.6f}",
         )
     )
     return results
@@ -148,7 +149,7 @@ def suite_entropy(rng=None):
     results = []
     a, N = 0.2, 50
     system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
-    report = bounds.quadratic_corollary_report(a, N, 1, var_phi=1.0, epsilon=0.5)
+    report, _ = bounds.corollary_report(system.energy, N, 1, var_phi=1.0, epsilon=0.5)
     times = np.linspace(0.0, 4.0, 60)
     curve = entropy_decay_gaussian(
         system,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from mfgibbs import bounds
 from mfgibbs.energies import PairwiseKernelEnergy, QuadraticMeanEnergy
 from mfgibbs.errors import GibbsUndefinedError, TheoremInvalidError
-from mfgibbs.measures import DiscreteMeasure, empirical
+from mfgibbs.measures import DiscreteMeasure, empirical, mix, w2_squared
 from mfgibbs.energies import quadratic_as_parametrized
 
 
@@ -209,6 +210,57 @@ class TestKernelExample:
     def test_alpha_zero_threshold_infinite(self):
         assert math.isinf(bounds.kernel_example_constants(1.0, 0.0, 1.0).beta_max)
 
+    def test_mmm_and_checks_are_the_energys(self):
+        k = bounds.kernel_example_constants(0.5, 0.1, 2.0, v1_sup=0.3)
+        energy = PairwiseKernelEnergy(eta=2.0, L=0.5, alpha=0.1, v1_sup=0.3)
+        assert type(k.Mmm) is float and k.Mmm == energy.declared_Mmm
+        for bad in ((-1.0, 0.1, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, 0.0)):
+            with pytest.raises(ValueError):
+                bounds.kernel_example_constants(*bad)
+
+
+class TestCorollaryReport:
+    def test_quadratic_matches_parametrized_route(self):
+        a, N, var_phi, eps = 0.2, 200, 1.0, 0.5
+        report, example = bounds.corollary_report(QuadraticMeanEnergy(a), N, 1, var_phi, eps)
+        lam_p, alpha_N = bounds.parametrized_cost_bound(quadratic_as_parametrized(a), var_phi, eps)
+        lsi = bounds.LsiInputs(
+            rho=1.0, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=a, epsilon=eps, N=N, d=1
+        )
+        ref = bounds.full_report(lsi, bounds.quadratic_example_constants(a, N).inputs)
+        assert report.to_dict() == ref.to_dict()
+        assert example == {"exact_poincare": 1.0 - a, "gap_to_exact": 2.0 * a / N, "var_phi": 1.0}
+
+    def test_kernel_alpha_r_is_alpha(self):
+        L, alpha, eta, N, var_phi, eps = 1.0, 0.05, 1.0, 50, 0.8, 0.5
+        report, example = bounds.corollary_report(
+            PairwiseKernelEnergy(eta=eta, L=L, alpha=alpha), N, 1, var_phi, eps
+        )
+        k = bounds.kernel_example_constants(L, alpha, eta)
+        lam_p, alpha_N = alpha * (1.0 + eps), alpha * (1.0 + 1.0 / eps) * var_phi
+        lsi = bounds.LsiInputs(
+            rho=k.rho, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=k.Mmm, epsilon=eps, N=N, d=1
+        )
+        poin = bounds.PoincareInputs(rho_N=k.rho_N, lam=2.0 * alpha, Mmm=k.Mmm, N=N)
+        assert report.to_dict() == bounds.full_report(lsi, poin).to_dict()
+        assert example["Mmm"] == k.Mmm and example["var_phi"] == var_phi
+
+    def test_report_is_json_serializable(self):
+        energy = PairwiseKernelEnergy(eta=2.0, L=0.5, alpha=0.1, v1_sup=0.3)
+        report, example = bounds.corollary_report(energy, 50, 1, 1.0, 0.5)
+        assert all(type(v) is bool for v in report.flags.values())
+        json.dumps({"report": report.to_dict(), "example": example})
+
+    def test_gibbs_undefined(self):
+        with pytest.raises(GibbsUndefinedError):
+            bounds.corollary_report(QuadraticMeanEnergy(1.5), 10, 1, 1.0, 0.5)
+
+    def test_other_energies_rejected(self):
+        with pytest.raises(TypeError):
+            bounds.corollary_report(quadratic_as_parametrized(0.5), 10, 1, 1.0, 0.5)
+        with pytest.raises(TypeError):
+            bounds.example_inputs(quadratic_as_parametrized(0.5), 10)
+
 
 class TestParametrizedCostBound:
     def test_quadratic_route(self):
@@ -245,6 +297,19 @@ class TestCheckers:
             quad, empirical([[0.0]]), empirical([[2.0]])
         )
         assert abs(deficit) < 1e-12
+
+    def test_mixtures_are_those_of_mix(self):
+        rng = np.random.default_rng(25)
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        for _ in range(20):
+            mu, nu = random_measure(rng), random_measure(rng)
+            penalty = 0.5 * kern.declared_lambda * w2_squared(nu, mu)
+            f_mu, f_nu = kern.eval(mu), kern.eval(nu)
+            ref = max(
+                kern.eval(mix(mu, nu, t)) - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty
+                for t in bounds.DEFAULT_T_GRID
+            )
+            assert bounds.check_semi_convexity(kern, mu, nu) == ref
 
     def test_identical_measures(self):
         quad = QuadraticMeanEnergy(0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -42,6 +43,28 @@ d = 1
 step = 0.05
 n_steps = 200
 seed = 1
+"""
+
+
+# MALA at a step where most proposals are rejected: both replicas move, but
+# the chain stalls for whole batches of the estimator's stderr
+STALLING = """
+[energy]
+type = quadratic
+a = 0.5
+
+[system]
+n = 5
+
+[sim]
+step = 3.0
+n_steps = 300
+replicas = 2
+seed = 2
+sampler = MALA
+
+[analysis]
+max_lag = 20
 """
 
 
@@ -107,6 +130,23 @@ class TestConstants:
         assert code == 3
         payload = json.loads(out.read_text())  # report still written
         assert not payload["example"]["condition_holds"]
+
+    @pytest.mark.parametrize(
+        "energy, rho_N",
+        [
+            ("type = quadratic\na = 0.5", 1.0 - 0.5 / 10),
+            ("type = parametrized\na = 0.5", 1.0 - 0.5 / 10),
+            ("type = kernel\neta = 2\nl = 0.5\nalpha = 0.1\nv1_sup = 0.3", 2 * math.exp(-0.8)),
+        ],
+    )
+    def test_poincare_bound_reads_the_built_energy(self, tmp_path, energy, rho_N):
+        text = KERNEL.replace("type = kernel\nl = 1.0\nalpha = 0.05\neta = 1.0", energy)
+        cfg = write(tmp_path, text)
+        out = tmp_path / "report.json"
+        main(["constants", "--config", cfg, "--out", str(out)])
+        built = load_config(cfg).build_energy()
+        expected = rho_N - built.declared_lambda - built.declared_Mmm / 10
+        assert abs(json.loads(out.read_text())["report"]["poincare_bound"] - expected) <= 1e-15
 
     def test_gibbs_undefined_exit_3(self, tmp_path):
         text = QUADRATIC.replace("a = 0.5", "a = 1.5")
@@ -194,7 +234,54 @@ class TestSimulate:
         assert code == 4
 
 
+def no_chain(*args, **kwargs):
+    raise AssertionError("run_chain called")
+
+
+@pytest.mark.parametrize("energy_type", ["quadratic", "parametrized"])
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_no_gibbs_measure_exit_3_before_the_chain(
+    tmp_path, monkeypatch, capsys, command, energy_type
+):
+    monkeypatch.setattr(cli, "run_chain", no_chain)
+    text = QUADRATIC.replace("a = 0.5", "a = 1.5").replace("quadratic", energy_type)
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "gibbs-undefined: quadratic-mean energy needs a < 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 class TestEstimate:
+    def test_records_only_the_analysed_observable(self, tmp_path, monkeypatch):
+        recorded = []
+
+        def spy(system, config, observables=None):
+            recorded.append(sorted(observables))
+            return run_chain(system, config, observables)
+
+        run_chain = cli.run_chain
+        monkeypatch.setattr(cli, "run_chain", spy)
+        text = QUADRATIC.replace("max_lag = 20", "max_lag = 20\nobservable = x1")
+        assert main(["estimate", "--config", write(tmp_path, text)]) == 0
+        assert recorded == [["x1"]]
+
+    def test_stalled_batches_are_not_a_frozen_chain(self, tmp_path, capsys):
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--config", write(tmp_path, STALLING), "--out", str(out)]) == 0
+        est = json.loads(out.read_text())["estimate"]
+        assert est["rate"] > 0 and math.isnan(est["stderr"])
+        assert est["flags"] == {"stderr_unavailable": True}
+        assert capsys.readouterr().err == ""
+
+    def test_overflowing_estimate_flagged(self, tmp_path, capsys):
+        cfg = write(tmp_path, STALLING.replace("step = 3.0", "step = 1e-300"))
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        est = json.loads(out.read_text())["estimate"]
+        assert math.isinf(est["stderr"])
+        assert est["flags"] == {"non_finite": True}
+        assert capsys.readouterr().err == ""
+
     def test_json_output(self, tmp_path):
         text = QUADRATIC.replace("n_steps = 400", "n_steps = 4000")
         cfg = write(tmp_path, text)

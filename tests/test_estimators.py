@@ -95,6 +95,29 @@ class TestAutocorrGap:
         with pytest.raises(ValueError):
             estimate_gap_autocorr(traj, "x", max_lag=10)
 
+    def test_constant_batch_leaves_stderr_unavailable(self):
+        # R < 4: the stderr comes from 8 batches of the flattened series; a
+        # stalled stretch makes the first batch constant, but the chain moved
+        traj = synthetic_ar1_trajectory(rate=1.0, dt=0.1, n=2000, replicas=2, seed=4)
+        traj.observables["x"][0, :600] = traj.observables["x"][0, 0]
+        est = estimate_gap_autocorr(traj, "x", max_lag=20)
+        assert math.isfinite(est.rate) and est.rate > 0
+        assert math.isnan(est.stderr)
+        assert est.flags == {"stderr_unavailable": True}
+
+    def test_overflowing_stderr_flagged_without_warning(self):
+        # a step near zero turns per-record decay into rates near 1e300 whose
+        # batch spread overflows; RuntimeWarnings are errors in this suite
+        traj = synthetic_ar1_trajectory(rate=1.0, dt=0.1, n=4000, replicas=2, seed=5)
+        traj.step = 1e-301
+        est = estimate_gap_autocorr(traj, "x", max_lag=20)
+        assert math.isfinite(est.rate) and math.isinf(est.stderr)
+        assert est.flags == {"non_finite": True}
+
+    def test_non_finite_flag(self):
+        assert GapEstimate(math.inf, 0.0, "autocorr-fit", 1.0).flags == {"non_finite": True}
+        assert GapEstimate(math.nan, math.nan, "autocorr-fit", 1.0).flags == {}
+
     def test_json_schema(self):
         est = GapEstimate(0.5, 0.01, "autocorr-fit", 100.0, {"iid": False})
         d = json.loads(est.to_json("spectral-gap"))
