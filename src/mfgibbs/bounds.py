@@ -16,7 +16,7 @@ import numpy as np
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy
 from .energies import ParametrizedEnergy, QuadraticMeanEnergy
 from .errors import GibbsUndefinedError, TheoremInvalidError
-from .measures import DiscreteMeasure, w2_squared
+from .measures import DiscreteMeasure, mixture_atoms, w2_squared
 
 __all__ = [
     "PoincareInputs",
@@ -37,14 +37,16 @@ __all__ = [
     "DEFAULT_T_GRID",
 ]
 
-#: coarse mixture grid; includes t = 1/2, the value used in the Hessian lemma
+#: the mixture weights t of both convexity checkers; includes t = 1/2, the
+#: value used in the Hessian lemma
 DEFAULT_T_GRID = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))
 
 
 @dataclass(frozen=True)
 class PoincareInputs:
     """Inputs of the Poincare theorem: conditional constant rho_N,
-    semi-convexity modulus lambda, second-derivative bound Mmm, system size N."""
+    semi-convexity modulus lambda, second-derivative bound Mmm, system size N.
+    Values outside its hypotheses raise TheoremInvalidError (a ValueError)."""
 
     rho_N: float
     lam: float
@@ -53,14 +55,15 @@ class PoincareInputs:
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.rho_N, self.lam, self.Mmm)):
-            raise ValueError("non-finite inputs")
+            raise TheoremInvalidError(f"non-finite inputs: {self}")
         if self.rho_N <= 0 or self.lam < 0 or self.Mmm < 0 or self.N < 1:
-            raise ValueError("invalid Poincare inputs")
+            raise TheoremInvalidError(f"invalid Poincare inputs: {self}")
 
 
 @dataclass(frozen=True)
 class LsiInputs:
-    """Inputs of the defective-LSI theorem."""
+    """Inputs of the defective-LSI theorem; values outside its hypotheses
+    raise TheoremInvalidError (a ValueError)."""
 
     rho: float
     lambda_prime: float
@@ -72,10 +75,10 @@ class LsiInputs:
 
     def __post_init__(self):
         vals = (self.rho, self.lambda_prime, self.alpha_N, self.Mmm, self.epsilon)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("non-finite inputs")
+        if not all(math.isfinite(v) for v in vals):  # e.g. alpha_N for a tiny epsilon
+            raise TheoremInvalidError(f"non-finite inputs: {self}")
         if self.rho <= 0 or self.lambda_prime < 0 or self.alpha_N < 0 or self.Mmm < 0:
-            raise ValueError("invalid LSI inputs")
+            raise TheoremInvalidError(f"invalid LSI inputs: {self}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         if self.N < 1 or self.d < 1:
@@ -281,19 +284,12 @@ def corollary_report(
     return report, {**example, "var_phi": var_phi}
 
 
-def _mixture_deficit(energy, mu, nu, t_grid, penalty) -> float:
+def _mixture_deficit(energy, mu, nu, penalty) -> float:
     f_mu = energy.eval(mu)
     f_nu = energy.eval(nu)
-    # the atoms of every mixture t mu + (1 - t) nu, stacked once; each t
-    # evaluates the measure `measures.mix` would build
-    points = np.vstack([mu.points, nu.points])
     worst = -math.inf
-    for t in t_grid:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"mixture weight t={t} outside [0, 1]")
-        w = np.concatenate([t * mu.weights, (1.0 - t) * nu.weights])
-        keep = w > 0
-        lhs = energy._eval(points[keep], w[keep] / w[keep].sum())
+    for t, points, weights in mixture_atoms(mu, nu, DEFAULT_T_GRID):
+        lhs = energy._eval(points, weights)
         deficit = lhs - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty
         worst = max(worst, deficit)
     return worst
@@ -303,7 +299,6 @@ def check_semi_convexity(
     energy: MeanFieldEnergy,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    t_grid=DEFAULT_T_GRID,
     lam: float | None = None,
 ) -> float:
     """Worst mixture-convexity deficit against the lambda/2 W2^2 penalty.
@@ -313,14 +308,13 @@ def check_semi_convexity(
     if lam is None:
         lam = energy.declared_lambda
     penalty = 0.5 * lam * w2_squared(nu, mu)
-    return _mixture_deficit(energy, mu, nu, t_grid, penalty)
+    return _mixture_deficit(energy, mu, nu, penalty)
 
 
 def check_cost_convexity(
     energy: MeanFieldEnergy,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    t_grid=DEFAULT_T_GRID,
     cost=None,
 ) -> float:
     """Worst mixture-convexity deficit against a cost functional C(nu, mu).
@@ -333,7 +327,7 @@ def check_cost_convexity(
         penalty = energy.cost_functional(mu, nu)
     else:
         penalty = cost(mu, nu)
-    return _mixture_deficit(energy, mu, nu, t_grid, penalty)
+    return _mixture_deficit(energy, mu, nu, penalty)
 
 
 def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:

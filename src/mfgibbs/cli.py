@@ -1,7 +1,8 @@
 """Command-line front end: `constants`, `verify`, `simulate`, `estimate`.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 theorem inapplicable (or no Gibbs measure), 4 numerical blow-up or a frozen chain.
+3 theorem inapplicable (or no Gibbs measure), 4 numerical blow-up (a diverging chain,
+or a floating-point overflow or NaN) or a frozen chain, 5 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -28,12 +29,15 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INAPPLICABLE = 3
 EXIT_BLOWUP = 4
+EXIT_INTERNAL = 5
 
 
 @contextlib.contextmanager
 def _atomic_path(path: str):
     """Yield a temporary path next to `path`; it replaces `path` when the
     block succeeds and is removed when it fails."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mfgibbs-")
     os.close(fd)
@@ -124,26 +128,23 @@ def cmd_verify(suite: str) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
-    path = out_path or cfg.out_path
-    if path is None:
+def cmd_simulate(cfg: ExperimentConfig, path: str | None) -> int:
+    if not path:
         raise ConfigError("simulate needs an output path (--out or [output] path)")
     system = cfg.build_system()
     _reported_energy(cfg, system.energy)  # no Gibbs measure: exit 3 before the chain
-    traj = run_chain(system, cfg.sim)
-    with _atomic_path(path) as tmp:
+    with _atomic_path(path) as tmp:  # opened first: an unwritable path fails before the chain
+        traj = run_chain(system, cfg.sim)
         traj.to_csv(tmp)
-    meta = _wrap(cfg, {"acceptance_rates": [None if np.isnan(r) else r
-                                            for r in traj.acceptance_rates]})
-    _atomic_write(path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    rates = [None if np.isnan(r) else r for r in traj.acceptance_rates]
+    _emit(_wrap(cfg, {"acceptance_rates": rates}), path + ".meta.json")
     return EXIT_OK
 
 
 def cmd_estimate(cfg: ExperimentConfig, out_path: str | None) -> int:
     system = cfg.build_system()
-    n_records = (cfg.sim.n_steps - cfg.sim.burn_in + cfg.sim.thin - 1) // cfg.sim.thin
     max_lag = int(cfg.analysis["max_lag"])
-    if n_records <= max_lag:
+    if len(cfg.sim.record_steps()) <= max_lag:
         raise ConfigError("trajectory too short for the requested max_lag")
     _reported_energy(cfg, system.energy)  # no Gibbs measure: exit 3 before the chain
     observable = str(cfg.analysis["observable"])
@@ -168,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True, help="experiment config file")
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="experiment config file")
+        sp.add_argument("--out", default=None, help="output path (default: [output] path)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--replicas", type=int, default=None, help="override replica count")
 
@@ -185,26 +185,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args.suite)
     try:
-        cfg = load_config(args.config, seed=args.seed, replicas=args.replicas)
-        if args.command == "constants":
-            return cmd_constants(cfg, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "estimate":
-            return cmd_estimate(cfg, args.out)
+        with np.errstate(over="raise", invalid="raise"):  # an overflow or a NaN is a blow-up
+            if args.command == "verify":
+                return cmd_verify(args.suite)
+            cfg = load_config(args.config, seed=args.seed, replicas=args.replicas)
+            run = {"constants": cmd_constants, "simulate": cmd_simulate, "estimate": cmd_estimate}
+            # the output goes to --out, else to [output] path, else to stdout
+            return run[args.command](cfg, args.out or cfg.out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # configparser skips an unreadable config: only an output raises
+        print(f"config error: cannot write the output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GibbsUndefinedError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except BlowUpError as exc:
+    except (BlowUpError, FloatingPointError) as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    raise AssertionError("unreachable")
+    except Exception as exc:  # 1 keeps meaning "verification failed"
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

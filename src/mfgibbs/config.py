@@ -14,20 +14,19 @@ from .dynamics import SimConfig, default_observables
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy, ParticleSystem
 from .energies import QuadraticMeanEnergy, quadratic_as_parametrized
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config"]
+__all__ = ["ExperimentConfig", "ConfigError", "GRID_N_MAX", "load_config"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-_KNOWN = {
-    "energy": {"type", "a", "l", "alpha", "eta", "v1_sup", "feature_map"},
-    "system": {"n", "d"},
-    "sim": {"step", "n_steps", "burn_in", "thin", "replicas", "seed", "sampler", "initial"},
-    "analysis": {"epsilon", "grid_lo", "grid_hi", "grid_n", "observable", "max_lag"},
-    "output": {"path"},
-}
+#: [energy] keys that hold numbers; `type` and `feature_map` hold names.
+_ENERGY_NUMBERS = ("a", "l", "alpha", "eta", "v1_sup")
+
+#: Largest [analysis] grid_n: the proximal-Gibbs fixed point costs up to
+#: 200 iterations over the grid, each O(grid_n^2) for the kernel energy.
+GRID_N_MAX = 10001
 
 _DEFAULT_ANALYSIS = {
     "epsilon": 0.5,
@@ -36,6 +35,36 @@ _DEFAULT_ANALYSIS = {
     "grid_n": 1201,
     "observable": "xbar",
     "max_lag": 200,
+}
+
+
+def _parse_initial(text: str):
+    """`zeros`, `gaussian` or `gaussian(scale)` with a finite scale."""
+    if text == "zeros":
+        return text
+    if text == "gaussian":
+        return ("gaussian", 1.0)
+    if text.startswith("gaussian(") and text.endswith(")"):
+        scale = float(text[len("gaussian(") : -1])
+        if math.isfinite(scale):
+            return ("gaussian", scale)
+    raise ValueError(f"initial must be zeros, gaussian or gaussian(<finite scale>), got {text!r}")
+
+
+#: [sim] key -> parser of its INI text. SimConfig holds the default of every
+#: key but step and n_steps, which it requires.
+_SIM_PARSERS = {
+    "step": float, "n_steps": int, "burn_in": int, "thin": int, "replicas": int,
+    "seed": int, "sampler": str, "initial": _parse_initial,
+}
+_SIM_REQUIRED = {"step": 0.05, "n_steps": 10000}
+
+_KNOWN = {
+    "energy": {"type", "feature_map", *_ENERGY_NUMBERS},
+    "system": {"n", "d"},
+    "sim": set(_SIM_PARSERS),
+    "analysis": set(_DEFAULT_ANALYSIS),
+    "output": {"path"},
 }
 
 
@@ -86,8 +115,11 @@ def _coerce(value: str):
 
 
 def load_config(path, seed: int | None = None, replicas: int | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -99,9 +131,10 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
     if "energy" not in parser or "type" not in parser["energy"]:
         raise ConfigError("missing [energy] type")
     energy_type = parser["energy"]["type"]
-    energy_params = {
-        k: _coerce(v) for k, v in parser["energy"].items() if k != "type"
-    }
+    energy_params = {k: _coerce(v) for k, v in parser["energy"].items() if k != "type"}
+    for key in _ENERGY_NUMBERS:
+        if isinstance(energy_params.get(key, 0.0), str):
+            raise ConfigError(f"[energy] {key} must be a number, got {energy_params[key]!r}")
     if "system" not in parser:
         raise ConfigError("missing [system] section")
     try:
@@ -110,17 +143,11 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [system] values: {exc}") from None
     sim_raw = dict(parser["sim"]) if "sim" in parser else {}
+    # an override replaces its INI value unparsed
+    overrides = {k: v for k, v in (("seed", seed), ("replicas", replicas)) if v is not None}
     try:
-        sim = SimConfig(
-            step=float(sim_raw.get("step", 0.05)),
-            n_steps=int(sim_raw.get("n_steps", 10000)),
-            burn_in=int(sim_raw.get("burn_in", 0)),
-            thin=int(sim_raw.get("thin", 1)),
-            replicas=replicas if replicas is not None else int(sim_raw.get("replicas", 1)),
-            seed=seed if seed is not None else int(sim_raw.get("seed", 0)),
-            sampler=sim_raw.get("sampler", "MALA"),
-            initial=_parse_initial(sim_raw.get("initial", "zeros")),
-        )
+        parsed = {k: _SIM_PARSERS[k](v) for k, v in sim_raw.items() if k not in overrides}
+        sim = SimConfig(**{**_SIM_REQUIRED, **parsed, **overrides})
     except ValueError as exc:
         raise ConfigError(f"bad [sim] values: {exc}") from None
     analysis = dict(_DEFAULT_ANALYSIS)
@@ -136,19 +163,6 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
     return cfg
 
 
-def _parse_initial(text: str):
-    """`zeros`, `gaussian` or `gaussian(scale)` with a finite scale."""
-    if text == "zeros":
-        return text
-    if text == "gaussian":
-        return ("gaussian", 1.0)
-    if text.startswith("gaussian(") and text.endswith(")"):
-        scale = float(text[len("gaussian(") : -1])
-        if math.isfinite(scale):
-            return ("gaussian", scale)
-    raise ValueError(f"initial must be zeros, gaussian or gaussian(<finite scale>), got {text!r}")
-
-
 def _check_analysis(an: dict, observables: list):
     def finite(key):
         return isinstance(an[key], (int, float)) and math.isfinite(an[key])
@@ -157,7 +171,8 @@ def _check_analysis(an: dict, observables: list):
         ("epsilon", finite("epsilon") and 0 < an["epsilon"] < 1, "strictly inside (0, 1)"),
         ("grid_lo", finite("grid_lo") and finite("grid_hi") and an["grid_lo"] < an["grid_hi"],
          "finite and below a finite grid_hi"),
-        ("grid_n", isinstance(an["grid_n"], int) and an["grid_n"] >= 3, "an integer >= 3"),
+        ("grid_n", isinstance(an["grid_n"], int) and 3 <= an["grid_n"] <= GRID_N_MAX,
+         f"an integer in [3, {GRID_N_MAX}]"),
         ("max_lag", isinstance(an["max_lag"], int) and an["max_lag"] >= 1, "an integer >= 1"),
         ("observable", an["observable"] in observables, f"one of {observables}"),
     ):

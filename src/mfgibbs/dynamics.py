@@ -1,9 +1,9 @@
-"""Samplers for the Gibbs measure exp(-U_N)/Z and exact Gaussian flows.
+"""Samplers for the Gibbs measure exp(-U_N)/Z.
 
 ULA is the Euler-Maruyama discretization of the overdamped Langevin
 dynamics dX = -grad U_N dt + sqrt(2) dB; MALA adds a Metropolis-Hastings
-correction and is unbiased. Quadratic-mean energies admit an exact
-Ornstein-Uhlenbeck propagator used as an oracle.
+correction and is unbiased. The exact Ornstein-Uhlenbeck flow of a
+quadratic-mean energy, the oracle for both, is `spectral1d.ou_exact_flow`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .energies import ParticleSystem, QuadraticMeanEnergy
-from .errors import BlowUpError, GibbsUndefinedError
+from .energies import ParticleSystem
+from .errors import BlowUpError
 
 __all__ = [
     "SimConfig",
@@ -25,7 +25,6 @@ __all__ = [
     "ula_step",
     "mala_step",
     "run_chain",
-    "ou_exact_flow",
 ]
 
 BLOWUP_THRESHOLD = 1e8
@@ -57,6 +56,10 @@ class SimConfig:
             raise ValueError("need 0 <= burn_in < n_steps")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
+
+    def record_steps(self) -> np.ndarray:
+        """The recorded step indices: every `thin` steps after burn-in."""
+        return np.arange(self.burn_in + 1, self.n_steps + 1, self.thin)
 
 
 @dataclass(frozen=True)
@@ -250,17 +253,17 @@ def _initial_configuration(system: ParticleSystem, initial, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Observable:
-    """A built-in observable: `obs(x)` on one state (N, d), and
+    """A built-in observable, written once in block form:
     `obs.block(states, u_n)` on a block of states (K, N, d) with their U_N
-    (K,) when the sampler holds it (MALA), else None. `run_chain` evaluates
-    it on blocks; any other callable, including one that wraps an _Observable,
-    is called once per recorded state."""
+    (K,) when the sampler holds it (MALA), else None. `obs(x)` on one state
+    (N, d) is the block of one. `run_chain` evaluates it on blocks; any other
+    callable, including one that wraps an _Observable, is called once per
+    recorded state."""
 
-    one: Callable
     block: Callable
 
     def __call__(self, x) -> float:
-        return self.one(x)
+        return float(self.block(np.asarray(x, dtype=float)[None], None)[0])
 
 
 def default_observables(system: ParticleSystem) -> dict:
@@ -270,11 +273,9 @@ def default_observables(system: ParticleSystem) -> dict:
         return u_n if u_n is not None else [system.u_n(x) for x in states]
 
     return {
-        "xbar": _Observable(
-            lambda x: float(np.mean(x[:, 0])), lambda xs, u: np.mean(xs[:, :, 0], axis=1)
-        ),
-        "x1": _Observable(lambda x: float(x[0, 0]), lambda xs, u: xs[:, 0, 0]),
-        "u_n": _Observable(system.u_n, u_n_block),
+        "xbar": _Observable(lambda xs, u: np.mean(xs[:, :, 0], axis=1)),
+        "x1": _Observable(lambda xs, u: xs[:, 0, 0]),
+        "u_n": _Observable(u_n_block),
     }
 
 
@@ -285,8 +286,7 @@ def run_chain(
     every `thin` steps after burn-in. Deterministic given (seed, replica)."""
     if observables is None:
         observables = default_observables(system)
-    record_steps = np.arange(config.burn_in + 1, config.n_steps + 1)
-    record_steps = record_steps[(record_steps - config.burn_in - 1) % config.thin == 0]
+    record_steps = config.record_steps()
     n_rec = len(record_steps)
     values = {name: np.empty((config.replicas, n_rec)) for name in observables}
     acc = np.full(config.replicas, np.nan)
@@ -306,30 +306,3 @@ def run_chain(
         seed=config.seed,
         sampler=config.sampler,
     )
-
-
-def ou_exact_flow(system: ParticleSystem, mean0, cov0, times):
-    """Exact Gaussian law of the Langevin dynamics for quadratic-mean energies.
-
-    mean_t = exp(-A t) mean0; cov_t = exp(-A t) cov0 exp(-A t)
-    + A^{-1} (I - exp(-2 A t)), with A = grad^2 U_N constant.
-    """
-    if not isinstance(system.energy, QuadraticMeanEnergy):
-        raise TypeError("exact flow needs a quadratic-mean energy")
-    if system.energy.a >= 1.0:
-        raise GibbsUndefinedError("gibbs-undefined: a >= 1")
-    n = system.N * system.d
-    A = system.hess_u_n(np.zeros((system.N, system.d)))
-    mean0 = np.asarray(mean0, dtype=float).reshape(n)
-    cov0 = np.asarray(cov0, dtype=float).reshape(n, n)
-    evals, evecs = np.linalg.eigh(A)
-    if evals[0] <= 0:
-        raise GibbsUndefinedError("gibbs-undefined: precision not positive definite")
-    inv_evals = 1.0 / evals
-    out = []
-    for t in np.asarray(times, dtype=float):
-        decay = np.exp(-evals * t)
-        E = evecs @ np.diag(decay) @ evecs.T
-        stat = evecs @ np.diag(inv_evals * (1.0 - decay**2)) @ evecs.T
-        out.append((E @ mean0, E @ cov0 @ E + stat))
-    return out

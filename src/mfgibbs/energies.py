@@ -195,10 +195,10 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     v1_sup: float = 0.0
 
     def __post_init__(self):
-        if not self.eta > 0:  # NaN fails too
-            raise ValueError("eta must be positive")
-        if not (self.L >= 0 and self.alpha >= 0 and self.v1_sup >= 0):
-            raise ValueError("kernel parameters must be nonnegative")
+        if not 0 < self.eta < math.inf:  # NaN fails too
+            raise ValueError("eta must be positive and finite")
+        if not all(0 <= v < math.inf for v in (self.L, self.alpha, self.v1_sup)):
+            raise ValueError("kernel parameters must be nonnegative and finite")
         if self.v1 is None:
             object.__setattr__(self, "v1", _zero)
             object.__setattr__(self, "v1_grad", np.zeros_like)

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, ou_exact_flow, run_chain
+from .dynamics import SimConfig, Trajectory, run_chain
 from .energies import ParticleSystem
 from .spectral1d import Grid1D, conditional_potential, gaussian_exact, gaussian_kl, grid_poincare
+from .spectral1d import ou_exact_flow, trapezoid_moments
 
 __all__ = [
     "GapEstimate",
@@ -33,6 +34,9 @@ __all__ = [
 #: this fraction of its start: a clean exponential spans just under ln(1/cutoff)
 #: e-folds. A fit spanning under ln(1/(2 cutoff)), a factor 2 short, is low_confidence.
 _WINDOW_CUTOFF = 0.05
+
+#: Nodes of the auto-windowed grid on which `conditional_gap_mc` takes each gap.
+_CONDITIONAL_GRID_N = 1201
 
 
 @dataclass(frozen=True)
@@ -223,12 +227,8 @@ def entropy_decay_gaussian(
     times = np.asarray(times, dtype=float)
     exact = gaussian_exact(system)
     target_mean = np.zeros(system.N * system.d)
-    ents = np.array(
-        [
-            gaussian_kl(m, c, target_mean, exact.covariance)
-            for m, c in ou_exact_flow(system, mean0, cov0, times)
-        ]
-    )
+    flow = ou_exact_flow(system, mean0, cov0, times)
+    ents = np.array([gaussian_kl(m, c, target_mean, exact.covariance) for m, c in flow])
     flags = {}
     if np.max(ents) <= 1e-15:
         return EntropyDecayCurve(times, ents, math.nan, 0.0, {"identically_zero": True})
@@ -263,10 +263,7 @@ class ConditionalGapResult:
 
 
 def _auto_window(grid_scan: Grid1D) -> tuple[float, float]:
-    dens = grid_scan.density()
-    x = grid_scan.x
-    mean = float(np.trapezoid(x * dens, dx=grid_scan.spacing))
-    var = float(np.trapezoid((x - mean) ** 2 * dens, dx=grid_scan.spacing))
+    mean, var = trapezoid_moments(grid_scan.x, grid_scan.density(), grid_scan.spacing)
     half = max(8.0 * math.sqrt(var), 4.0)
     return mean - half, mean + half
 
@@ -275,7 +272,6 @@ def conditional_gap_mc(
     system: ParticleSystem,
     config: SimConfig,
     n_frozen: int = 20,
-    grid_n: int = 1201,
     claimed_rho_N: float | None = None,
     tolerance: float = 1e-3,
 ) -> ConditionalGapResult:
@@ -292,12 +288,10 @@ def conditional_gap_mc(
     picks = np.linspace(0, n_rec - 1, n_frozen).astype(int)
     gaps = np.empty(n_frozen)
     for k, idx in enumerate(picks):
-        frozen = np.array(
-            [traj.observables[f"c{j}"][0, idx] for j in range(1, system.N)]
-        )
+        frozen = np.array([traj.observables[f"c{j}"][0, idx] for j in range(1, system.N)])
         scan = conditional_potential(system, frozen, -25.0, 25.0, 801)
         lo, hi = _auto_window(scan)
-        grid = conditional_potential(system, frozen, lo, hi, grid_n)
+        grid = conditional_potential(system, frozen, lo, hi, _CONDITIONAL_GRID_N)
         gaps[k] = grid_poincare(grid, check_convergence=False).gap
     passed = None
     if claimed_rho_N is not None:

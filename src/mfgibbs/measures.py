@@ -12,6 +12,7 @@ __all__ = [
     "UnsupportedTransportError",
     "empirical",
     "mix",
+    "mixture_atoms",
     "w2_squared",
 ]
 
@@ -72,16 +73,24 @@ def empirical(points) -> DiscreteMeasure:
     return DiscreteMeasure(pts, np.full(n, 1.0 / n))
 
 
-def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
-    """Mixture t*mu + (1-t)*nu; zero-weight atoms are dropped."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"mixture weight t={t} outside [0, 1]")
+def mixture_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure, t_grid):
+    """Yield (t, points, weights): the atoms of t*mu + (1-t)*nu for each t of
+    `t_grid`, zero-weight atoms dropped. The atoms are stacked once."""
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     pts = np.vstack([mu.points, nu.points])
-    w = np.concatenate([t * mu.weights, (1.0 - t) * nu.weights])
-    keep = w > 0
-    return DiscreteMeasure(pts[keep], w[keep] / w[keep].sum())
+    for t in t_grid:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"mixture weight t={t} outside [0, 1]")
+        w = np.concatenate([t * mu.weights, (1.0 - t) * nu.weights])
+        keep = w > 0
+        yield t, pts[keep], w[keep] / w[keep].sum()
+
+
+def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
+    """Mixture t*mu + (1-t)*nu; zero-weight atoms are dropped."""
+    ((_, pts, w),) = mixture_atoms(mu, nu, (t,))
+    return DiscreteMeasure(pts, w)
 
 
 def _w2_squared_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -1,5 +1,5 @@
-"""Deterministic 1-D oracles: grid spectral gaps, proximal-Gibbs fixed
-points, and Gaussian closed forms (KL, exact Poincare/LSI constants)."""
+"""Deterministic oracles: 1-D grid spectral gaps, proximal-Gibbs fixed points, and the
+Gaussian target of a quadratic-mean system (exact constants, exact OU flow, KL)."""
 
 from __future__ import annotations
 
@@ -19,9 +19,14 @@ __all__ = [
     "boundary_negligible",
     "conditional_potential",
     "proximal_gibbs_fixed_point",
+    "trapezoid_moments",
     "gaussian_exact",
+    "ou_exact_flow",
     "gaussian_kl",
 ]
+
+#: Damped fixed-point iteration: step cap, sup-norm tolerance, old-density share.
+_FP_MAX_ITER, _FP_TOL, _FP_DAMPING = 200, 1e-8, 0.5
 
 
 @dataclass(frozen=True)
@@ -124,21 +129,11 @@ def grid_poincare(grid: Grid1D, check_convergence: bool = True) -> SpectralResul
     gap, ground_mass = _gap_on_grid(grid)
     converged = True
     if check_convergence:
-        fine = Grid1D(
-            grid.lo,
-            grid.hi,
-            2 * grid.n - 1,
-            _refine_potential(grid.potential),
-        )
+        fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
         gap_fine, _ = _gap_on_grid(fine)
         converged = abs(gap_fine - gap) <= 1e-3 * max(abs(gap), 1e-300)
     return SpectralResult(
-        gap=gap,
-        ground_mass=ground_mass,
-        n=grid.n,
-        lo=grid.lo,
-        hi=grid.hi,
-        converged=converged,
+        gap=gap, ground_mass=ground_mass, n=grid.n, lo=grid.lo, hi=grid.hi, converged=converged
     )
 
 
@@ -178,19 +173,18 @@ class FixedPointResult:
     converged: bool
 
     def variance(self) -> float:
-        h = self.grid_x[1] - self.grid_x[0]
-        mean = np.trapezoid(self.grid_x * self.density, dx=h)
-        return float(np.trapezoid((self.grid_x - mean) ** 2 * self.density, dx=h))
+        return trapezoid_moments(self.grid_x, self.density, self.grid_x[1] - self.grid_x[0])[1]
+
+
+def trapezoid_moments(x: np.ndarray, density: np.ndarray, dx: float) -> tuple[float, float]:
+    """Mean and variance of a density tabulated at the uniform nodes x with
+    spacing dx (trapezoid rule)."""
+    mean = float(np.trapezoid(x * density, dx=dx))
+    return mean, float(np.trapezoid((x - mean) ** 2 * density, dx=dx))
 
 
 def proximal_gibbs_fixed_point(
-    energy: MeanFieldEnergy,
-    lo: float,
-    hi: float,
-    n: int,
-    max_iter: int = 200,
-    tol: float = 1e-8,
-    damping: float = 0.5,
+    energy: MeanFieldEnergy, lo: float, hi: float, n: int
 ) -> FixedPointResult:
     """Damped iteration of m -> normalize(exp(-dF/dm(m, .))) on a 1-D grid.
 
@@ -205,7 +199,7 @@ def proximal_gibbs_fixed_point(
     trap[0] = trap[-1] = 0.5
     points = x[:, None]
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FP_MAX_ITER + 1):
         w = dens * trap * h
         w = w / w.sum()
         mu = DiscreteMeasure(points, w)
@@ -214,16 +208,12 @@ def proximal_gibbs_fixed_point(
         target = np.exp(-flat)
         target /= np.trapezoid(target, dx=h)
         residual = float(np.max(np.abs(target - dens)))
-        if residual <= tol:
+        if residual <= _FP_TOL:
             dens = target
             break
-        dens = damping * dens + (1.0 - damping) * target
+        dens = _FP_DAMPING * dens + (1.0 - _FP_DAMPING) * target
     return FixedPointResult(
-        grid_x=x,
-        density=dens,
-        residual=residual,
-        iterations=it,
-        converged=residual <= tol,
+        grid_x=x, density=dens, residual=residual, iterations=it, converged=residual <= _FP_TOL
     )
 
 
@@ -235,24 +225,48 @@ class GaussianExact:
     lsi: float
 
 
+def _gaussian_precision(system: ParticleSystem) -> np.ndarray:
+    """The constant precision grad^2 U_N of a quadratic-mean system's Gaussian
+    Gibbs measure; GibbsUndefinedError when there is none (a >= 1)."""
+    if not isinstance(system.energy, QuadraticMeanEnergy):
+        raise TypeError("the Gaussian target needs a quadratic-mean energy")
+    if system.energy.a >= 1.0:
+        raise GibbsUndefinedError("gibbs-undefined: a >= 1")
+    return system.hess_u_n(np.zeros((system.N, system.d)))
+
+
 def gaussian_exact(system: ParticleSystem) -> GaussianExact:
     """Exact constants of the Gaussian Gibbs measure of a quadratic-mean system.
 
     Both the optimal Poincare and LSI constants equal lambda_min of the
     precision matrix grad^2 U_N.
     """
-    if not isinstance(system.energy, QuadraticMeanEnergy):
-        raise TypeError("exact Gaussian constants need a quadratic-mean energy")
-    if system.energy.a >= 1.0:
-        raise GibbsUndefinedError("gibbs-undefined: a >= 1")
-    A = system.hess_u_n(np.zeros((system.N, system.d)))
+    A = _gaussian_precision(system)
     lam_min = float(np.linalg.eigvalsh(A)[0])
-    return GaussianExact(
-        precision=A,
-        covariance=np.linalg.inv(A),
-        poincare=lam_min,
-        lsi=lam_min,
-    )
+    return GaussianExact(precision=A, covariance=np.linalg.inv(A), poincare=lam_min, lsi=lam_min)
+
+
+def ou_exact_flow(system: ParticleSystem, mean0, cov0, times):
+    """Exact Gaussian law of the Langevin dynamics for quadratic-mean energies.
+
+    mean_t = exp(-A t) mean0; cov_t = exp(-A t) cov0 exp(-A t)
+    + A^{-1} (I - exp(-2 A t)), with A = grad^2 U_N constant.
+    """
+    A = _gaussian_precision(system)
+    n = system.N * system.d
+    mean0 = np.asarray(mean0, dtype=float).reshape(n)
+    cov0 = np.asarray(cov0, dtype=float).reshape(n, n)
+    evals, evecs = np.linalg.eigh(A)
+    if evals[0] <= 0:
+        raise GibbsUndefinedError("gibbs-undefined: precision not positive definite")
+    inv_evals = 1.0 / evals
+    out = []
+    for t in np.asarray(times, dtype=float):
+        decay = np.exp(-evals * t)
+        E = evecs @ np.diag(decay) @ evecs.T
+        stat = evecs @ np.diag(inv_evals * (1.0 - decay**2)) @ evecs.T
+        out.append((E @ mean0, E @ cov0 @ E + stat))
+    return out
 
 
 def gaussian_kl(mean_a, cov_a, mean_b, cov_b) -> float:

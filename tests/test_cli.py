@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import pytest
 
 from mfgibbs import __version__, cli
 from mfgibbs.cli import main
-from mfgibbs.config import ConfigError, load_config
+from mfgibbs.config import GRID_N_MAX, ConfigError, load_config
 
 QUADRATIC = """
 [energy]
@@ -430,3 +431,137 @@ class TestLoadConfig:
     def test_invalid_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[energy]\ntype = quadratic\n[system]\nn = 2\n"))
+
+
+def _quadratic_or_kernel(key: str) -> str:
+    return QUADRATIC if key == "a" else KERNEL + "\n[analysis]\nmax_lag = 20\n"
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+@pytest.mark.parametrize("key", ["a", "eta", "l", "alpha", "v1_sup"])
+@pytest.mark.parametrize("command", ["constants", "estimate"])
+def test_non_numeric_energy_parameter_exit_2(tmp_path, capsys, command, key, value):
+    text = re.sub(rf"^{key} = .*\n", "", _quadratic_or_kernel(key), flags=re.M)
+    text = text.replace("[energy]\n", f"[energy]\n{key} = {value}\n")
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: [energy] {key} must be a number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("config", ["quadratic", "kernel"])
+def test_overflowing_theorem_inputs_exit_3(tmp_path, config):
+    # 0 < epsilon < 1, but alpha_N = alpha_r (1 + 1/eps) Var(phi) overflows
+    text = {"quadratic": QUADRATIC, "kernel": KERNEL + "\n[analysis]\n"}[config]
+    text = text.replace("epsilon = 0.5", "")
+    text = text.replace("[analysis]\n", "[analysis]\nepsilon = 1e-320\n")
+    out = tmp_path / "r.json"
+    assert main(["constants", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    payload = json.loads(out.read_text())
+    assert sorted(payload) == ["error", "version"]
+    assert payload["error"].startswith("non-finite inputs: LsiInputs(")
+    assert "alpha_N=inf" in payload["error"]
+
+
+def test_vanishing_lsi_constant_exit_3(tmp_path):
+    # rho = eta exp(-v1_sup - L) underflows to 0, outside the theorem's hypotheses
+    cfg = write(tmp_path, KERNEL.replace("eta = 1.0", "eta = 1.0\nv1_sup = 1000"))
+    out = tmp_path / "r.json"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["error"].startswith("invalid LSI inputs: LsiInputs(rho=0.0,")
+
+
+class TestOutputPath:
+    """`--out`, else `[output] path`, else stdout, for every command that writes."""
+
+    def _config(self, tmp_path, target):
+        return write(tmp_path, QUADRATIC + f"\n[output]\npath = {target}\n")
+
+    @pytest.mark.parametrize("command", ["constants", "estimate"])
+    def test_config_path_used_without_out(self, tmp_path, capsys, command):
+        target = tmp_path / "written.json"
+        code = main([command, "--config", self._config(tmp_path, target)])
+        assert code in (0, 3)  # the quadratic report at a = 0.5 is no corollary
+        assert capsys.readouterr().out == ""
+        assert json.loads(target.read_text())["version"] == __version__
+
+    @pytest.mark.parametrize("command", ["constants", "estimate", "simulate"])
+    def test_out_wins(self, tmp_path, capsys, command):
+        target, out = tmp_path / "written.json", tmp_path / "out.json"
+        main([command, "--config", self._config(tmp_path, target), "--out", str(out)])
+        assert capsys.readouterr().out == ""
+        assert out.exists() and not target.exists()
+
+    def test_empty_path_is_no_path(self, tmp_path, capsys):
+        cfg = write(tmp_path, QUADRATIC + "\n[output]\npath =\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: simulate needs an output path")
+
+
+def test_grid_n_above_the_cap_exit_2_before_the_fixed_point(tmp_path, monkeypatch, capsys):
+    def no_fixed_point(*args, **kwargs):
+        raise AssertionError("fixed point computed")
+
+    monkeypatch.setattr(cli, "proximal_gibbs_fixed_point", no_fixed_point)
+    text = QUADRATIC.replace("max_lag = 20", f"max_lag = 20\ngrid_n = {GRID_N_MAX + 1}")
+    assert main(["constants", "--config", write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert f"[analysis] grid_n must be an integer in [3, {GRID_N_MAX}]" in err
+    text = QUADRATIC.replace("max_lag = 20", f"max_lag = 20\ngrid_n = {GRID_N_MAX}")
+    assert load_config(write(tmp_path, text)).analysis["grid_n"] == GRID_N_MAX
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_unexpected_error_exit_5_in_one_line(tmp_path, monkeypatch, capsys, command):
+    def broken(*args, **kwargs):
+        raise RuntimeError("something\nunexpected")
+
+    if command == "verify":
+        monkeypatch.setitem(cli.verify.SUITES, "sharpness", broken)
+        argv = ["verify", "sharpness"]
+    else:
+        monkeypatch.setattr(cli, "run_chain", broken)
+        argv = ["simulate", "--config", write(tmp_path, QUADRATIC), "--out", str(tmp_path / "t")]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "internal error: RuntimeError: something unexpected\n"
+
+
+def test_bad_ini_seed_accepted_under_seed_override(tmp_path):
+    text = QUADRATIC.replace("seed = 3", "seed = abc").replace("[sim]\n", "[sim]\nreplicas = x\n")
+    cfg = write(tmp_path, text)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert load_config(cfg, seed=5, replicas=2).sim.seed == 5
+
+
+@pytest.mark.parametrize("text", ["no section header\n", "[energy]\ntype = quadratic\na = 50%\n"])
+def test_unparsable_ini_exit_2(tmp_path, capsys, text):
+    assert main(["constants", "--config", write(tmp_path, text + "[system]\nn = 5\n")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("key", ["eta", "l", "alpha", "v1_sup"])
+def test_infinite_kernel_parameter_exit_2(tmp_path, capsys, key):
+    text = re.sub(rf"^{key} = .*\n", "", KERNEL, flags=re.M)
+    cfg = write(tmp_path, text.replace("[energy]\n", f"[energy]\n{key} = inf\n"))
+    assert main(["constants", "--config", cfg]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_floating_point_overflow_is_a_blow_up(tmp_path, capsys):
+    # eta |x|^2 / 2 overflows on the analysis grid: exit 4, not a warning
+    cfg = write(tmp_path, KERNEL.replace("eta = 1.0", "eta = 1e308"))
+    out = tmp_path / "r.json"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "blow-up: overflow encountered in multiply\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["constants", "simulate"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_output_exit_2_before_the_chain(tmp_path, monkeypatch, capsys, command, where):
+    monkeypatch.setattr(cli, "run_chain", no_chain)
+    out = tmp_path / "missing" / "out.json" if where == "missing-dir" else tmp_path
+    assert main([command, "--config", write(tmp_path, QUADRATIC), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write the output: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]

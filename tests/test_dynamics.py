@@ -12,7 +12,6 @@ from mfgibbs.dynamics import (
     default_observables,
     make_rng,
     mala_step,
-    ou_exact_flow,
     run_chain,
     ula_step,
 )
@@ -23,6 +22,7 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.errors import BlowUpError, GibbsUndefinedError
+from mfgibbs.spectral1d import ou_exact_flow
 
 
 def ou_system(kappa=1.0, N=1):
