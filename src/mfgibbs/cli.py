@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, bounds, verify
 from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import default_observables, run_chain
-from .energies import QuadraticMeanEnergy
 from .errors import BlowUpError, GibbsUndefinedError, TheoremInvalidError
 from .estimators import estimate_gap_autocorr
 from .spectral1d import boundary_negligible, proximal_gibbs_fixed_point
@@ -32,15 +31,24 @@ EXIT_BLOWUP = 4
 EXIT_INTERNAL = 5
 
 
+def _temp_beside(path: str) -> str:
+    """A new empty file next to `path`; an OSError naming `path` if it cannot be written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mfgibbs-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    os.close(fd)
+    return tmp
+
+
 @contextlib.contextmanager
 def _atomic_path(path: str):
     """Yield a temporary path next to `path`; it replaces `path` when the
     block succeeds and is removed when it fails."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"{path} is a directory")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mfgibbs-")
-    os.close(fd)
+    tmp = _temp_beside(path)
     try:
         yield tmp
         os.replace(tmp, path)
@@ -67,15 +75,11 @@ def _wrap(cfg: ExperimentConfig, body: dict) -> dict:
     return {"version": __version__, "config": cfg.resolved(), **body}
 
 
-def _stationary_variance(cfg: ExperimentConfig, energy) -> float:
-    """Var(phi) under the proximal-Gibbs fixed point on the analysis grid;
-    TheoremInvalidError when that fixed point cannot be trusted."""
-    fp = proximal_gibbs_fixed_point(
-        energy,
-        float(cfg.analysis["grid_lo"]),
-        float(cfg.analysis["grid_hi"]),
-        int(cfg.analysis["grid_n"]),
-    )
+def _stationary_variance(cfg: ExperimentConfig) -> float:
+    """Var(phi) under the proximal-Gibbs fixed point of the built energy on the
+    analysis grid; TheoremInvalidError when that fixed point cannot be trusted."""
+    an = cfg.analysis
+    fp = proximal_gibbs_fixed_point(cfg.build_energy(), an["grid_lo"], an["grid_hi"], an["grid_n"])
     ends_ok = boundary_negligible(fp.density)
     if not (fp.converged and ends_ok):
         raise TheoremInvalidError(
@@ -85,22 +89,11 @@ def _stationary_variance(cfg: ExperimentConfig, energy) -> float:
     return fp.variance()
 
 
-def _reported_energy(cfg: ExperimentConfig, energy):
-    """The built energy as the theorems read it, after its closed forms
-    checked that a Gibbs measure exists (GibbsUndefinedError otherwise). The
-    parametrized type is the quadratic-mean energy in parametrized form."""
-    if cfg.energy_type == "parametrized":
-        energy = QuadraticMeanEnergy(cfg.energy_params["a"])
-    bounds.example_inputs(energy, cfg.N)
-    return energy
-
-
 def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
-    energy = cfg.build_energy()
     try:
-        reported = _reported_energy(cfg, energy)  # exit 3 before the fixed point
-        var_phi = _stationary_variance(cfg, energy)
-        eps = float(cfg.analysis["epsilon"])
+        reported = cfg.reported_energy()  # exit 3 before the fixed point
+        var_phi = _stationary_variance(cfg)
+        eps = cfg.analysis["epsilon"]
         report, extras = bounds.corollary_report(reported, cfg.N, cfg.d, var_phi, eps)
     except (GibbsUndefinedError, TheoremInvalidError) as exc:
         _emit({"version": __version__, "error": str(exc)}, out_path)
@@ -132,7 +125,7 @@ def cmd_simulate(cfg: ExperimentConfig, path: str | None) -> int:
     if not path:
         raise ConfigError("simulate needs an output path (--out or [output] path)")
     system = cfg.build_system()
-    _reported_energy(cfg, system.energy)  # no Gibbs measure: exit 3 before the chain
+    cfg.reported_energy()  # no Gibbs measure: exit 3 before the chain
     with _atomic_path(path) as tmp:  # opened first: an unwritable path fails before the chain
         traj = run_chain(system, cfg.sim)
         traj.to_csv(tmp)
@@ -143,11 +136,13 @@ def cmd_simulate(cfg: ExperimentConfig, path: str | None) -> int:
 
 def cmd_estimate(cfg: ExperimentConfig, out_path: str | None) -> int:
     system = cfg.build_system()
-    max_lag = int(cfg.analysis["max_lag"])
+    max_lag = cfg.analysis["max_lag"]
     if len(cfg.sim.record_steps()) <= max_lag:
         raise ConfigError("trajectory too short for the requested max_lag")
-    _reported_energy(cfg, system.energy)  # no Gibbs measure: exit 3 before the chain
-    observable = str(cfg.analysis["observable"])
+    cfg.reported_energy()  # no Gibbs measure: exit 3 before the chain
+    if out_path:  # an unwritable path fails before the chain; a frozen one writes nothing
+        os.unlink(_temp_beside(out_path))
+    observable = cfg.analysis["observable"]
     traj = run_chain(system, cfg.sim, {observable: default_observables(system)[observable]})
     try:
         est = estimate_gap_autocorr(traj, observable, max_lag)

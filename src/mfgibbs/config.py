@@ -2,6 +2,11 @@
 
 Unknown sections or keys are rejected so that a config fully determines a
 run; every command output embeds the resolved values.
+
+[energy] keys by type: quadratic `a`; parametrized `a`, `feature_map` (only
+`identity`, the default); kernel `eta` (default 1.0), `l`, `alpha`, `v1_sup`
+(defaults: `PairwiseKernelEnergy`'s). All but `feature_map` are numbers. Any
+other key, another type's included, is a config error naming key and type.
 """
 
 from __future__ import annotations
@@ -9,7 +14,9 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
+from .bounds import example_inputs
 from .dynamics import SimConfig, default_observables
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy, ParticleSystem
 from .energies import QuadraticMeanEnergy, quadratic_as_parametrized
@@ -20,9 +27,6 @@ __all__ = ["ExperimentConfig", "ConfigError", "GRID_N_MAX", "load_config"]
 class ConfigError(ValueError):
     pass
 
-
-#: [energy] keys that hold numbers; `type` and `feature_map` hold names.
-_ENERGY_NUMBERS = ("a", "l", "alpha", "eta", "v1_sup")
 
 #: Largest [analysis] grid_n: the proximal-Gibbs fixed point costs up to
 #: 200 iterations over the grid, each O(grid_n^2) for the kernel energy.
@@ -59,12 +63,41 @@ _SIM_PARSERS = {
 }
 _SIM_REQUIRED = {"step": 0.05, "n_steps": 10000}
 
+#: The keys of every section but [energy], whose keys depend on its type.
 _KNOWN = {
-    "energy": {"type", "feature_map", *_ENERGY_NUMBERS},
     "system": {"n", "d"},
     "sim": set(_SIM_PARSERS),
     "analysis": set(_DEFAULT_ANALYSIS),
     "output": {"path"},
+}
+
+
+class _EnergyType(NamedTuple):
+    """An [energy] type: its builder, the builder of the energy the theorems
+    read, and its keys, each mapped to None (a number) or the one name it takes."""
+
+    build: Callable
+    reported: Callable
+    keys: dict
+
+
+def _quadratic(p: dict) -> QuadraticMeanEnergy:
+    return QuadraticMeanEnergy(p["a"])
+
+
+def _kernel(p: dict) -> PairwiseKernelEnergy:
+    # eta is required by the class; an unset l, alpha or v1_sup keeps its class default
+    fields = {"L" if k == "l" else k: v for k, v in p.items()}
+    return PairwiseKernelEnergy(**{"eta": 1.0, **fields})
+
+
+#: The one owner of each [energy] type. `parametrized` is the quadratic-mean
+#: energy in parametrized form, and the theorems read it as that energy.
+_ENERGY_TYPES = {
+    "quadratic": _EnergyType(_quadratic, _quadratic, {"a": None}),
+    "kernel": _EnergyType(_kernel, _kernel, dict.fromkeys(("eta", "l", "alpha", "v1_sup"))),
+    "parametrized": _EnergyType(lambda p: quadratic_as_parametrized(p["a"]), _quadratic,
+                                {"a": None, "feature_map": "identity"}),
 }
 
 
@@ -79,19 +112,14 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def build_energy(self) -> MeanFieldEnergy:
-        p = self.energy_params
-        if self.energy_type == "quadratic":
-            return QuadraticMeanEnergy(p["a"])
-        if self.energy_type == "kernel":
-            return PairwiseKernelEnergy(
-                eta=p.get("eta", 1.0), L=p.get("l", 0.0), alpha=p.get("alpha", 0.0),
-                v1_sup=p.get("v1_sup", 0.0),
-            )
-        if self.energy_type == "parametrized":
-            if p.get("feature_map", "identity") != "identity":
-                raise ConfigError("only the identity feature map is configurable")
-            return quadratic_as_parametrized(p["a"])
-        raise ConfigError(f"unknown energy type {self.energy_type!r}")
+        return _ENERGY_TYPES[self.energy_type].build(self.energy_params)
+
+    def reported_energy(self) -> MeanFieldEnergy:
+        """The energy the theorem constants read, after its closed forms
+        checked that a Gibbs measure exists (GibbsUndefinedError otherwise)."""
+        energy = _ENERGY_TYPES[self.energy_type].reported(self.energy_params)
+        example_inputs(energy, self.N)
+        return energy
 
     def build_system(self) -> ParticleSystem:
         return ParticleSystem(self.build_energy(), self.N, self.d)
@@ -123,18 +151,26 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
-        if section not in _KNOWN:
+        if section != "energy" and section not in _KNOWN:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN[section]:
+            if section in _KNOWN and key not in _KNOWN[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     if "energy" not in parser or "type" not in parser["energy"]:
         raise ConfigError("missing [energy] type")
     energy_type = parser["energy"]["type"]
+    if energy_type not in _ENERGY_TYPES:
+        raise ConfigError(f"unknown energy type {energy_type!r}")
+    row = _ENERGY_TYPES[energy_type]
     energy_params = {k: _coerce(v) for k, v in parser["energy"].items() if k != "type"}
-    for key in _ENERGY_NUMBERS:
-        if isinstance(energy_params.get(key, 0.0), str):
-            raise ConfigError(f"[energy] {key} must be a number, got {energy_params[key]!r}")
+    for key, value in energy_params.items():
+        if key not in row.keys:
+            only = ", ".join(row.keys)
+            raise ConfigError(f"[energy] type {energy_type} takes no key {key!r}, only {only}")
+        if row.keys[key] is None and isinstance(value, str):
+            raise ConfigError(f"[energy] {key} must be a number, got {value!r}")
+        if row.keys[key] not in (None, value):
+            raise ConfigError(f"[energy] {key} must be {row.keys[key]}, got {value!r}")
     if "system" not in parser:
         raise ConfigError("missing [system] section")
     try:

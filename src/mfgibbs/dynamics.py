@@ -93,31 +93,30 @@ def _ula_update(x, grad, h, kick, step, replica) -> np.ndarray:
     return y
 
 
-def _mala_update(energy, w, x, grad_x, u_x, h, kick, log_u, step, replica):
+def _mala_update(system, x, grad_x, u_x, h, kick, log_u, step, replica):
     """ULA proposal from x (with grad U_N and U_N cached there), accepted
     when log_u < log alpha. Returns (x, grad_x, u_x, accepted) after the move."""
     y = _ula_update(x, grad_x, h, kick, step, replica)
-    f_y, grad_y = energy._value_and_grad(y, w)
-    u_y = len(w) * f_y
+    u_y, grad_y = system.u_n_and_grad(y)
     log_alpha = u_x - u_y + _mala_log_q(y, x, grad_y, h) - _mala_log_q(x, y, grad_x, h)
     if log_u < log_alpha:
         return y, grad_y, u_y, True
     return x, grad_x, u_x, False
 
 
-def _start(system: ParticleSystem, state: ChainState, h: float):
-    """(x, uniform weights) for one public step."""
+def _start(system: ParticleSystem, state: ChainState, h: float) -> np.ndarray:
+    """The configuration of `state`, checked, for one public step."""
     if not h > 0:
         raise ValueError("step must be positive")
-    return system._check(state.configuration), np.full(system.N, 1.0 / system.N)
+    return system._check(state.configuration)
 
 
 def ula_step(
     system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
 ) -> ChainState:
     """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
-    x, w = _start(system, state, h)
-    grad = system.energy._grad(x, w, x)
+    x = _start(system, state, h)
+    grad = system.grad_u_n(x)
     kick = math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
     y = _ula_update(x, grad, h, kick, state.step_index + 1, None)
     return ChainState(y, state.step_index + 1, state.acceptance_count)
@@ -127,11 +126,11 @@ def mala_step(
     system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
 ) -> ChainState:
     """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N."""
-    x, w = _start(system, state, h)
+    x = _start(system, state, h)
     kick, log_u = math.sqrt(2.0 * h) * rng.standard_normal(x.shape), np.log(rng.uniform())
-    f_x, grad_x = system.energy._value_and_grad(x, w)
+    u_x, grad_x = system.u_n_and_grad(x)
     x, _, _, accepted = _mala_update(
-        system.energy, w, x, grad_x, system.N * f_x, h, kick, log_u, state.step_index + 1, None
+        system, x, grad_x, u_x, h, kick, log_u, state.step_index + 1, None
     )
     return ChainState(x, state.step_index + 1, state.acceptance_count + accepted)
 
@@ -181,23 +180,19 @@ def _run_single_chain(
     states of a chunk (with U_N under MALA) are buffered, and the observables
     are evaluated on that block after the chunk: no callback runs per step."""
     h = config.step
-    energy = system.energy
-    N = system.N
-    w = np.full(N, 1.0 / N)
     mala = config.sampler == "MALA"
     x = np.array(x0, dtype=float)
     if mala:
-        f_x, grad_x = energy._value_and_grad(x, w)
-        u_x = N * f_x
+        u_x, grad_x = system.u_n_and_grad(x)
     accepted = 0
     record = record_steps.tolist() + [0]  # the 0 sentinel is never reached
     k = 0
-    states = np.empty((min(_RNG_CHUNK, len(record_steps)), N, system.d))
+    states = np.empty((min(_RNG_CHUNK, len(record_steps)), system.N, system.d))
     u_cached = np.empty(len(states)) if mala else None
     s = 0
     while s < config.n_steps:
         chunk = min(_RNG_CHUNK, config.n_steps - s)
-        kicks = rng.standard_normal((chunk, N, system.d))
+        kicks = rng.standard_normal((chunk, system.N, system.d))
         kicks *= math.sqrt(2.0 * h)
         log_u = np.log(rng.uniform(size=chunk)).tolist() if mala else None
         k0 = k
@@ -205,11 +200,11 @@ def _run_single_chain(
             s += 1
             if mala:
                 x, grad_x, u_x, acc = _mala_update(
-                    energy, w, x, grad_x, u_x, h, kicks[c], log_u[c], s, replica
+                    system, x, grad_x, u_x, h, kicks[c], log_u[c], s, replica
                 )
                 accepted += acc
             else:
-                x = _ula_update(x, energy._grad(x, w, x), h, kicks[c], s, replica)
+                x = _ula_update(x, system.grad_u_n(x), h, kicks[c], s, replica)
             if s == record[k]:
                 states[k - k0] = x
                 if mala:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -401,15 +401,20 @@ def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """(energy, N, d) bundle exposing U_N = N F(mu_x) and its derivatives."""
+    """(energy, N, d) bundle exposing U_N = N F(mu_x) and its derivatives:
+    the one lift from F at the uniform weights 1/N to U_N."""
 
     energy: MeanFieldEnergy
     N: int
     d: int
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1 or self.d < 1:
             raise ValueError("N and d must be positive")
+        w = np.full(self.N, 1.0 / self.N)
+        w.setflags(write=False)
+        object.__setattr__(self, "_w", w)
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -418,22 +423,24 @@ class ParticleSystem:
         return x
 
     def u_n(self, x) -> float:
-        x = self._check(x)
-        w = np.full(self.N, 1.0 / self.N)
-        return self.N * self.energy._eval(x, w)
+        return self.N * self.energy._eval(self._check(x), self._w)
 
     def grad_u_n(self, x) -> np.ndarray:
         """Gradient blocks; block i equals D_m F(mu_x, x_i)."""
         x = self._check(x)
-        return self.energy._grad(x, np.full(self.N, 1.0 / self.N), x)
+        return self.energy._grad(x, self._w, x)
+
+    def u_n_and_grad(self, x) -> tuple[float, np.ndarray]:
+        """(U_N, grad U_N) from one `_value_and_grad` pass of the energy."""
+        f, grad = self.energy._value_and_grad(self._check(x), self._w)
+        return self.N * f, grad
 
     def hess_u_n(self, x) -> np.ndarray:
         """Exact Nd x Nd Hessian from the block decomposition
         (1/N) D_m^2 F(mu_x, x_i, x_j) + 1_{i=j} grad_x D_m F(mu_x, x_i)."""
         x = self._check(x)
         N, d = self.N, self.d
-        w = np.full(N, 1.0 / N)
-        H = self.energy._hess_mm_matrix(x, w) / N
+        H = self.energy._hess_mm_matrix(x, self._w) / N
         i = np.arange(N)
-        H.reshape(N, d, N, d)[i, :, i] += self.energy._grad_x_of_Dm(x, w, x)
+        H.reshape(N, d, N, d)[i, :, i] += self.energy._grad_x_of_Dm(x, self._w, x)
         return H

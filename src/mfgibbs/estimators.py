@@ -53,10 +53,10 @@ class GapEstimate:
         if math.isinf(self.rate) or math.isinf(self.stderr):
             self.flags["non_finite"] = True
 
-    def to_json(self, quantity: str = "spectral-gap") -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
-                "quantity": quantity,
+                "quantity": "spectral-gap",
                 "rate": self.rate,
                 "stderr": self.stderr,
                 "method": self.method,

@@ -43,9 +43,9 @@ class DiscreteMeasure:
             raise ValueError("measure needs at least one atom")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite atom coordinates")
-        if np.any(w < 0):
-            raise ValueError("negative weights")
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        if not np.all(w >= 0):  # NaN fails too
+            raise ValueError("negative or NaN weights")
+        if not abs(w.sum() - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"weights sum to {w.sum()}, not 1")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)

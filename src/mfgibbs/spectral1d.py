@@ -39,8 +39,8 @@ class Grid1D:
     potential: np.ndarray
 
     def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError("need lo < hi")
+        if not (np.all(np.isfinite((self.lo, self.hi))) and self.lo < self.hi):
+            raise ValueError("need finite lo < hi")
         if self.n < 3:
             raise ValueError("need at least 3 grid points")
         pot = np.asarray(self.potential, dtype=float)
@@ -74,9 +74,6 @@ class Grid1D:
 class SpectralResult:
     gap: float
     ground_mass: float  # deviation of the ground state from the constant mode
-    n: int
-    lo: float
-    hi: float
     converged: bool  # gap stable under grid refinement
 
 
@@ -132,9 +129,7 @@ def grid_poincare(grid: Grid1D, check_convergence: bool = True) -> SpectralResul
         fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
         gap_fine, _ = _gap_on_grid(fine)
         converged = abs(gap_fine - gap) <= 1e-3 * max(abs(gap), 1e-300)
-    return SpectralResult(
-        gap=gap, ground_mass=ground_mass, n=grid.n, lo=grid.lo, hi=grid.hi, converged=converged
-    )
+    return SpectralResult(gap=gap, ground_mass=ground_mass, converged=converged)
 
 
 def _refine_potential(values: np.ndarray) -> np.ndarray:

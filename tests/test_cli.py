@@ -557,11 +557,35 @@ def test_floating_point_overflow_is_a_blow_up(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["constants", "simulate"])
+@pytest.mark.parametrize("command", ["constants", "simulate", "estimate"])
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_unwritable_output_exit_2_before_the_chain(tmp_path, monkeypatch, capsys, command, where):
     monkeypatch.setattr(cli, "run_chain", no_chain)
     out = tmp_path / "missing" / "out.json" if where == "missing-dir" else tmp_path
     assert main([command, "--config", write(tmp_path, QUADRATIC), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: cannot write the output: ")
+    reason = {"missing-dir": f"[Errno 2] No such file or directory: '{out}'",
+              "a-directory": f"{out} is a directory"}[where]
+    assert capsys.readouterr().err == f"config error: cannot write the output: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+FOREIGN_KEYS = {
+    "quadratic": ["eta", "l", "alpha", "v1_sup", "feature_map"],
+    "parametrized": ["eta", "l", "alpha", "v1_sup"],
+    "kernel": ["a", "feature_map"],
+}
+
+
+@pytest.mark.parametrize(
+    "energy_type, key", [(t, k) for t, keys in FOREIGN_KEYS.items() for k in keys]
+)
+def test_foreign_energy_key_exit_2(tmp_path, capsys, energy_type, key):
+    base = KERNEL if energy_type == "kernel" else QUADRATIC.replace("quadratic", energy_type)
+    value = "identity" if key == "feature_map" else "2"
+    cfg = write(tmp_path, base.replace("[energy]\n", f"[energy]\n{key} = {value}\n"))
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert main(["constants", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [energy] type {energy_type} takes no key {key!r}")
+    assert err.count("\n") == 1

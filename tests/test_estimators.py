@@ -120,7 +120,7 @@ class TestAutocorrGap:
 
     def test_json_schema(self):
         est = GapEstimate(0.5, 0.01, "autocorr-fit", 100.0, {"iid": False})
-        d = json.loads(est.to_json("spectral-gap"))
+        d = json.loads(est.to_json())
         assert d["quantity"] == "spectral-gap"
         assert d["rate"] == 0.5
         assert d["method"] == "autocorr-fit"

@@ -3,7 +3,10 @@ measures -> energies -> {bounds, spectral1d, dynamics} -> estimators
 -> {verify, config} -> cli, with `errors` importable from anywhere.
 
 A module may import only modules of a strictly lower layer. The package
-`__init__` re-exports the public API and sits outside the layering.
+`__init__` re-exports the public API and sits outside the layering. Two
+facts have one owner each: `config` turns an energy type into an energy, so
+`cli` imports no energy, and `ParticleSystem` lifts F to U_N, so `dynamics`
+calls no energy primitive.
 """
 
 import ast
@@ -50,3 +53,21 @@ def test_imports_point_down():
             if name in ANYWHERE or LAYERS[target] >= LAYERS[name]:
                 bad.append(f"{name} imports {target}")
     assert not bad, bad
+
+
+def _names(path):
+    """Every identifier and attribute name a source file mentions."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_cli_imports_no_energy():
+    assert "energies" not in set(_relative_imports(SRC / "cli.py"))
+
+
+def test_dynamics_calls_no_energy_primitive():
+    primitives = {"_eval", "_value_and_grad", "_grad", "_flat"}
+    assert not primitives & set(_names(SRC / "dynamics.py"))

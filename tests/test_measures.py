@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -57,6 +58,26 @@ class TestInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([[np.nan]], [1.0])
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 1.0]])
+    def test_nonfinite_weight_rejected(self, w):
+        with pytest.raises(ValueError):
+            DiscreteMeasure([[0.0], [1.0]], w)
+
+    def test_nan_weight_cannot_stall_w2(self):
+        # a NaN weight that got in made the quantile merge loop spin forever
+        def stop(signum, frame):
+            raise TimeoutError("w2_squared did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError):
+                mu = DiscreteMeasure([[0.0], [1.0]], [np.nan, 1.0])
+                w2_squared(mu, DiscreteMeasure([[0.0]], [1.0]))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_immutable(self):
         mu = empirical([[0.0], [2.0]])

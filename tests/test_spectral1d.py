@@ -36,6 +36,13 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 3, np.array([0.0, np.inf, 0.0]))
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0), (1.0, 1.0)]
+    )
+    def test_bounds_must_be_finite_and_ordered(self, lo, hi):
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            Grid1D(lo, hi, 5, np.zeros(5))
+
 
 class TestGridPoincare:
     def test_ou_unit(self):
