@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -136,9 +137,12 @@ class ExperimentConfig:
 def _coerce(value: str):
     for cast in (int, float):
         try:
-            return cast(value)
+            number = cast(value)
         except ValueError:
-            pass
+            continue
+        # an integer beyond the float range reads as the float inf, as 1e400
+        # does, so that the range checks reject it rather than overflow
+        return number if abs(number) <= sys.float_info.max else float(value)
     return value
 
 
@@ -205,8 +209,9 @@ def _check_analysis(an: dict, observables: list):
 
     for key, ok, rule in (
         ("epsilon", finite("epsilon") and 0 < an["epsilon"] < 1, "strictly inside (0, 1)"),
+        ("grid_hi", finite("grid_hi"), "finite"),
         ("grid_lo", finite("grid_lo") and finite("grid_hi") and an["grid_lo"] < an["grid_hi"],
-         "finite and below a finite grid_hi"),
+         "finite and below grid_hi"),
         ("grid_n", isinstance(an["grid_n"], int) and 3 <= an["grid_n"] <= GRID_N_MAX,
          f"an integer in [3, {GRID_N_MAX}]"),
         ("max_lag", isinstance(an["max_lag"], int) and an["max_lag"] >= 1, "an integer >= 1"),

@@ -10,6 +10,13 @@ The private primitives share one array convention: mu is given by its atoms
 `points` (n, d) and `weights` (n,), and each derivative is evaluated at all
 query rows `xs` (m, d) at once (pairs with `ys` (m', d) for D_m^2 F), query
 axes first. The public single-point methods are the case m = 1.
+
+The value F alone is also evaluated at K measures in one call
+(`_eval_batch`), with a leading batch axis: points (K, n, d), or (n, d)
+shared by all K, with weights (K, n), or (n,) shared, give values (K,).
+Mixtures of two measures share their atoms; configurations that differ in
+one particle share their weights. `_eval` is the one-measure case, with no
+batch axis. `ParticleSystem.u_n_batch` lifts the batch to U_N.
 """
 
 from __future__ import annotations
@@ -65,6 +72,18 @@ class MeanFieldEnergy(abc.ABC):
         between the two."""
         return self._eval(points, weights), self._grad(points, weights, points)
 
+    def _eval_batch(self, points, weights) -> np.ndarray:
+        """F at K measures: points (K, n, d) or shared (n, d), weights (K, n)
+        or shared (n,); values (K,). With neither batched, F of one measure.
+        This loop over the measures keeps every energy working; overrides
+        share the work across the batch."""
+        if points.ndim == 2 and weights.ndim == 1:
+            return self._eval(points, weights)
+        K = len(points) if points.ndim == 3 else len(weights)
+        n, d = points.shape[-2:]
+        points, weights = np.broadcast_to(points, (K, n, d)), np.broadcast_to(weights, (K, n))
+        return np.array([self._eval(p, w) for p, w in zip(points, weights)])
+
     def _hess_mm_matrix(self, points, weights) -> np.ndarray:
         """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
         N, d = points.shape
@@ -92,8 +111,31 @@ def _row(x) -> np.ndarray:
 
 
 def _rows(fn, xs, ndmin=0) -> np.ndarray:
-    """A per-point callable evaluated at every query row, stacked."""
-    return np.stack([np.array(fn(x), dtype=float, ndmin=ndmin) for x in xs])
+    """A per-point callable evaluated once at every row of xs (..., d):
+    shape (...) followed by the shape of its value."""
+    flat = xs.reshape(-1, xs.shape[-1])
+    vals = np.stack([np.array(fn(x), dtype=float, ndmin=ndmin) for x in flat])
+    return vals.reshape(xs.shape[:-1] + vals.shape[1:])
+
+
+# The weighted sums over atoms below are one vector product per measure, so
+# a batch of measures gives bit for bit what its measures give one by one.
+# One measure takes the plain product, as a Python float: the same result,
+# without the cost of broadcasting, on the path MALA takes once per proposal.
+
+
+def _wsum(weights, values) -> np.ndarray:
+    """sum_j w_j values_j per measure: weights and values (..., n) give (...)."""
+    if weights.ndim == values.ndim == 1:
+        return float(weights @ values)
+    return np.matmul(weights[..., None, :], values[..., :, None])[..., 0, 0]
+
+
+def _wmean(weights, values) -> np.ndarray:
+    """sum_j w_j values_j per measure of vector values (..., n, k): (..., k)."""
+    if weights.ndim == 1 and values.ndim == 2:
+        return weights @ values
+    return np.matmul(weights[..., None, :], values)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -119,16 +161,20 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
         return self.a
 
     def _value(self, points, weights, mean):
-        second = float(weights @ np.add.reduce(points * points, axis=1))
-        return 0.5 * second - 0.5 * self.a * float(mean @ mean)
+        """F from the mean, for one measure or a batch."""
+        second = _wsum(weights, np.add.reduce(points * points, axis=-1))
+        return 0.5 * second - 0.5 * self.a * _wsum(mean, mean)
+
+    def _eval_batch(self, points, weights):
+        return self._value(points, weights, _wmean(weights, points))
 
     def _eval(self, points, weights, /):
-        return self._value(points, weights, weights @ points)
+        return float(self._eval_batch(points, weights))
 
     def _value_and_grad(self, points, weights):
         """F and D_m F at every atom, with the mean computed once."""
         mean = weights @ points
-        return self._value(points, weights, mean), points - self.a * mean
+        return float(self._value(points, weights, mean)), points - self.a * mean
 
     def _flat(self, points, weights, xs):
         mean = weights @ points
@@ -155,8 +201,11 @@ class LinearPotentialEnergy(MeanFieldEnergy):
     declared_lambda = 0.0
     declared_Mmm = 0.0
 
+    def _eval_batch(self, points, weights):
+        return _wsum(weights, _rows(self.v, points))
+
     def _eval(self, points, weights, /):
-        return float(sum(w * self.v(x) for w, x in zip(weights, points)))
+        return float(self._eval_batch(points, weights))
 
     def _flat(self, points, weights, xs):
         return _rows(self.v, xs)
@@ -218,14 +267,20 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         outer = z[..., :, None] * z[..., None, :]
         return self.L * gauss * (4.0 * outer - 2.0 * eye) + 2.0 * self.alpha * eye
 
-    def _pair_sums(self, points, weights, xs):
+    def _pair_sums(self, points, weights, xs=None):
         """(mean, c, ew): the mean of mu, the atoms c centred there, and
         ew = exp(-|xs_i - p_j|^2) @ [w, w c] (m, 1 + d), which carries the
         Gaussian pair terms in O(n m). The alpha |z|^2 terms need only moments:
-        sum_j w_j |x - p_j|^2 = |x - mean|^2 + sum_j w_j |c_j|^2."""
-        mean = weights @ points
-        c = points - mean
-        return mean, c, _gauss_matmul(xs, points, np.column_stack((weights, weights[:, None] * c)))
+        sum_j w_j |x - p_j|^2 = |x - mean|^2 + sum_j w_j |c_j|^2. Without xs
+        the query rows are the atoms, and mu may be a batch of measures."""
+        mean = _wmean(weights, points)
+        c = points - mean[..., None, :]
+        rhs = np.empty(c.shape[:-1] + (1 + c.shape[-1],))
+        rhs[..., 0] = weights
+        np.multiply(weights[..., None], c, out=rhs[..., 1:])
+        if xs is None:
+            return mean, c, _gauss_within(points, rhs)
+        return mean, c, _gauss_matmul(xs, points, rhs)
 
     def _grad_from_sums(self, xs, cx, ew):
         grad = self.eta * xs - 2.0 * self.L * (cx * ew[:, :1] - ew[:, 1:]) + 2.0 * self.alpha * cx
@@ -233,20 +288,32 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
             grad += _rows(self.v1_grad, xs)
         return grad
 
-    def _value_and_grad(self, points, weights):
-        """F and D_m F at every atom from one O(N^2) pass of `_pair_sums`."""
-        _, c, ew = self._pair_sums(points, weights, points)
+    def _value(self, points, weights, c, gauss_w):
+        """F from the atoms c centred at the mean and the Gaussian sums
+        gauss_w_i = sum_j w_j exp(-|p_i - p_j|^2), for one measure or a batch."""
         value = (
-            0.5 * self.eta * float(weights @ np.sum(points * points, axis=1))
-            + 0.5 * self.L * float(weights @ ew[:, 0])
-            + self.alpha * float(weights @ np.sum(c * c, axis=1))
+            0.5 * self.eta * _wsum(weights, np.sum(points * points, axis=-1))
+            + 0.5 * self.L * _wsum(weights, gauss_w)
+            + self.alpha * _wsum(weights, np.sum(c * c, axis=-1))
         )
         if self.v1 is not _zero:
-            value += float(sum(w * self.v1(x) for w, x in zip(weights, points)))
+            value += _wsum(weights, _rows(self.v1, points))
+        return value
+
+    def _value_and_grad(self, points, weights):
+        """F and D_m F at every atom from one O(N^2) pass of `_pair_sums`."""
+        _, c, ew = self._pair_sums(points, weights)
+        value = float(self._value(points, weights, c, ew[:, 0]))
         return value, self._grad_from_sums(points, c, ew)
 
+    def _eval_batch(self, points, weights):
+        """F from the pass of `_pair_sums` alone, without assembling D_m F:
+        each measure's value is bit for bit the one `_value_and_grad` gives."""
+        _, c, ew = self._pair_sums(points, weights)
+        return self._value(points, weights, c, ew[..., 0])
+
     def _eval(self, points, weights, /):
-        return self._value_and_grad(points, weights)[0]
+        return float(self._eval_batch(points, weights))
 
     def _flat(self, points, weights, xs):
         mean, c, ew = self._pair_sums(points, weights, xs)
@@ -277,13 +344,14 @@ _BLOCK_ENTRIES = 2**16
 
 
 def _gauss_rows(xs, points):
-    """exp(-|xs_i - p_j|^2), shape (m, n), built in place in one buffer."""
-    gauss = np.subtract.outer(xs[:, 0], points[:, 0])
+    """exp(-|xs_i - p_j|^2) for xs (..., m, d) and points (..., n, d), shape
+    (..., m, n) over any leading batch axes, built in place in one buffer."""
+    gauss = np.subtract(xs[..., :, None, 0], points[..., None, :, 0])
     np.square(gauss, out=gauss)
-    if xs.shape[1] > 1:
+    if xs.shape[-1] > 1:
         diff = np.empty_like(gauss)
-        for k in range(1, xs.shape[1]):
-            np.subtract.outer(xs[:, k], points[:, k], out=diff)
+        for k in range(1, xs.shape[-1]):
+            np.subtract(xs[..., :, None, k], points[..., None, :, k], out=diff)
             np.square(diff, out=diff)
             gauss += diff
     np.negative(gauss, out=gauss)
@@ -292,13 +360,32 @@ def _gauss_rows(xs, points):
 
 
 def _gauss_matmul(xs, points, rhs):
-    """exp(-|xs_i - p_j|^2) @ rhs over row blocks of at most _BLOCK_ENTRIES
-    entries: one block, with no copy, up to 256 x 256."""
+    """exp(-|xs_i - p_j|^2) @ rhs, for rhs (n, k) or a stack (K, n, k), over
+    row blocks of at most _BLOCK_ENTRIES entries: one block, with no copy,
+    up to 256 x 256."""
     rows = max(1, _BLOCK_ENTRIES // len(points))
     if len(xs) <= rows:
         return _gauss_rows(xs, points) @ rhs
     blocks = range(0, len(xs), rows)
-    return np.concatenate([_gauss_rows(xs[s : s + rows], points) @ rhs for s in blocks])
+    return np.concatenate(
+        [_gauss_rows(xs[s : s + rows], points) @ rhs for s in blocks], axis=-2
+    )
+
+
+def _gauss_within(points, rhs):
+    """exp(-|p_i - p_j|^2) @ rhs over the atoms of each measure: points (n, d)
+    with rhs (n, k) or a stack (K, n, k), or a batch of atom sets (K, n, d)
+    with rhs (K, n, k). A batch is built in place in blocks of whole measures
+    within _BLOCK_ENTRIES, or in `_gauss_matmul`'s row blocks when one measure
+    alone is over it; each measure's product is the one it has on its own."""
+    if points.ndim == 2:
+        return _gauss_matmul(points, points, rhs)
+    n = points.shape[1]
+    if n * n > _BLOCK_ENTRIES:
+        return np.stack([_gauss_matmul(p, p, r) for p, r in zip(points, rhs)])
+    per = _BLOCK_ENTRIES // (n * n)
+    blocks = [slice(s, s + per) for s in range(0, len(points), per)]
+    return np.concatenate([_gauss_rows(points[b], points[b]) @ rhs[b] for b in blocks])
 
 
 @dataclass(frozen=True)
@@ -338,15 +425,18 @@ class ParametrizedEnergy(MeanFieldEnergy):
         return self.base.declared_Mmm + self.r_hess_bound * self.phi_lip**2
 
     def _feature_mean(self, points, weights):
-        return weights @ _rows(self.phi, points, 1)
+        """int phi dmu, for one measure or a batch."""
+        return _wmean(weights, _rows(self.phi, points, 1))
 
     def _outer_grad(self, points, weights):
         return np.atleast_1d(self.r_grad(self._feature_mean(points, weights)))
 
+    def _eval_batch(self, points, weights):
+        outer = _rows(self.r, self._feature_mean(points, weights))
+        return self.base._eval_batch(points, weights) + outer
+
     def _eval(self, points, weights, /):
-        return self.base._eval(points, weights) + float(
-            self.r(self._feature_mean(points, weights))
-        )
+        return float(self._eval_batch(points, weights))
 
     def _flat(self, points, weights, xs):
         g = self._outer_grad(points, weights)
@@ -424,6 +514,14 @@ class ParticleSystem:
 
     def u_n(self, x) -> float:
         return self.N * self.energy._eval(self._check(x), self._w)
+
+    def u_n_batch(self, xs) -> np.ndarray:
+        """U_N at K configurations xs (K, N, d) from one `_eval_batch` pass: (K,)."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape[1:] != (self.N, self.d):
+            expected = f"(K, {self.N}, {self.d})"
+            raise ValueError(f"configuration batch shape {xs.shape}, expected {expected}")
+        return self.N * self.energy._eval_batch(xs, self._w)
 
     def grad_u_n(self, x) -> np.ndarray:
         """Gradient blocks; block i equals D_m F(mu_x, x_i)."""

@@ -255,11 +255,12 @@ def entropy_decay_gaussian(
 @dataclass(frozen=True)
 class ConditionalGapResult:
     gaps: np.ndarray
+    converged: np.ndarray  # per configuration: its gap is stable under grid refinement
     minimum: float
     median: float
     spread: float
     claimed_rho_N: float | None
-    passed: bool | None
+    passed: bool | None  # False also when a grid did not converge
 
 
 def _auto_window(grid_scan: Grid1D) -> tuple[float, float]:
@@ -276,7 +277,8 @@ def conditional_gap_mc(
     tolerance: float = 1e-3,
 ) -> ConditionalGapResult:
     """Grid spectral gaps of the first particle's conditional law at frozen
-    configurations sampled from the chain."""
+    configurations sampled from the chain, each with its grid-convergence
+    flag."""
     if system.d != 1:
         raise ValueError("conditional gap oracle needs d = 1")
     traj = run_chain(
@@ -287,17 +289,19 @@ def conditional_gap_mc(
     n_rec = traj.steps.shape[0]
     picks = np.linspace(0, n_rec - 1, n_frozen).astype(int)
     gaps = np.empty(n_frozen)
+    converged = np.empty(n_frozen, dtype=bool)
     for k, idx in enumerate(picks):
         frozen = np.array([traj.observables[f"c{j}"][0, idx] for j in range(1, system.N)])
         scan = conditional_potential(system, frozen, -25.0, 25.0, 801)
         lo, hi = _auto_window(scan)
-        grid = conditional_potential(system, frozen, lo, hi, _CONDITIONAL_GRID_N)
-        gaps[k] = grid_poincare(grid, check_convergence=False).gap
+        res = grid_poincare(conditional_potential(system, frozen, lo, hi, _CONDITIONAL_GRID_N))
+        gaps[k], converged[k] = res.gap, res.converged
     passed = None
     if claimed_rho_N is not None:
-        passed = bool(np.min(gaps) >= claimed_rho_N - tolerance)
+        passed = bool(np.min(gaps) >= claimed_rho_N - tolerance and np.all(converged))
     return ConditionalGapResult(
         gaps=gaps,
+        converged=converged,
         minimum=float(np.min(gaps)),
         median=float(np.median(gaps)),
         spread=float(np.max(gaps) - np.min(gaps)),

@@ -74,23 +74,25 @@ def empirical(points) -> DiscreteMeasure:
 
 
 def mixture_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure, t_grid):
-    """Yield (t, points, weights): the atoms of t*mu + (1-t)*nu for each t of
-    `t_grid`, zero-weight atoms dropped. The atoms are stacked once."""
+    """(points, weights) of the mixtures t*mu + (1-t)*nu for each t of
+    `t_grid`: the atoms of mu and nu stacked once (n, d), and one row of
+    weights per t (K, n), t*w_mu followed by (1-t)*w_nu and renormalised to
+    sum to one. An atom of weight zero keeps its column."""
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
-    pts = np.vstack([mu.points, nu.points])
-    for t in t_grid:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"mixture weight t={t} outside [0, 1]")
-        w = np.concatenate([t * mu.weights, (1.0 - t) * nu.weights])
-        keep = w > 0
-        yield t, pts[keep], w[keep] / w[keep].sum()
+    t = np.asarray(t_grid, dtype=float)
+    outside = t[~((0.0 <= t) & (t <= 1.0))]  # NaN too
+    if outside.size:
+        raise ValueError(f"mixture weight t={outside[0]} outside [0, 1]")
+    w = np.hstack([np.multiply.outer(t, mu.weights), np.multiply.outer(1.0 - t, nu.weights)])
+    return np.vstack([mu.points, nu.points]), w / w.sum(axis=1, keepdims=True)
 
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     """Mixture t*mu + (1-t)*nu; zero-weight atoms are dropped."""
-    ((_, pts, w),) = mixture_atoms(mu, nu, (t,))
-    return DiscreteMeasure(pts, w)
+    pts, (w,) = mixture_atoms(mu, nu, (t,))
+    keep = w > 0
+    return DiscreteMeasure(pts[keep], w[keep])
 
 
 def _w2_squared_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

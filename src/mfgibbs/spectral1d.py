@@ -149,13 +149,10 @@ def conditional_potential(
     frozen = np.atleast_2d(np.asarray(frozen, dtype=float).reshape(-1, 1))
     if frozen.shape[0] != system.N - 1:
         raise ValueError(f"expected {system.N - 1} frozen coordinates")
-    x = np.linspace(lo, hi, n)
-    vals = np.empty(n)
-    config = np.empty((system.N, 1))
-    config[1:] = frozen
-    for k, xk in enumerate(x):
-        config[0, 0] = xk
-        vals[k] = system.u_n(config)
+    configs = np.empty((n, system.N, 1))
+    configs[:, 0, 0] = np.linspace(lo, hi, n)
+    configs[:, 1:] = frozen
+    vals = system.u_n_batch(configs)
     return Grid1D(lo, hi, n, vals - vals.min())
 
 

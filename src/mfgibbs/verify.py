@@ -120,7 +120,7 @@ def suite_conditional():
     results.append(
         (
             "quadratic conditional gap",
-            abs(res.median - rho_N) <= 1e-3 and res.spread < 1e-6,
+            abs(res.median - rho_N) <= 1e-3 and res.spread < 1e-6 and bool(res.converged.all()),
             f"median={res.median:.6f} spread={res.spread:.2e}",
         )
     )

@@ -548,6 +548,24 @@ def test_infinite_kernel_parameter_exit_2(tmp_path, capsys, key):
     assert "finite" in capsys.readouterr().err
 
 
+#: a decimal integer too large for a float
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (KERNEL.replace("eta = 1.0", f"eta = {HUGE_INT}"), "eta"),
+        (QUADRATIC.replace("[analysis]\n", f"[analysis]\ngrid_hi = {HUGE_INT}\n"), "grid_hi"),
+    ],
+    ids=["eta", "grid_hi"],
+)
+def test_integer_beyond_float_range_exit_2_naming_the_key(tmp_path, capsys, text, key):
+    assert main(["constants", "--config", write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and err.count("\n") == 1
+
+
 def test_floating_point_overflow_is_a_blow_up(tmp_path, capsys):
     # eta |x|^2 / 2 overflows on the analysis grid: exit 4, not a warning
     cfg = write(tmp_path, KERNEL.replace("eta = 1.0", "eta = 1e308"))

@@ -51,7 +51,7 @@ POOL = [
     "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1.5", "1e-320", "1e308",
     "-1e308", "", "abc", "ULA", "MALA", "zeros", "gaussian", "gaussian(2.0)",
     "gaussian(1e308)", "gaussian(nan)", "xbar", "x1", "u_n", "kernel", "parametrized",
-    "identity",
+    "identity", "1" + "0" * 400,
 ]
 
 #: single-line text: a value that breaks the line is no longer one INI value

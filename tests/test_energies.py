@@ -4,13 +4,14 @@ import pytest
 from mfgibbs.energies import (
     _BLOCK_ENTRIES,
     LinearPotentialEnergy,
+    MeanFieldEnergy,
     PairwiseKernelEnergy,
     ParametrizedEnergy,
     ParticleSystem,
     QuadraticMeanEnergy,
 )
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
-from mfgibbs.energies import _gauss_matmul, quadratic_as_parametrized
+from mfgibbs.energies import _gauss_matmul, _gauss_within, quadratic_as_parametrized
 
 
 def random_measure(rng, d=1, max_atoms=5):
@@ -313,6 +314,98 @@ class TestArrayConvention:
         _assert_rel_close(ParticleSystem(e, N, d).hess_u_n(x), ref)
 
 
+class _SecondMoment(MeanFieldEnergy):
+    """F(mu) = int |x|^2 dmu, defining only the abstract primitives."""
+
+    declared_lambda = declared_Mmm = 0.0
+
+    def _eval(self, points, weights):
+        return float(weights @ np.sum(points * points, axis=1))
+
+    def _flat(self, points, weights, xs):
+        return np.sum(xs * xs, axis=1)
+
+    def _grad(self, points, weights, xs):
+        return 2.0 * xs
+
+    def _hess_mm(self, points, weights, xs, ys):
+        return np.zeros((len(xs), len(ys)) + 2 * xs.shape[1:])
+
+    def _grad_x_of_Dm(self, points, weights, xs):
+        return np.tile(2.0 * np.eye(xs.shape[1]), (len(xs), 1, 1))
+
+
+def _unit_weights(rng, *shape):
+    w = rng.random(shape) + 0.1
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+class TestEvalBatch:
+    """`_eval_batch` at K measures equals `_eval` at each of them, bit for bit:
+    K weight rows over shared atoms (mixtures) and K atom sets with shared
+    weights (configurations)."""
+
+    K, n = 7, 6
+
+    def _batches(self, d):
+        rng = np.random.default_rng(70 + d)
+        points = rng.normal(size=(self.n, d)) * 1.5
+        weights = _unit_weights(rng, self.K, self.n)
+        yield points, weights, [(points, w) for w in weights]
+        configs = rng.normal(size=(self.K, self.n, d)) * 1.5
+        w = _unit_weights(rng, self.n)
+        yield configs, w, [(x, w) for x in configs]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
+    def test_batch_equals_per_measure_loop(self, name, d):
+        e = ARRAY_ENERGIES[name][0]()
+        assert type(e)._eval_batch is not MeanFieldEnergy._eval_batch
+        for points, weights, measures in self._batches(d):
+            got = e._eval_batch(points, weights)
+            assert got.shape == (self.K,)
+            np.testing.assert_array_equal(got, [e._eval(p, w) for p, w in measures])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_primitives_only_subclass_gets_the_loop(self, d):
+        e = _SecondMoment()
+        assert type(e)._eval_batch is MeanFieldEnergy._eval_batch
+        for points, weights, measures in self._batches(d):
+            ref = [float(w @ np.sum(p * p, axis=1)) for p, w in measures]
+            np.testing.assert_array_equal(e._eval_batch(points, weights), ref)
+        p, w = measures[0]
+        assert e._eval_batch(p, w) == e._eval(p, w)
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["v1=0", "v1=cos"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [3, 10, 50])
+    def test_kernel_eval_is_the_fused_value(self, N, d, perturbed):
+        # the value-only pass shares the fused pass's Gaussian sums, so a
+        # U_N recomputed for an observable is the one MALA cached
+        e = _cos_perturbed_kernel() if perturbed else PairwiseKernelEnergy(1.0, 1.0, 0.05)
+        rng = np.random.default_rng(N + 10 * d)
+        x = rng.normal(size=(N, d)) * 1.5
+        w = _unit_weights(rng, N)
+        assert e._eval(x, w) == e._value_and_grad(x, w)[0]
+
+    @pytest.mark.parametrize("n, K", [(20, 400), (300, 2)], ids=["node-blocks", "row-blocks"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_kernel_blocks_match_unblocked(self, n, K, d):
+        # n=20: 163 measures a block, so 400 end in a partial third block;
+        # n=300: one measure's matrix alone is over the budget
+        per = _BLOCK_ENTRIES // (n * n)
+        assert (per == 0 and n * n > _BLOCK_ENTRIES) or (K > 2 * per and K % per)
+        rng = np.random.default_rng(n + d)
+        configs = rng.normal(size=(K, n, d)) * 2.0
+        w = _unit_weights(rng, n)
+        rhs = rng.normal(size=(K, n, 1 + d))
+        z = configs[:, :, None, :] - configs[:, None, :, :]
+        _assert_rel_close(_gauss_within(configs, rhs), np.exp(-np.sum(z * z, axis=-1)) @ rhs)
+        e = PairwiseKernelEnergy(1.0, 1.0, 0.05)
+        values = [_kernel_reference(e, x, w)[0] for x in configs]
+        _assert_rel_close(e._eval_batch(configs, w), values)
+
+
 class TestDerivativeLadder:
     """Finite-difference consistency between each level of the ladder."""
 
@@ -452,3 +545,12 @@ class TestParticleSystem:
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 2, 1)
         with pytest.raises(ValueError):
             system.u_n([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError):
+            system.u_n_batch([[0.0], [1.0]])
+
+    def test_u_n_batch_is_u_n_per_configuration(self):
+        rng = np.random.default_rng(12)
+        for e in all_energies():
+            system = ParticleSystem(e, 5, 2)
+            xs = rng.normal(size=(4, 5, 2))
+            np.testing.assert_array_equal(system.u_n_batch(xs), [system.u_n(x) for x in xs])

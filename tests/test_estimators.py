@@ -256,7 +256,22 @@ class TestConditionalGapMc:
         )
         assert abs(res.median - (1.0 - a / N)) < 1e-3
         assert res.spread < 1e-6  # conditional curvature independent of config
+        assert res.converged.shape == (8,) and res.converged.all()
         assert res.passed
+
+    def test_grid_too_coarse_to_converge_fails(self):
+        # V(x) = x^2/2 + cos(100 x): the auto-window's 1201 nodes, about 0.013
+        # apart, alias the ripple, so the gap moves when the grid is refined
+        energy = LinearPotentialEnergy(
+            v=lambda x: 0.5 * float(x @ x) + float(np.cos(100.0 * x[0])),
+            v_grad=lambda x: x - 100.0 * np.sin(100.0 * x),
+            v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[0]) * np.eye(1),
+        )
+        system = ParticleSystem(energy, 3, 1)
+        cfg = SimConfig(step=1e-4, n_steps=200, burn_in=50, thin=10, seed=12)
+        res = conditional_gap_mc(system, cfg, n_frozen=3, claimed_rho_N=0.0)
+        assert not res.converged.any()
+        assert res.minimum >= 0.0 and res.passed is False
 
     def test_claim_too_strong_fails(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)

@@ -9,6 +9,7 @@ from mfgibbs.measures import (
     UnsupportedTransportError,
     empirical,
     mix,
+    mixture_atoms,
     w2_squared,
 )
 
@@ -111,6 +112,20 @@ class TestMix:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             mix(empirical([[0.0]]), empirical([[0.0, 0.0]]), 0.5)
+
+    def test_mixture_atoms_one_weight_row_per_t(self):
+        mu = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
+        nu = empirical([[2.0]])
+        t = (0.0, 0.5, 1.0)
+        points, weights = mixture_atoms(mu, nu, t)
+        np.testing.assert_array_equal(points, [[0.0], [1.0], [2.0]])
+        assert weights.shape == (3, 3)  # an atom of weight zero keeps its column
+        np.testing.assert_allclose(weights, [[0, 0, 1], [0.125, 0.375, 0.5], [0.25, 0.75, 0]])
+        for ti, row in zip(t, weights):
+            out = mix(mu, nu, ti)
+            np.testing.assert_array_equal(out.weights, row[row > 0])
+        with pytest.raises(ValueError):
+            mixture_atoms(mu, nu, (0.5, float("nan")))
 
 
 class TestW2:

@@ -90,7 +90,30 @@ class TestGridPoincare:
         assert abs(coarse - fine) < 1e-3
 
 
+def _conditional_by_node(system, frozen, lo, hi, n):
+    """x1 -> U_N over the grid nodes, one `system.u_n` per node."""
+    config = np.empty((system.N, 1))
+    config[1:, 0] = frozen
+    vals = np.empty(n)
+    for k, xk in enumerate(np.linspace(lo, hi, n)):
+        config[0, 0] = xk
+        vals[k] = system.u_n(config)
+    return vals - vals.min()
+
+
 class TestConditionalPotential:
+    @pytest.mark.parametrize(
+        "energy, N",
+        [(QuadraticMeanEnergy(0.5), 20), (PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 8)],
+        ids=["quadratic", "kernel"],
+    )
+    def test_matches_node_by_node(self, energy, N):
+        system = ParticleSystem(energy, N, 1)
+        frozen = np.random.default_rng(N).normal(size=N - 1)
+        grid = conditional_potential(system, frozen, -12.0, 12.0, 801)
+        ref = _conditional_by_node(system, frozen, -12.0, 12.0, 801)
+        assert np.max(np.abs(grid.potential - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_quadratic_closed_form(self):
         # x1 | rest for the quadratic-mean energy: curvature 1 - a/N
         a, N = 0.5, 20
