@@ -150,7 +150,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_path: str | None) -> int:
         # a chain that never moved, e.g. MALA rejecting every proposal
         print(f"frozen chain: {exc} {observable!r}, no gap to estimate", file=sys.stderr)
         return EXIT_BLOWUP
-    payload = _wrap(cfg, {"estimate": json.loads(est.to_json())})
+    payload = _wrap(cfg, {"estimate": est.to_dict()})
     _emit(payload, out_path)
     return EXIT_OK
 

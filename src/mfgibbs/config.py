@@ -33,6 +33,9 @@ class ConfigError(ValueError):
 #: 200 iterations over the grid, each O(grid_n^2) for the kernel energy.
 GRID_N_MAX = 10001
 
+#: The most float64 entries numpy can size in one array.
+_MAX_ENTRIES = sys.maxsize // 8
+
 _DEFAULT_ANALYSIS = {
     "epsilon": 0.5,
     "grid_lo": -8.0,
@@ -190,6 +193,7 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
         sim = SimConfig(**{**_SIM_REQUIRED, **parsed, **overrides})
     except ValueError as exc:
         raise ConfigError(f"bad [sim] values: {exc}") from None
+    _check_sizes(N, d, sim)
     analysis = dict(_DEFAULT_ANALYSIS)
     if "analysis" in parser:
         analysis.update({k: _coerce(v) for k, v in parser["analysis"].items()})
@@ -201,6 +205,21 @@ def load_config(path, seed: int | None = None, replicas: int | None = None) -> E
         raise ConfigError(f"bad [energy] or [system] values: {exc}") from None
     _check_analysis(analysis, sorted(default_observables(system)))
     return cfg
+
+
+def _check_sizes(N: int, d: int, sim: SimConfig):
+    """Reject, before any is allocated, an array numpy cannot size: a
+    configuration (n, d) or the recorded values (replicas, records), with
+    records the length of `sim.record_steps()`."""
+    records = (sim.n_steps - sim.burn_in - 1) // sim.thin + 1
+    for name, entries in (
+        ("[system] n * d", N * d),
+        ("[sim] replicas * (n_steps - burn_in) / thin", sim.replicas * records),
+    ):
+        if entries > _MAX_ENTRIES:
+            raise ConfigError(
+                f"{name} must be at most {_MAX_ENTRIES}, the most entries numpy can size"
+            )
 
 
 def _check_analysis(an: dict, observables: list):

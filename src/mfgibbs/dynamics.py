@@ -265,7 +265,7 @@ def default_observables(system: ParticleSystem) -> dict:
     """The built-in observables by name; the one table of their names."""
 
     def u_n_block(states, u_n):
-        return u_n if u_n is not None else [system.u_n(x) for x in states]
+        return u_n if u_n is not None else system.u_n_batch(states)
 
     return {
         "xbar": _Observable(lambda xs, u: np.mean(xs[:, :, 0], axis=1)),

@@ -11,12 +11,13 @@ The private primitives share one array convention: mu is given by its atoms
 query rows `xs` (m, d) at once (pairs with `ys` (m', d) for D_m^2 F), query
 axes first. The public single-point methods are the case m = 1.
 
-The value F alone is also evaluated at K measures in one call
-(`_eval_batch`), with a leading batch axis: points (K, n, d), or (n, d)
-shared by all K, with weights (K, n), or (n,) shared, give values (K,).
-Mixtures of two measures share their atoms; configurations that differ in
-one particle share their weights. `_eval` is the one-measure case, with no
-batch axis. `ParticleSystem.u_n_batch` lifts the batch to U_N.
+The value F has one primitive, `_eval_batch`, which every energy defines:
+F at K measures in one call, with a leading batch axis. Points (K, n, d),
+or (n, d) shared by all K, with weights (K, n), or (n,) shared, give values
+(K,). Mixtures of two measures share their atoms; configurations that
+differ in one particle share their weights. With neither batched it gives
+F of one measure, and `_eval` is that case, written once in the base class.
+`ParticleSystem.u_n_batch` lifts the batch to U_N.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ class MeanFieldEnergy(abc.ABC):
     # to one, query rows xs (m, d) and ys (m', d).
 
     @abc.abstractmethod
-    def _eval(self, points: np.ndarray, weights: np.ndarray) -> float: ...
+    def _eval_batch(self, points, weights) -> np.ndarray:
+        """F at K measures: points (K, n, d) or shared (n, d), weights (K, n)
+        or shared (n,); values (K,). With neither batched, F of one measure."""
 
     @abc.abstractmethod
     def _flat(self, points, weights, xs) -> np.ndarray: ...  # dF/dm(mu, xs_i): (m,)
@@ -67,22 +70,14 @@ class MeanFieldEnergy(abc.ABC):
     @abc.abstractmethod
     def _grad_x_of_Dm(self, points, weights, xs) -> np.ndarray: ...  # grad_x D_m F: (m, d, d)
 
+    def _eval(self, points, weights) -> float:
+        """F of one measure: the batch with no batch axis."""
+        return float(self._eval_batch(points, weights))
+
     def _value_and_grad(self, points, weights) -> tuple[float, np.ndarray]:
         """(F(mu), D_m F(mu, x_i) for every atom); override to share work
         between the two."""
         return self._eval(points, weights), self._grad(points, weights, points)
-
-    def _eval_batch(self, points, weights) -> np.ndarray:
-        """F at K measures: points (K, n, d) or shared (n, d), weights (K, n)
-        or shared (n,); values (K,). With neither batched, F of one measure.
-        This loop over the measures keeps every energy working; overrides
-        share the work across the batch."""
-        if points.ndim == 2 and weights.ndim == 1:
-            return self._eval(points, weights)
-        K = len(points) if points.ndim == 3 else len(weights)
-        n, d = points.shape[-2:]
-        points, weights = np.broadcast_to(points, (K, n, d)), np.broadcast_to(weights, (K, n))
-        return np.array([self._eval(p, w) for p, w in zip(points, weights)])
 
     def _hess_mm_matrix(self, points, weights) -> np.ndarray:
         """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
@@ -168,9 +163,6 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
     def _eval_batch(self, points, weights):
         return self._value(points, weights, _wmean(weights, points))
 
-    def _eval(self, points, weights, /):
-        return float(self._eval_batch(points, weights))
-
     def _value_and_grad(self, points, weights):
         """F and D_m F at every atom, with the mean computed once."""
         mean = weights @ points
@@ -203,9 +195,6 @@ class LinearPotentialEnergy(MeanFieldEnergy):
 
     def _eval_batch(self, points, weights):
         return _wsum(weights, _rows(self.v, points))
-
-    def _eval(self, points, weights, /):
-        return float(self._eval_batch(points, weights))
 
     def _flat(self, points, weights, xs):
         return _rows(self.v, xs)
@@ -311,9 +300,6 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         each measure's value is bit for bit the one `_value_and_grad` gives."""
         _, c, ew = self._pair_sums(points, weights)
         return self._value(points, weights, c, ew[..., 0])
-
-    def _eval(self, points, weights, /):
-        return float(self._eval_batch(points, weights))
 
     def _flat(self, points, weights, xs):
         mean, c, ew = self._pair_sums(points, weights, xs)
@@ -434,9 +420,6 @@ class ParametrizedEnergy(MeanFieldEnergy):
     def _eval_batch(self, points, weights):
         outer = _rows(self.r, self._feature_mean(points, weights))
         return self.base._eval_batch(points, weights) + outer
-
-    def _eval(self, points, weights, /):
-        return float(self._eval_batch(points, weights))
 
     def _flat(self, points, weights, xs):
         g = self._outer_grad(points, weights)

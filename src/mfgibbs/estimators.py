@@ -9,7 +9,6 @@ sampled frozen configurations.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -53,17 +52,15 @@ class GapEstimate:
         if math.isinf(self.rate) or math.isinf(self.stderr):
             self.flags["non_finite"] = True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "quantity": "spectral-gap",
-                "rate": self.rate,
-                "stderr": self.stderr,
-                "method": self.method,
-                "effective_samples": self.effective_samples,
-                "flags": dict(self.flags),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "quantity": "spectral-gap",
+            "rate": self.rate,
+            "stderr": self.stderr,
+            "method": self.method,
+            "effective_samples": self.effective_samples,
+            "flags": dict(self.flags),
+        }
 
 
 def _autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:

@@ -115,7 +115,7 @@ def boundary_negligible(density: np.ndarray) -> bool:
     return bool(max(density[0], density[-1]) <= 1e-12 * density.max())
 
 
-def grid_poincare(grid: Grid1D, check_convergence: bool = True) -> SpectralResult:
+def grid_poincare(grid: Grid1D) -> SpectralResult:
     """Spectral gap (= Poincare constant) of exp(-U)/Z restricted to the grid.
 
     Uses a second-order symmetric discretization of f'' - U' f' with
@@ -124,11 +124,9 @@ def grid_poincare(grid: Grid1D, check_convergence: bool = True) -> SpectralResul
     if not boundary_negligible(np.exp(-(grid.potential - grid.potential.min()))):
         raise ValueError("window too small: boundary density not negligible")
     gap, ground_mass = _gap_on_grid(grid)
-    converged = True
-    if check_convergence:
-        fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
-        gap_fine, _ = _gap_on_grid(fine)
-        converged = abs(gap_fine - gap) <= 1e-3 * max(abs(gap), 1e-300)
+    fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
+    gap_fine, _ = _gap_on_grid(fine)
+    converged = abs(gap_fine - gap) <= 1e-3 * max(abs(gap), 1e-300)
     return SpectralResult(gap=gap, ground_mass=ground_mass, converged=converged)
 
 

@@ -86,7 +86,7 @@ def test_criterion_02_conditional_gap():
         for _ in range(5):
             frozen = 2.0 * rng.standard_normal(N - 1)
             grid = conditional_potential(system, frozen, -30.0, 30.0, 3001)
-            gaps.append(grid_poincare(grid, check_convergence=False).gap)
+            gaps.append(grid_poincare(grid).gap)
         gaps = np.array(gaps)
         assert np.all(np.abs(gaps - 0.975) < 1e-3)
         assert gaps.max() - gaps.min() < 1e-6

@@ -566,6 +566,24 @@ def test_integer_beyond_float_range_exit_2_naming_the_key(tmp_path, capsys, text
     assert err.startswith("config error:") and key in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "section, key", [("system", "n"), ("system", "d"), ("sim", "n_steps"), ("sim", "replicas")]
+)
+def test_integer_numpy_cannot_size_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                         section, key):
+    monkeypatch.setattr(cli, "run_chain", no_chain)
+    text = re.sub(rf"^{key} = .*\n", "", QUADRATIC, flags=re.M)
+    cfg = write(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = {HUGE_INT}\n"))
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] ") and err.count("\n") == 1
+    assert re.search(rf"\b{key}\b", err) and "numpy" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 def test_floating_point_overflow_is_a_blow_up(tmp_path, capsys):
     # eta |x|^2 / 2 overflows on the analysis grid: exit 4, not a warning
     cfg = write(tmp_path, KERNEL.replace("eta = 1.0", "eta = 1e308"))

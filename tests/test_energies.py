@@ -314,13 +314,10 @@ class TestArrayConvention:
         _assert_rel_close(ParticleSystem(e, N, d).hess_u_n(x), ref)
 
 
-class _SecondMoment(MeanFieldEnergy):
-    """F(mu) = int |x|^2 dmu, defining only the abstract primitives."""
+class _SecondMomentLadder(MeanFieldEnergy):
+    """The derivative primitives of F(mu) = int |x|^2 dmu, with no value."""
 
     declared_lambda = declared_Mmm = 0.0
-
-    def _eval(self, points, weights):
-        return float(weights @ np.sum(points * points, axis=1))
 
     def _flat(self, points, weights, xs):
         return np.sum(xs * xs, axis=1)
@@ -333,6 +330,13 @@ class _SecondMoment(MeanFieldEnergy):
 
     def _grad_x_of_Dm(self, points, weights, xs):
         return np.tile(2.0 * np.eye(xs.shape[1]), (len(xs), 1, 1))
+
+
+class _SecondMoment(_SecondMomentLadder):
+    """F(mu) = int |x|^2 dmu, defining only the abstract primitives."""
+
+    def _eval_batch(self, points, weights):
+        return np.sum(weights * np.sum(points * points, axis=-1), axis=-1)
 
 
 def _unit_weights(rng, *shape):
@@ -366,15 +370,28 @@ class TestEvalBatch:
             assert got.shape == (self.K,)
             np.testing.assert_array_equal(got, [e._eval(p, w) for p, w in measures])
 
+    def test_subclass_without_eval_batch_cannot_be_built(self):
+        class _ValueByEval(_SecondMomentLadder):
+            def _eval(self, points, weights):
+                return float(weights @ np.sum(points * points, axis=1))
+
+        for cls in (_SecondMomentLadder, _ValueByEval):
+            with pytest.raises(TypeError, match="_eval_batch"):
+                cls()
+
     @pytest.mark.parametrize("d", [1, 2])
-    def test_primitives_only_subclass_gets_the_loop(self, d):
+    def test_eval_is_the_one_measure_batch(self, d):
         e = _SecondMoment()
-        assert type(e)._eval_batch is MeanFieldEnergy._eval_batch
+        assert "_eval" not in vars(_SecondMoment)
         for points, weights, measures in self._batches(d):
-            ref = [float(w @ np.sum(p * p, axis=1)) for p, w in measures]
-            np.testing.assert_array_equal(e._eval_batch(points, weights), ref)
-        p, w = measures[0]
-        assert e._eval_batch(p, w) == e._eval(p, w)
+            batch = e._eval_batch(points, weights)
+            for (p, w), value in zip(measures, batch):
+                one = e._eval(p, w)
+                assert type(one) is float and one == e._eval_batch(p, w) == value
+                assert e.eval(DiscreteMeasure(p, w)) == one
+        system = ParticleSystem(e, self.n, d)
+        x = points[0]
+        assert system.u_n(x) == self.n * e._eval(x, system._w) == system.u_n_batch(x[None])[0]
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["v1=0", "v1=cos"])
     @pytest.mark.parametrize("d", [1, 2])

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -120,7 +119,7 @@ class TestAutocorrGap:
 
     def test_json_schema(self):
         est = GapEstimate(0.5, 0.01, "autocorr-fit", 100.0, {"iid": False})
-        d = json.loads(est.to_json())
+        d = est.to_dict()
         assert d["quantity"] == "spectral-gap"
         assert d["rate"] == 0.5
         assert d["method"] == "autocorr-fit"

@@ -69,5 +69,5 @@ def test_cli_imports_no_energy():
 
 
 def test_dynamics_calls_no_energy_primitive():
-    primitives = {"_eval", "_value_and_grad", "_grad", "_flat"}
+    primitives = {"_eval", "_eval_batch", "_value_and_grad", "_grad", "_flat"}
     assert not primitives & set(_names(SRC / "dynamics.py"))

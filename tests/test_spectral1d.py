@@ -83,8 +83,8 @@ class TestGridPoincare:
             grid_poincare(g)
 
     def test_refinement_consistency(self):
-        coarse = grid_poincare(ou_grid(n=401), check_convergence=False).gap
-        fine = grid_poincare(ou_grid(n=3201), check_convergence=False).gap
+        coarse = grid_poincare(ou_grid(n=401)).gap
+        fine = grid_poincare(ou_grid(n=3201)).gap
         # second-order scheme: coarse error should dominate and both are close
         assert abs(fine - 1.0) < abs(coarse - 1.0) + 1e-9
         assert abs(coarse - fine) < 1e-3
