@@ -16,7 +16,7 @@ import numpy as np
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy
 from .energies import ParametrizedEnergy, QuadraticMeanEnergy
 from .errors import GibbsUndefinedError, TheoremInvalidError
-from .measures import DiscreteMeasure, mixture_atoms, w2_squared
+from .measures import DiscreteMeasure, mixture_atoms, stack_atoms, w2_squared
 
 __all__ = [
     "PoincareInputs",
@@ -33,6 +33,8 @@ __all__ = [
     "corollary_report",
     "check_semi_convexity",
     "check_cost_convexity",
+    "semi_convexity_deficits",
+    "cost_convexity_deficits",
     "hessian_block_bound",
     "DEFAULT_T_GRID",
 ]
@@ -284,12 +286,53 @@ def corollary_report(
     return report, {**example, "var_phi": var_phi}
 
 
-def _mixture_deficit(energy, mu, nu, penalty) -> float:
-    """Worst deficit over `DEFAULT_T_GRID`, all mixtures in one batched value pass."""
+def _mixture_deficits(energy, mus, nus, penalties) -> np.ndarray:
+    """Worst deficit over `DEFAULT_T_GRID` of each pair (mus[i], nus[i]).
+    Pairs whose atoms have the same shapes share one batched value pass for
+    all their mixtures and one for each endpoint set."""
     t = np.asarray(DEFAULT_T_GRID)
-    lhs = energy._eval_batch(*mixture_atoms(mu, nu, t))
-    deficit = lhs - t * energy.eval(mu) - (1.0 - t) * energy.eval(nu) - t * (1.0 - t) * penalty
-    return float(np.max(deficit))
+    penalties = np.asarray(penalties, dtype=float)
+    groups = {}
+    for i, (mu, nu) in enumerate(zip(mus, nus)):
+        groups.setdefault((mu.points.shape, nu.points.shape), []).append(i)
+    worst = np.empty(len(penalties))
+    for members in groups.values():
+        group_mu, group_nu = [mus[i] for i in members], [nus[i] for i in members]
+        lhs = energy._eval_batch(*mixture_atoms(group_mu, group_nu, t))
+        f_mu = energy._eval_batch(*stack_atoms(group_mu))[:, None]
+        f_nu = energy._eval_batch(*stack_atoms(group_nu))[:, None]
+        penalty = penalties[members, None]
+        deficit = lhs - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty
+        worst[members] = np.max(deficit, axis=1)
+    return worst
+
+
+def semi_convexity_deficits(
+    energy: MeanFieldEnergy, mus, nus, lam: float | None = None
+) -> np.ndarray:
+    """Worst mixture-convexity deficit of each pair (mus[i], nus[i]) against
+    the lambda/2 W2^2 penalty, lambda the declared one unless given.
+
+    Nonpositive (up to 1e-9) means the modulus holds on that pair.
+    """
+    if lam is None:
+        lam = energy.declared_lambda
+    penalties = [0.5 * lam * w2_squared(nu, mu) for mu, nu in zip(mus, nus, strict=True)]
+    return _mixture_deficits(energy, mus, nus, penalties)
+
+
+def cost_convexity_deficits(energy: MeanFieldEnergy, mus, nus, cost=None) -> np.ndarray:
+    """Worst mixture-convexity deficit of each pair (mus[i], nus[i]) against
+    a cost functional C(mu, nu).
+
+    Defaults to the parametrized energy's alpha_r |int phi d(nu - mu)|^2.
+    """
+    if cost is None:
+        if not isinstance(energy, ParametrizedEnergy):
+            raise TypeError("cost functional required for non-parametrized energies")
+        cost = energy.cost_functional
+    penalties = [cost(mu, nu) for mu, nu in zip(mus, nus, strict=True)]
+    return _mixture_deficits(energy, mus, nus, penalties)
 
 
 def check_semi_convexity(
@@ -298,14 +341,8 @@ def check_semi_convexity(
     nu: DiscreteMeasure,
     lam: float | None = None,
 ) -> float:
-    """Worst mixture-convexity deficit against the lambda/2 W2^2 penalty.
-
-    Nonpositive (up to 1e-9) means the declared modulus holds on this pair.
-    """
-    if lam is None:
-        lam = energy.declared_lambda
-    penalty = 0.5 * lam * w2_squared(nu, mu)
-    return _mixture_deficit(energy, mu, nu, penalty)
+    """The one-pair case of `semi_convexity_deficits`."""
+    return float(semi_convexity_deficits(energy, [mu], [nu], lam)[0])
 
 
 def check_cost_convexity(
@@ -314,17 +351,8 @@ def check_cost_convexity(
     nu: DiscreteMeasure,
     cost=None,
 ) -> float:
-    """Worst mixture-convexity deficit against a cost functional C(nu, mu).
-
-    Defaults to the parametrized energy's alpha_r |int phi d(nu - mu)|^2.
-    """
-    if cost is None:
-        if not isinstance(energy, ParametrizedEnergy):
-            raise TypeError("cost functional required for non-parametrized energies")
-        penalty = energy.cost_functional(mu, nu)
-    else:
-        penalty = cost(mu, nu)
-    return _mixture_deficit(energy, mu, nu, penalty)
+    """The one-pair case of `cost_convexity_deficits`."""
+    return float(cost_convexity_deficits(energy, [mu], [nu], cost)[0])
 
 
 def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:

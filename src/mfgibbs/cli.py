@@ -1,8 +1,9 @@
 """Command-line front end: `constants`, `verify`, `simulate`, `estimate`.
 
-Exit codes: 0 success, 1 verification failure, 2 config error,
-3 theorem inapplicable (or no Gibbs measure), 4 numerical blow-up (a diverging chain,
-or a floating-point overflow or NaN) or a frozen chain, 5 an unexpected internal error.
+Exit codes: 0 success, 1 verification failure, 2 config error (or a run too
+large for memory), 3 theorem inapplicable (or no Gibbs measure), 4 numerical
+blow-up (a diverging chain, or a floating-point overflow or NaN) or a frozen
+chain, 5 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -193,6 +194,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # configparser skips an unreadable config: only an output raises
         print(f"config error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size the config asks for that memory cannot hold
+        detail = " ".join(str(exc).split())
+        print(f"config error: the run does not fit in memory: {detail}", file=sys.stderr)
         return EXIT_CONFIG
     except GibbsUndefinedError as exc:
         print(exc, file=sys.stderr)

@@ -12,12 +12,15 @@ query rows `xs` (m, d) at once (pairs with `ys` (m', d) for D_m^2 F), query
 axes first. The public single-point methods are the case m = 1.
 
 The value F has one primitive, `_eval_batch`, which every energy defines:
-F at K measures in one call, with a leading batch axis. Points (K, n, d),
-or (n, d) shared by all K, with weights (K, n), or (n,) shared, give values
-(K,). Mixtures of two measures share their atoms; configurations that
-differ in one particle share their weights. With neither batched it gives
-F of one measure, and `_eval` is that case, written once in the base class.
-`ParticleSystem.u_n_batch` lifts the batch to U_N.
+F at many measures in one call. Points (..., n, d) and weights (..., n)
+have leading batch axes that broadcast, and the values have the broadcast
+shape. Mixtures of two measures share their atoms: (n, d) with weights
+(K, n), or, for P pairs at once, (P, 1, n, d) with (P, K, n), so that a
+per-point callable is called once per atom, not once per mixture.
+Configurations that differ in one particle share their weights: (K, n, d)
+with (n,). Each measure's value is bit for bit the one it has alone. With
+no batch axis it gives F of one measure, and `_eval` is that case, written
+once in the base class. `ParticleSystem.u_n_batch` lifts the batch to U_N.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ class MeanFieldEnergy(abc.ABC):
 
     @abc.abstractmethod
     def _eval_batch(self, points, weights) -> np.ndarray:
-        """F at K measures: points (K, n, d) or shared (n, d), weights (K, n)
-        or shared (n,); values (K,). With neither batched, F of one measure."""
+        """F at a batch of measures: points (..., n, d) and weights (..., n)
+        whose leading axes broadcast; values of the broadcast shape. With no
+        batch axis, F of one measure."""
 
     @abc.abstractmethod
     def _flat(self, points, weights, xs) -> np.ndarray: ...  # dF/dm(mu, xs_i): (m,)
@@ -120,7 +124,8 @@ def _rows(fn, xs, ndmin=0) -> np.ndarray:
 
 
 def _wsum(weights, values) -> np.ndarray:
-    """sum_j w_j values_j per measure: weights and values (..., n) give (...)."""
+    """sum_j w_j values_j per measure: weights and values (..., n), whose
+    leading axes broadcast, give (...)."""
     if weights.ndim == values.ndim == 1:
         return float(weights @ values)
     return np.matmul(weights[..., None, :], values[..., :, None])[..., 0, 0]
@@ -359,17 +364,24 @@ def _gauss_matmul(xs, points, rhs):
 
 
 def _gauss_within(points, rhs):
-    """exp(-|p_i - p_j|^2) @ rhs over the atoms of each measure: points (n, d)
-    with rhs (n, k) or a stack (K, n, k), or a batch of atom sets (K, n, d)
-    with rhs (K, n, k). A batch is built in place in blocks of whole measures
-    within _BLOCK_ENTRIES, or in `_gauss_matmul`'s row blocks when one measure
-    alone is over it; each measure's product is the one it has on its own."""
+    """exp(-|p_i - p_j|^2) @ rhs over the atoms of each measure: points
+    (..., n, d) whose leading axes broadcast to those of rhs (..., n, k).
+    One set of atoms takes `_gauss_matmul`'s row blocks, for all its rhs.
+    More are split along the first axis into blocks of whole sets within
+    _BLOCK_ENTRIES, each block's matrices built once for the rhs that share
+    them, or taken one slice at a time when one slice alone is over it.
+    Each measure's product is the one it has on its own."""
     if points.ndim == 2:
         return _gauss_matmul(points, points, rhs)
-    n = points.shape[1]
-    if n * n > _BLOCK_ENTRIES:
-        return np.stack([_gauss_matmul(p, p, r) for p, r in zip(points, rhs)])
-    per = _BLOCK_ENTRIES // (n * n)
+    n = points.shape[-2]
+    if math.prod(points.shape[:-2]) == 1:
+        one = points.reshape(n, -1)
+        return _gauss_matmul(one, one, rhs)
+    points = points.reshape((1,) * (rhs.ndim - points.ndim) + points.shape)
+    points = np.broadcast_to(points, rhs.shape[:1] + points.shape[1:])
+    per = _BLOCK_ENTRIES // (n * n * math.prod(points.shape[1:-2]))
+    if per == 0:
+        return np.stack([_gauss_within(p, r) for p, r in zip(points, rhs)])
     blocks = [slice(s, s + per) for s in range(0, len(points), per)]
     return np.concatenate([_gauss_rows(points[b], points[b]) @ rhs[b] for b in blocks])
 

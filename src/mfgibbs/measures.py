@@ -13,6 +13,7 @@ __all__ = [
     "empirical",
     "mix",
     "mixture_atoms",
+    "stack_atoms",
     "w2_squared",
 ]
 
@@ -73,19 +74,39 @@ def empirical(points) -> DiscreteMeasure:
     return DiscreteMeasure(pts, np.full(n, 1.0 / n))
 
 
-def mixture_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure, t_grid):
+def stack_atoms(measures) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms (P, n, d) and weights (P, n) of P measures of n atoms each,
+    a batch for `_eval_batch`."""
+    return np.stack([m.points for m in measures]), np.stack([m.weights for m in measures])
+
+
+def mixture_atoms(mu, nu, t_grid):
     """(points, weights) of the mixtures t*mu + (1-t)*nu for each t of
     `t_grid`: the atoms of mu and nu stacked once (n, d), and one row of
     weights per t (K, n), t*w_mu followed by (1-t)*w_nu and renormalised to
-    sum to one. An atom of weight zero keeps its column."""
-    if mu.dim != nu.dim:
+    sum to one. An atom of weight zero keeps its column.
+
+    mu and nu may also be sequences of P measures, the pairs (mu_i, nu_i),
+    with one atom count on each side. Then points (P, 1, n, d) hold each
+    pair's atoms once for its weight rows (P, K, n), and pair i is bit for
+    bit its own mixture_atoms."""
+    if isinstance(mu, DiscreteMeasure):
+        (mu_p, mu_w), (nu_p, nu_w) = (mu.points, mu.weights), (nu.points, nu.weights)
+    else:
+        (mu_p, mu_w), (nu_p, nu_w) = stack_atoms(mu), stack_atoms(nu)
+    if mu_p.shape[-1] != nu_p.shape[-1]:
         raise ValueError("dimension mismatch")
     t = np.asarray(t_grid, dtype=float)
     outside = t[~((0.0 <= t) & (t <= 1.0))]  # NaN too
     if outside.size:
         raise ValueError(f"mixture weight t={outside[0]} outside [0, 1]")
-    w = np.hstack([np.multiply.outer(t, mu.weights), np.multiply.outer(1.0 - t, nu.weights)])
-    return np.vstack([mu.points, nu.points]), w / w.sum(axis=1, keepdims=True)
+    w = np.concatenate(
+        [t[:, None] * mu_w[..., None, :], (1.0 - t)[:, None] * nu_w[..., None, :]], axis=-1
+    )
+    points = np.concatenate([mu_p, nu_p], axis=-2)
+    if points.ndim == 3:  # pairs: each pair's atoms once, for all its rows
+        points = points[:, None]
+    return points, w / w.sum(axis=-1, keepdims=True)
 
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:

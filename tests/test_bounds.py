@@ -403,3 +403,114 @@ class TestReportSerialization:
         for flag in ("poincare_positive", "defective_valid", "corollary_valid"):
             assert flag in d["flags"]
         assert report.rho_star is not None
+
+
+def per_pair_deficit(energy, mu, nu, penalty):
+    """The worst mixture deficit of one pair, one measure at a time."""
+    f_mu, f_nu = energy.eval(mu), energy.eval(nu)
+    return max(
+        energy.eval(mix(mu, nu, t)) - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty
+        for t in bounds.DEFAULT_T_GRID
+    )
+
+
+def uniform_measure(rng, n, d):
+    return empirical(rng.normal(size=(n, d)) * 1.5)
+
+
+class TestBatchedCheckers:
+    """The batch checkers give each pair, whatever group it falls in, the
+    deficit of the per-pair loop bit for bit, and the one-pair checkers are
+    their one-pair case."""
+
+    ENERGIES = {
+        "quadratic": lambda: QuadraticMeanEnergy(0.5),
+        "kernel": lambda: PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05),
+        "parametrized": lambda: quadratic_as_parametrized(0.5),
+    }
+
+    @staticmethod
+    def _semi_reference(energy, mus, nus, lam):
+        return [
+            per_pair_deficit(energy, mu, nu, 0.5 * lam * w2_squared(nu, mu))
+            for mu, nu in zip(mus, nus)
+        ]
+
+    @pytest.mark.parametrize("name", list(ENERGIES))
+    def test_mixed_atom_counts(self, name):
+        energy = self.ENERGIES[name]()
+        rng = np.random.default_rng(30)
+        mus = [random_measure(rng) for _ in range(80)]
+        nus = [random_measure(rng) for _ in range(80)]
+        assert len({(mu.n_atoms, nu.n_atoms) for mu, nu in zip(mus, nus)}) > 10
+        got = bounds.semi_convexity_deficits(energy, mus, nus)
+        assert got.shape == (80,)
+        ref = self._semi_reference(energy, mus, nus, energy.declared_lambda)
+        np.testing.assert_array_equal(got, ref)
+        for mu, nu, deficit in zip(mus[:10], nus[:10], got):
+            assert bounds.check_semi_convexity(energy, mu, nu) == deficit
+
+    @pytest.mark.parametrize("name", list(ENERGIES))
+    def test_one_pair_alone(self, name):
+        energy = self.ENERGIES[name]()
+        rng = np.random.default_rng(31)
+        mu, nu = random_measure(rng), random_measure(rng)
+        (got,) = bounds.semi_convexity_deficits(energy, [mu], [nu])
+        assert got == self._semi_reference(energy, [mu], [nu], energy.declared_lambda)[0]
+        assert bounds.check_semi_convexity(energy, mu, nu) == got
+
+    @pytest.mark.parametrize("name", list(ENERGIES))
+    def test_two_dimensional_uniform_pairs(self, name):
+        # d=2 takes the assignment W2, which needs equal uniform supports
+        energy = self.ENERGIES[name]()
+        rng = np.random.default_rng(32)
+        sizes = [int(n) for n in rng.integers(1, 5, size=40)]
+        mus = [uniform_measure(rng, n, 2) for n in sizes]
+        nus = [uniform_measure(rng, n, 2) for n in sizes]
+        got = bounds.semi_convexity_deficits(energy, mus, nus)
+        ref = self._semi_reference(energy, mus, nus, energy.declared_lambda)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_lam_override(self):
+        kern = self.ENERGIES["kernel"]()
+        rng = np.random.default_rng(33)
+        mus = [random_measure(rng) for _ in range(40)]
+        nus = [random_measure(rng) for _ in range(40)]
+        got = bounds.semi_convexity_deficits(kern, mus, nus, lam=0.7)
+        np.testing.assert_array_equal(got, self._semi_reference(kern, mus, nus, 0.7))
+        assert bounds.check_semi_convexity(kern, mus[0], nus[0], lam=0.7) == got[0]
+
+    def test_cost_callable(self):
+        quad = self.ENERGIES["quadratic"]()
+        rng = np.random.default_rng(34)
+        mus = [random_measure(rng) for _ in range(40)]
+        nus = [random_measure(rng) for _ in range(40)]
+
+        def cost(mu, nu):
+            diff = nu.mean() - mu.mean()
+            return 0.25 * float(diff @ diff)
+
+        got = bounds.cost_convexity_deficits(quad, mus, nus, cost=cost)
+        ref = [per_pair_deficit(quad, mu, nu, cost(mu, nu)) for mu, nu in zip(mus, nus)]
+        np.testing.assert_array_equal(got, ref)
+        assert bounds.check_cost_convexity(quad, mus[0], nus[0], cost=cost) == got[0]
+
+    def test_default_cost_is_the_parametrized_one(self):
+        par = self.ENERGIES["parametrized"]()
+        rng = np.random.default_rng(35)
+        mus = [random_measure(rng) for _ in range(40)]
+        nus = [random_measure(rng) for _ in range(40)]
+        got = bounds.cost_convexity_deficits(par, mus, nus)
+        ref = [
+            per_pair_deficit(par, mu, nu, par.cost_functional(mu, nu))
+            for mu, nu in zip(mus, nus)
+        ]
+        np.testing.assert_array_equal(got, ref)
+        with pytest.raises(TypeError, match="cost functional required"):
+            bounds.cost_convexity_deficits(self.ENERGIES["kernel"](), mus, nus)
+
+    def test_unequal_pair_lists_rejected(self):
+        quad = self.ENERGIES["quadratic"]()
+        mu = empirical([[0.0]])
+        with pytest.raises(ValueError):
+            bounds.semi_convexity_deficits(quad, [mu, mu], [mu])

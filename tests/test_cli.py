@@ -584,6 +584,33 @@ def test_integer_numpy_cannot_size_exit_2_naming_the_key(tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
+#: 10^15 float64 entries: sizeable by numpy, but 7.11 PiB, beyond any
+#: address space, so the allocation fails at once
+MEMORY_CASES = {
+    "n": ("[system]\nn = 20\n", "[system]\nn = 1000000000000000\n"),
+    "replicas-x-records": (
+        "n_steps = 400\n", "n_steps = 1000100\nreplicas = 1000000000\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("constants", "n"), ("simulate", "n"), ("estimate", "n"),
+     ("simulate", "replicas-x-records"), ("estimate", "replicas-x-records")],
+)
+def test_run_too_large_for_memory_exit_2_naming_the_allocation(tmp_path, capsys, command, case):
+    old, new = MEMORY_CASES[case]
+    assert old in QUADRATIC
+    cfg = write(tmp_path, QUADRATIC.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run does not fit in memory: ")
+    assert err.count("\n") == 1 and "Unable to allocate" in err and "shape" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 def test_floating_point_overflow_is_a_blow_up(tmp_path, capsys):
     # eta |x|^2 / 2 overflows on the analysis grid: exit 4, not a warning
     cfg = write(tmp_path, KERNEL.replace("eta = 1.0", "eta = 1e308"))

@@ -370,6 +370,48 @@ class TestEvalBatch:
             assert got.shape == (self.K,)
             np.testing.assert_array_equal(got, [e._eval(p, w) for p, w in measures])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
+    def test_broadcast_batch_equals_per_measure_loop(self, name, d):
+        # P pairs' atoms (P, 1, n, d) under T weight rows each (P, T, n), as
+        # a group of mixtures; P atom sets each with its own weights; and P
+        # atom sets under T weight rows shared by all (T, 1, n)
+        e = ARRAY_ENERGIES[name][0]()
+        P, T = 5, 4
+        rng = np.random.default_rng(80 + d)
+        atoms = rng.normal(size=(P, self.n, d)) * 1.5
+        rows = _unit_weights(rng, P, T, self.n)
+        got = e._eval_batch(atoms[:, None], rows)
+        assert got.shape == (P, T)
+        for p, t in np.ndindex(P, T):
+            assert got[p, t] == e._eval(atoms[p], rows[p, t])
+        got = e._eval_batch(atoms, rows[:, 0])
+        np.testing.assert_array_equal(got, [e._eval(x, w) for x, w in zip(atoms, rows[:, 0])])
+        got = e._eval_batch(atoms, rows[0][:, None])
+        assert got.shape == (T, P)
+        for t, p in np.ndindex(T, P):
+            assert got[t, p] == e._eval(atoms[p], rows[0, t])
+
+    @pytest.mark.parametrize(
+        "n, P", [(20, 400), (400, 2), (400, 1)], ids=["set-blocks", "row-blocks", "one-set"]
+    )
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["v1=0", "v1=cos"])
+    def test_kernel_broadcast_blocks_equal_per_measure(self, n, P, perturbed):
+        # n=20: 163 atom sets a block, so 400 end in a partial third block;
+        # n=400 (two 200-atom measures): one set's matrix alone is over the
+        # budget, so each set takes row blocks, once for all its weight rows
+        e = _cos_perturbed_kernel() if perturbed else PairwiseKernelEnergy(1.0, 1.0, 0.05)
+        per = _BLOCK_ENTRIES // (n * n)
+        assert (per == 0 and n * n > _BLOCK_ENTRIES) or (P > 2 * per and P % per)
+        T = 3
+        rng = np.random.default_rng(n + P)
+        atoms = rng.normal(size=(P, 1, n, 2)) * 2.0
+        rows = _unit_weights(rng, P, T, n)
+        got = e._eval_batch(atoms, rows)
+        assert got.shape == (P, T)
+        for p, t in np.ndindex(P, T):
+            assert got[p, t] == e._eval(atoms[p, 0], rows[p, t])
+
     def test_subclass_without_eval_batch_cannot_be_built(self):
         class _ValueByEval(_SecondMomentLadder):
             def _eval(self, points, weights):

@@ -10,6 +10,7 @@ from mfgibbs.measures import (
     empirical,
     mix,
     mixture_atoms,
+    stack_atoms,
     w2_squared,
 )
 
@@ -126,6 +127,26 @@ class TestMix:
             np.testing.assert_array_equal(out.weights, row[row > 0])
         with pytest.raises(ValueError):
             mixture_atoms(mu, nu, (0.5, float("nan")))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mixture_atoms_of_pairs_are_each_pairs_own(self, d):
+        rng = np.random.default_rng(d)
+
+        def draw(n):
+            w = rng.random(n) + 0.1
+            return DiscreteMeasure(rng.normal(size=(n, d)), w / w.sum())
+
+        mus, nus = [draw(2) for _ in range(4)], [draw(3) for _ in range(4)]
+        t = (0.0, 0.3, 1.0)
+        points, weights = mixture_atoms(mus, nus, t)
+        assert points.shape == (4, 1, 5, d) and weights.shape == (4, 3, 5)
+        for i, (mu, nu) in enumerate(zip(mus, nus)):
+            one_points, one_weights = mixture_atoms(mu, nu, t)
+            np.testing.assert_array_equal(points[i, 0], one_points)
+            np.testing.assert_array_equal(weights[i], one_weights)
+        assert stack_atoms(mus)[0].shape == (4, 2, d)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mixture_atoms(mus, [empirical(np.zeros((3, d + 1)))] * 4, t)
 
 
 class TestW2:
