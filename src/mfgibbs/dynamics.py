@@ -35,6 +35,10 @@ SAMPLERS = ("ULA", "MALA")
 #: states the chain buffers, and of records `Trajectory.to_csv` formats at once.
 _RNG_CHUNK = 4096
 
+#: Entries of the (G, chunk, N, d) noise buffer of one replica group, 2 MB:
+#: it sets how many replicas `run_chain` moves as one array.
+_GROUP_ENTRIES = 2**18
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -76,19 +80,21 @@ def make_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mala_log_q(x_from, x_to, grad_from, h):
-    # log density of the ULA proposal x_to ~ N(x_from - h grad, 2h I), up to
-    # the shared normalization
-    resid = x_to - x_from + h * grad_from
-    return -float(np.add.reduce(resid * resid, axis=None)) / (4.0 * h)
+def _move(x, grad, h, kick):
+    """The ULA move x - h grad + kick, kick = sqrt(2h) noise, also the MALA
+    proposal, of one configuration (N, d) or a batch (G, N, d); with whether
+    each moved configuration stays below BLOWUP_THRESHOLD. NaN compares
+    false, so a non-finite move blows up too."""
+    y = x - h * grad + kick
+    if y.ndim == 2:
+        return y, np.maximum.reduce(np.abs(y), axis=None) < BLOWUP_THRESHOLD
+    return y, np.maximum.reduce(np.abs(y).reshape(len(y), -1), axis=1) < BLOWUP_THRESHOLD
 
 
 def _ula_update(x, grad, h, kick, step, replica) -> np.ndarray:
-    """The ULA move x - h grad + kick numbered `step`, kick = sqrt(2h) noise;
-    also the MALA proposal."""
-    y = x - h * grad + kick
-    # NaN compares false, so a non-finite move blows up too
-    if not np.maximum.reduce(np.abs(y), axis=None) < BLOWUP_THRESHOLD:
+    """The ULA move numbered `step` of one configuration; raises on a blow-up."""
+    y, ok = _move(x, grad, h, kick)
+    if not ok:
         raise BlowUpError(f"blow-up at step {step}", step=step, replica=replica)
     return y
 
@@ -98,10 +104,25 @@ def _mala_update(system, x, grad_x, u_x, h, kick, log_u, step, replica):
     when log_u < log alpha. Returns (x, grad_x, u_x, accepted) after the move."""
     y = _ula_update(x, grad_x, h, kick, step, replica)
     u_y, grad_y = system.u_n_and_grad(y)
-    log_alpha = u_x - u_y + _mala_log_q(y, x, grad_y, h) - _mala_log_q(x, y, grad_x, h)
-    if log_u < log_alpha:
+    if log_u < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
         return y, grad_y, u_y, True
     return x, grad_x, u_x, False
+
+
+def _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
+    """log of the MALA acceptance ratio of the ULA proposal y from x:
+    u_x - u_y + log q(y -> x) - log q(x -> y), where the proposal's log
+    density, up to the normalization both directions share, is
+    log q(a -> b) = -|b - a + h grad U_N(a)|^2 / (4h). A float for one
+    configuration (N, d), one value per configuration for a batch (G, N, d)."""
+    back, fwd = x - y + h * grad_y, y - x + h * grad_x
+    if back.ndim == 2:
+        sq_back = float(np.add.reduce(back * back, axis=None))
+        sq_fwd = float(np.add.reduce(fwd * fwd, axis=None))
+    else:
+        sq_back = np.add.reduce((back * back).reshape(len(back), -1), axis=1)
+        sq_fwd = np.add.reduce((fwd * fwd).reshape(len(fwd), -1), axis=1)
+    return u_x - u_y + (-sq_back) / (4.0 * h) - (-sq_fwd) / (4.0 * h)
 
 
 def _start(system: ParticleSystem, state: ChainState, h: float) -> np.ndarray:
@@ -213,23 +234,99 @@ def _run_single_chain(
         if k > k0:
             n = k - k0
             u_block = u_cached[:n] if mala else None
-            _record(observables, states[:n], u_block, values, replica, slice(k0, k))
+            out = {name: v[replica, k0:k] for name, v in values.items()}
+            _record(observables, states[:n], u_block, out)
     return accepted / config.n_steps if mala else np.nan
 
 
-def _record(observables, states, u_n, values, replica, records):
-    """Observables of a block of recorded states (K, N, d) into
-    values[name][replica, records]: built-ins as array expressions over the
-    block, any other callable once per state, in record order."""
+def _run_group(system, config, replicas, observables, record_steps, values) -> np.ndarray:
+    """The replicas of the range `replicas` moved as one (G, N, d) array per
+    step. Replica r draws from make_rng(seed, r) what its sequential chain
+    draws, per chunk of _RNG_CHUNK steps its noise and then its uniforms,
+    into a (G, chunk, N, d) buffer, and MALA accepts each replica on its
+    own: each replica's records and acceptance rate are bit for bit those
+    of `_run_single_chain`. At each recorded step the built-in observables
+    take the group's states as their block; any other callable is called
+    once per replica. A replica that blows up cuts the group to the
+    replicas below it, which run on; when the group ends, the lowest one
+    that blew up is raised at its own step, as the sequential loop reports.
+    Returns the acceptance rates (G,), NaN for ULA."""
+    h = config.step
+    mala = config.sampler == "MALA"
+    rngs = [make_rng(config.seed, r) for r in replicas]
+    x = np.stack([_initial_configuration(system, config.initial, rng) for rng in rngs])
+    live = len(rngs)
+    u_x = None
+    if mala:
+        u_x, grad_x = system.u_n_and_grad_batch(x)
+    accepted = np.zeros(live, dtype=np.int64)
+    blown = None
+    record = record_steps.tolist() + [0]  # the 0 sentinel is never reached
+    k = 0
+    kicks = np.empty((live, min(_RNG_CHUNK, config.n_steps), system.N, system.d))
+    log_u = np.empty(kicks.shape[:2]) if mala else None
+    s = 0
+    while s < config.n_steps:
+        chunk = min(_RNG_CHUNK, config.n_steps - s)
+        for i in range(live):
+            rngs[i].standard_normal(out=kicks[i, :chunk])
+            if mala:
+                log_u[i, :chunk] = np.log(rngs[i].uniform(size=chunk))
+        kicks[:live, :chunk] *= math.sqrt(2.0 * h)
+        for c in range(chunk):
+            s += 1
+            y, ok = _move(x, grad_x if mala else system.grad_u_n_batch(x), h, kicks[:live, c])
+            if not ok.all():
+                live = int(np.argmin(ok))
+                blown = BlowUpError(
+                    f"blow-up at step {s}", step=s, replica=replicas.start + live
+                )
+                if live == 0:
+                    raise blown
+                x, y = x[:live], y[:live]
+                if mala:
+                    u_x, grad_x = u_x[:live], grad_x[:live]
+            if mala:
+                u_y, grad_y = system.u_n_and_grad_batch(y)
+                acc = log_u[:live, c] < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h)
+                accepted[:live] += acc
+                moved = acc[:, None, None]
+                x, grad_x = np.where(moved, y, x), np.where(moved, grad_y, grad_x)
+                u_x = np.where(acc, u_y, u_x)
+            else:
+                x = y
+            if s == record[k]:
+                rows = slice(replicas.start, replicas.start + live)
+                _record(observables, x, u_x, {name: v[rows, k] for name, v in values.items()})
+                k += 1
+    if blown is not None:
+        raise blown
+    return accepted / config.n_steps if mala else np.full(len(rngs), np.nan)
+
+
+def _record(observables, states, u_n, out):
+    """Observables of a block of recorded states (K, N, d) into the (K,)
+    views out[name]: built-ins as array expressions over the block, any
+    other callable once per state, in block order."""
     per_state = []
     for name, fn in observables.items():
         if isinstance(fn, _Observable):
-            values[name][replica, records] = fn.block(states, u_n)
+            out[name][:] = fn.block(states, u_n)
         else:
             per_state.append((name, fn))
-    for j, x in enumerate(states, records.start):
+    for j, x in enumerate(states):
         for name, fn in per_state:
-            values[name][replica, j] = fn(x)
+            out[name][j] = fn(x)
+
+
+def _replica_groups(replicas: int, per_replica: int) -> list[range]:
+    """Consecutive replica ranges that `run_chain` moves as one array each:
+    as few as keep each group's per_replica entries within _GROUP_ENTRIES,
+    their sizes within one of each other, and at least one replica each."""
+    size = max(1, _GROUP_ENTRIES // per_replica)
+    count = -(-replicas // size)
+    ends = [replicas * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def _initial_configuration(system: ParticleSystem, initial, rng) -> np.ndarray:
@@ -278,14 +375,26 @@ def run_chain(
     system: ParticleSystem, config: SimConfig, observables: dict | None = None
 ) -> Trajectory:
     """Run `config.replicas` independent chains and record observables
-    every `thin` steps after burn-in. Deterministic given (seed, replica)."""
+    every `thin` steps after burn-in. Deterministic given (seed, replica):
+    replica r's records are the same whatever the replica count. Replicas
+    run in groups whose noise buffer fits in _GROUP_ENTRIES, each group as
+    one array (`_run_group`); a group of one, R=1 among them, is the
+    sequential chain. A blow-up raises BlowUpError for the lowest replica
+    that blows up, at its own step."""
     if observables is None:
         observables = default_observables(system)
     record_steps = config.record_steps()
     n_rec = len(record_steps)
     values = {name: np.empty((config.replicas, n_rec)) for name in observables}
     acc = np.full(config.replicas, np.nan)
-    for r in range(config.replicas):
+    chunk = min(_RNG_CHUNK, config.n_steps)
+    for group in _replica_groups(config.replicas, chunk * system.N * system.d):
+        if len(group) > 1:
+            acc[group.start : group.stop] = _run_group(
+                system, config, group, observables, record_steps, values
+            )
+            continue
+        r = group.start
         rng = make_rng(config.seed, r)
         x0 = _initial_configuration(system, config.initial, rng)
         acc[r] = _run_single_chain(

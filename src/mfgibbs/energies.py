@@ -21,6 +21,12 @@ Configurations that differ in one particle share their weights: (K, n, d)
 with (n,). Each measure's value is bit for bit the one it has alone. With
 no batch axis it gives F of one measure, and `_eval` is that case, written
 once in the base class. `ParticleSystem.u_n_batch` lifts the batch to U_N.
+
+`_value_and_grad` and `_grad` at the atoms take the same leading axis of
+configurations: points (G, n, d) with shared weights (n,) give values (G,)
+and D_m F at every atom (G, n, d), each configuration's result bit for bit
+the one it has alone. `ParticleSystem.u_n_and_grad_batch` and
+`grad_u_n_batch` lift them; the samplers move replica groups with them.
 """
 
 from __future__ import annotations
@@ -65,8 +71,9 @@ class MeanFieldEnergy(abc.ABC):
     @abc.abstractmethod
     def _flat(self, points, weights, xs) -> np.ndarray: ...  # dF/dm(mu, xs_i): (m,)
 
+    # D_m F(mu, xs_i): (m, d); at the atoms xs = points of G configurations, (G, n, d)
     @abc.abstractmethod
-    def _grad(self, points, weights, xs) -> np.ndarray: ...  # D_m F(mu, xs_i): (m, d)
+    def _grad(self, points, weights, xs) -> np.ndarray: ...
 
     @abc.abstractmethod
     def _hess_mm(self, points, weights, xs, ys) -> np.ndarray: ...  # D_m^2 F: (m, m', d, d)
@@ -79,9 +86,12 @@ class MeanFieldEnergy(abc.ABC):
         return float(self._eval_batch(points, weights))
 
     def _value_and_grad(self, points, weights) -> tuple[float, np.ndarray]:
-        """(F(mu), D_m F(mu, x_i) for every atom); override to share work
-        between the two."""
-        return self._eval(points, weights), self._grad(points, weights, points)
+        """(F(mu), D_m F(mu, x_i) for every atom); for configurations points
+        (G, n, d) with weights (n,), values (G,) and gradients (G, n, d).
+        Override to share work between the two."""
+        if points.ndim == 2:
+            return self._eval(points, weights), self._grad(points, weights, points)
+        return self._eval_batch(points, weights), self._grad(points, weights, points)
 
     def _hess_mm_matrix(self, points, weights) -> np.ndarray:
         """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
@@ -170,15 +180,19 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
 
     def _value_and_grad(self, points, weights):
         """F and D_m F at every atom, with the mean computed once."""
-        mean = weights @ points
-        return float(self._value(points, weights, mean)), points - self.a * mean
+        if points.ndim == 2:  # one configuration, the path MALA takes per proposal
+            mean = weights @ points
+            return float(self._value(points, weights, mean)), points - self.a * mean
+        mean = _wmean(weights, points)
+        return self._value(points, weights, mean), points - self.a * mean[:, None, :]
 
     def _flat(self, points, weights, xs):
         mean = weights @ points
         return 0.5 * np.sum(xs * xs, axis=1) - self.a * np.sum(xs * mean, axis=1)
 
     def _grad(self, points, weights, xs):
-        return xs - self.a * (weights @ points)
+        mean = weights @ points if points.ndim == 2 else _wmean(weights, points)[:, None, :]
+        return xs - self.a * mean
 
     def _hess_mm(self, points, weights, xs, ys):
         return np.tile(-self.a * np.eye(xs.shape[1]), (len(xs), len(ys), 1, 1))
@@ -265,19 +279,21 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         """(mean, c, ew): the mean of mu, the atoms c centred there, and
         ew = exp(-|xs_i - p_j|^2) @ [w, w c] (m, 1 + d), which carries the
         Gaussian pair terms in O(n m). The alpha |z|^2 terms need only moments:
-        sum_j w_j |x - p_j|^2 = |x - mean|^2 + sum_j w_j |c_j|^2. Without xs
-        the query rows are the atoms, and mu may be a batch of measures."""
+        sum_j w_j |x - p_j|^2 = |x - mean|^2 + sum_j w_j |c_j|^2. Without xs,
+        or with xs the atoms themselves, the query rows are the atoms, and mu
+        may be a batch of measures."""
         mean = _wmean(weights, points)
         c = points - mean[..., None, :]
         rhs = np.empty(c.shape[:-1] + (1 + c.shape[-1],))
         rhs[..., 0] = weights
         np.multiply(weights[..., None], c, out=rhs[..., 1:])
-        if xs is None:
+        if xs is None or xs is points:
             return mean, c, _gauss_within(points, rhs)
         return mean, c, _gauss_matmul(xs, points, rhs)
 
     def _grad_from_sums(self, xs, cx, ew):
-        grad = self.eta * xs - 2.0 * self.L * (cx * ew[:, :1] - ew[:, 1:]) + 2.0 * self.alpha * cx
+        pair = cx * ew[..., :1] - ew[..., 1:]
+        grad = self.eta * xs - 2.0 * self.L * pair + 2.0 * self.alpha * cx
         if self.v1 is not _zero:
             grad += _rows(self.v1_grad, xs)
         return grad
@@ -297,7 +313,9 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     def _value_and_grad(self, points, weights):
         """F and D_m F at every atom from one O(N^2) pass of `_pair_sums`."""
         _, c, ew = self._pair_sums(points, weights)
-        value = float(self._value(points, weights, c, ew[:, 0]))
+        value = self._value(points, weights, c, ew[..., 0])
+        if points.ndim == 2:
+            value = float(value)
         return value, self._grad_from_sums(points, c, ew)
 
     def _eval_batch(self, points, weights):
@@ -317,7 +335,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
 
     def _grad(self, points, weights, xs):
         mean, _, ew = self._pair_sums(points, weights, xs)
-        return self._grad_from_sums(xs, xs - mean, ew)
+        return self._grad_from_sums(xs, xs - mean[..., None, :], ew)
 
     def _hess_mm(self, points, weights, xs, ys):
         return -self._w_hess(xs[:, None, :] - ys[None, :, :])
@@ -427,7 +445,8 @@ class ParametrizedEnergy(MeanFieldEnergy):
         return _wmean(weights, _rows(self.phi, points, 1))
 
     def _outer_grad(self, points, weights):
-        return np.atleast_1d(self.r_grad(self._feature_mean(points, weights)))
+        """grad R at int phi dmu, for one measure or a batch: (..., k)."""
+        return _rows(self.r_grad, self._feature_mean(points, weights), 1)
 
     def _eval_batch(self, points, weights):
         outer = _rows(self.r, self._feature_mean(points, weights))
@@ -440,7 +459,7 @@ class ParametrizedEnergy(MeanFieldEnergy):
     def _grad(self, points, weights, xs):
         jac = _rows(self.phi_jac, xs, 2)
         g = self._outer_grad(points, weights)
-        return self.base._grad(points, weights, xs) + np.sum(jac * g[:, None], axis=1)
+        return self.base._grad(points, weights, xs) + np.sum(jac * g[..., None, :, None], axis=-2)
 
     def _hess_mm(self, points, weights, xs, ys):
         h = np.atleast_2d(self.r_hess(self._feature_mean(points, weights)))
@@ -510,22 +529,38 @@ class ParticleSystem:
     def u_n(self, x) -> float:
         return self.N * self.energy._eval(self._check(x), self._w)
 
-    def u_n_batch(self, xs) -> np.ndarray:
-        """U_N at K configurations xs (K, N, d) from one `_eval_batch` pass: (K,)."""
+    def _check_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.shape[1:] != (self.N, self.d):
             expected = f"(K, {self.N}, {self.d})"
             raise ValueError(f"configuration batch shape {xs.shape}, expected {expected}")
-        return self.N * self.energy._eval_batch(xs, self._w)
+        return xs
+
+    def u_n_batch(self, xs) -> np.ndarray:
+        """U_N at K configurations xs (K, N, d) from one `_eval_batch` pass: (K,)."""
+        return self.N * self.energy._eval_batch(self._check_batch(xs), self._w)
 
     def grad_u_n(self, x) -> np.ndarray:
         """Gradient blocks; block i equals D_m F(mu_x, x_i)."""
         x = self._check(x)
         return self.energy._grad(x, self._w, x)
 
+    def grad_u_n_batch(self, xs) -> np.ndarray:
+        """grad U_N at K configurations xs (K, N, d) from one `_grad` pass:
+        (K, N, d), each configuration's gradient bit for bit its `grad_u_n`."""
+        xs = self._check_batch(xs)
+        return self.energy._grad(xs, self._w, xs)
+
     def u_n_and_grad(self, x) -> tuple[float, np.ndarray]:
         """(U_N, grad U_N) from one `_value_and_grad` pass of the energy."""
         f, grad = self.energy._value_and_grad(self._check(x), self._w)
+        return self.N * f, grad
+
+    def u_n_and_grad_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(U_N (K,), grad U_N (K, N, d)) at K configurations xs (K, N, d)
+        from one `_value_and_grad` pass, each configuration's pair bit for bit
+        its `u_n_and_grad`."""
+        f, grad = self.energy._value_and_grad(self._check_batch(xs), self._w)
         return self.N * f, grad
 
     def hess_u_n(self, x) -> np.ndarray:

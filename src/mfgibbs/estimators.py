@@ -275,12 +275,13 @@ def conditional_gap_mc(
 ) -> ConditionalGapResult:
     """Grid spectral gaps of the first particle's conditional law at frozen
     configurations sampled from the chain, each with its grid-convergence
-    flag."""
+    flag. The configurations come from replica 0 alone, so one chain runs
+    whatever `config.replicas` says; replica 0's stream does not depend on it."""
     if system.d != 1:
         raise ValueError("conditional gap oracle needs d = 1")
     traj = run_chain(
         system,
-        config,
+        dataclasses.replace(config, replicas=1),
         observables={f"c{j}": (lambda x, j=j: float(x[j, 0])) for j in range(system.N)},
     )
     n_rec = traj.steps.shape[0]

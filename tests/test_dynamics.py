@@ -4,11 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mfgibbs import dynamics
 from mfgibbs.dynamics import (
+    _GROUP_ENTRIES,
     _RNG_CHUNK,
     ChainState,
     SimConfig,
     Trajectory,
+    _initial_configuration,
+    _replica_groups,
+    _run_single_chain,
     default_observables,
     make_rng,
     mala_step,
@@ -337,6 +342,123 @@ class TestRunChain:
             SimConfig(step=0.1, n_steps=10, sampler="HMC")
         with pytest.raises(ValueError):
             SimConfig(step=float("nan"), n_steps=10)
+
+
+def _serial_replica(system, cfg, observables, r):
+    """Replica r of `cfg` run alone through the sequential loop: its records
+    by name and its acceptance rate."""
+    shape = (cfg.replicas, len(cfg.record_steps()))
+    values = {name: np.full(shape, np.nan) for name in observables}
+    rng = make_rng(cfg.seed, r)
+    x0 = _initial_configuration(system, cfg.initial, rng)
+    acc = _run_single_chain(system, cfg, rng, x0, observables, cfg.record_steps(), values, r)
+    return {name: v[r] for name, v in values.items()}, acc
+
+
+def _mean_square(x):
+    return float(np.mean(np.sum(x * x, axis=1)))
+
+
+def _assert_same_trajectory(a, b):
+    assert sorted(a.observables) == sorted(b.observables)
+    for name in a.observables:
+        np.testing.assert_array_equal(a.observables[name], b.observables[name])
+    assert np.array_equal(a.acceptance_rates, b.acceptance_rates, equal_nan=True)
+
+
+BATCH_SYSTEMS = {
+    "quadratic-d2": lambda: ParticleSystem(QuadraticMeanEnergy(0.3), 4, 2),
+    "kernel": lambda: ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 6, 1),
+    "ou-callables": lambda: ou_system(N=3),
+}
+
+
+class TestReplicaGroups:
+    """R >= 2 replicas move as (G, N, d) arrays; every replica is bit for bit
+    the sequential chain of (seed, r)."""
+
+    @pytest.mark.parametrize("name", list(BATCH_SYSTEMS))
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    def test_every_replica_equals_its_serial_chain(self, sampler, name):
+        # records 4087, 4090, ..., 4114 straddle the first chunk end; one
+        # group of all five replicas
+        system = BATCH_SYSTEMS[name]()
+        cfg = SimConfig(
+            step=0.05, n_steps=_RNG_CHUNK + 20, burn_in=_RNG_CHUNK - 10, thin=3,
+            replicas=5, seed=23, sampler=sampler, initial=("gaussian", 1.0),
+        )
+        assert len(_replica_groups(5, _RNG_CHUNK * system.N * system.d)) == 1
+        observables = dict(default_observables(system), m2=_mean_square)
+        traj = run_chain(system, cfg, observables)
+        assert traj.steps[0] < _RNG_CHUNK < traj.steps[-1]
+        for r in range(cfg.replicas):
+            records, acc = _serial_replica(system, cfg, observables, r)
+            for obs in observables:
+                np.testing.assert_array_equal(traj.observables[obs][r], records[obs])
+            assert np.array_equal(traj.acceptance_rates[r], acc, equal_nan=True)
+
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    def test_group_budget_does_not_change_the_trajectory(self, sampler, monkeypatch):
+        system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 5, 2)
+        cfg = SimConfig(
+            step=0.05, n_steps=300, burn_in=7, thin=2, replicas=5, seed=31,
+            sampler=sampler, initial=("gaussian", 2.0),
+        )
+        per_replica = cfg.n_steps * system.N * system.d
+        observables = dict(default_observables(system), m2=_mean_square)
+        runs = []
+        for size in (1, 2, 5):
+            monkeypatch.setattr(dynamics, "_GROUP_ENTRIES", size * per_replica)
+            assert max(len(g) for g in _replica_groups(cfg.replicas, per_replica)) == size
+            runs.append(run_chain(system, cfg, observables))
+        for traj in runs[1:]:
+            _assert_same_trajectory(runs[0], traj)
+
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 16, 17, 4000])
+    @pytest.mark.parametrize("per_replica", [1, 250, 52_000, _GROUP_ENTRIES, _GROUP_ENTRIES + 1])
+    def test_groups_cover_the_replicas_within_the_budget(self, replicas, per_replica):
+        groups = _replica_groups(replicas, per_replica)
+        assert [r for g in groups for r in g] == list(range(replicas))
+        sizes = [len(g) for g in groups]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        if per_replica > _GROUP_ENTRIES:
+            assert sizes == [1] * replicas
+        else:
+            assert max(sizes) * per_replica <= _GROUP_ENTRIES
+            # as few groups as the budget allows
+            assert len(groups) == -(-replicas // (_GROUP_ENTRIES // per_replica))
+
+    @pytest.mark.parametrize("group_size", [2, 6])
+    @pytest.mark.parametrize("seed", [24, 37])
+    def test_blow_up_reports_the_serial_replica_and_step(self, seed, group_size, monkeypatch):
+        # stable inside |x| < 6, pushed out beyond: replica 0 never blows up,
+        # and a higher replica blows up at an earlier step than the lowest
+        # one that does. The report is the lowest one, at its own step.
+        energy = LinearPotentialEnergy(
+            v=lambda x: 0.0,
+            v_grad=lambda x: x if abs(x[0]) < 6.0 else -x,
+            v_hess=lambda x: np.eye(1),
+        )
+        system = ParticleSystem(energy, 1, 1)
+        cfg = SimConfig(
+            step=0.1, n_steps=300, replicas=6, seed=seed, sampler="ULA",
+            initial=("gaussian", 4.0),
+        )
+        observables = {"x": lambda x: float(x[0, 0])}
+        serial = {}
+        for r in range(cfg.replicas):
+            try:
+                _serial_replica(system, cfg, observables, r)
+            except BlowUpError as exc:
+                assert exc.replica == r
+                serial[r] = exc.step
+        lowest = min(serial)
+        assert 0 not in serial and any(serial[r] < serial[lowest] for r in serial if r > lowest)
+        monkeypatch.setattr(dynamics, "_GROUP_ENTRIES", group_size * cfg.n_steps)
+        with pytest.raises(BlowUpError) as exc:
+            run_chain(system, cfg, observables)
+        assert (exc.value.replica, exc.value.step) == (lowest, serial[lowest])
+        assert str(exc.value) == f"blow-up at step {serial[lowest]}"
 
 
 class TestTrajectoryCsv:

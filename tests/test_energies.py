@@ -613,3 +613,47 @@ class TestParticleSystem:
             system = ParticleSystem(e, 5, 2)
             xs = rng.normal(size=(4, 5, 2))
             np.testing.assert_array_equal(system.u_n_batch(xs), [system.u_n(x) for x in xs])
+
+
+class TestBatchedGradients:
+    """`_value_and_grad` and `_grad` at the atoms of G configurations (G, N, d)
+    with shared weights equal each configuration taken alone, bit for bit,
+    and so do their `ParticleSystem` lifts. N=200 takes `_gauss_within`'s
+    blocks of one configuration, N=300 its per-slice row blocks."""
+
+    G = 4
+
+    @pytest.mark.parametrize("N", [1, 7, 200, 300])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
+    def test_batch_equals_per_configuration_loop(self, name, d, N):
+        e = ARRAY_ENERGIES[name][0]()
+        per = _BLOCK_ENTRIES // (N * N)
+        assert N < 200 or per == (1 if N == 200 else 0)
+        rng = np.random.default_rng(N + 10 * d)
+        xs = rng.normal(size=(self.G, N, d)) * 1.5
+        w = _unit_weights(rng, N)
+        values, grads = e._value_and_grad(xs, w)
+        assert values.shape == (self.G,) and grads.shape == xs.shape
+        np.testing.assert_array_equal(e._grad(xs, w, xs), grads)
+        for x, value, grad in zip(xs, values, grads):
+            one_value, one_grad = e._value_and_grad(x, w)
+            assert type(one_value) is float and one_value == value
+            np.testing.assert_array_equal(one_grad, grad)
+            np.testing.assert_array_equal(e._grad(x, w, x), grad)
+
+        system = ParticleSystem(e, N, d)
+        u, grad_u = system.u_n_and_grad_batch(xs)
+        np.testing.assert_array_equal(system.grad_u_n_batch(xs), grad_u)
+        np.testing.assert_array_equal(system.u_n_batch(xs), u)
+        for x, value, grad in zip(xs, u, grad_u):
+            one_value, one_grad = system.u_n_and_grad(x)
+            assert one_value == value
+            np.testing.assert_array_equal(one_grad, grad)
+            np.testing.assert_array_equal(system.grad_u_n(x), grad)
+
+    def test_batch_shape_checked(self):
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 2, 1)
+        for lift in (system.grad_u_n_batch, system.u_n_and_grad_batch):
+            with pytest.raises(ValueError, match="configuration batch shape"):
+                lift(np.zeros((3, 2, 2)))

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mfgibbs import estimators
 from mfgibbs.dynamics import SimConfig, Trajectory, run_chain
 from mfgibbs.energies import (
     LinearPotentialEnergy,
@@ -279,6 +281,27 @@ class TestConditionalGapMc:
         )
         res = conditional_gap_mc(system, cfg, n_frozen=4, claimed_rho_N=1.5)
         assert res.passed is False
+
+    def test_runs_replica_zero_alone(self, monkeypatch):
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 5, 1)
+        cfg = SimConfig(step=0.1, n_steps=600, burn_in=100, thin=10, replicas=1, seed=10)
+        one = conditional_gap_mc(system, cfg, n_frozen=3, claimed_rho_N=0.9)
+        chains = []
+
+        def counted(system, config, observables=None):
+            chains.append(config.replicas)
+            return run_chain(system, config, observables)
+
+        monkeypatch.setattr(estimators, "run_chain", counted)
+        three = conditional_gap_mc(
+            system, dataclasses.replace(cfg, replicas=3), n_frozen=3, claimed_rho_N=0.9
+        )
+        assert chains == [1]
+        np.testing.assert_array_equal(three.gaps, one.gaps)
+        np.testing.assert_array_equal(three.converged, one.converged)
+        assert (three.minimum, three.median, three.spread, three.passed) == (
+            one.minimum, one.median, one.spread, one.passed
+        )
 
     def test_requires_d1(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 4, 2)
