@@ -31,8 +31,9 @@ BLOWUP_THRESHOLD = 1e8
 
 SAMPLERS = ("ULA", "MALA")
 
-#: Steps per draw of noise and uniforms; also the largest block of recorded
-#: states the chain buffers, and of records `Trajectory.to_csv` formats at once.
+#: Steps per draw of noise and uniforms. The states recorded within a chunk
+#: wait in its spent noise slots and are evaluated as one block after it;
+#: `Trajectory.to_csv` formats records in blocks of this size too.
 _RNG_CHUNK = 4096
 
 #: Entries of the (G, chunk, N, d) noise buffer of one replica group, 2 MB:
@@ -82,31 +83,15 @@ def make_rng(seed: int, replica: int = 0) -> np.random.Generator:
 
 def _move(x, grad, h, kick):
     """The ULA move x - h grad + kick, kick = sqrt(2h) noise, also the MALA
-    proposal, of one configuration (N, d) or a batch (G, N, d); with whether
-    each moved configuration stays below BLOWUP_THRESHOLD. NaN compares
-    false, so a non-finite move blows up too."""
+    proposal, of one configuration (N, d) or a batch (G, N, d); with the
+    index of the first moved configuration at or above BLOWUP_THRESHOLD, or
+    None. NaN compares false, so a non-finite move blows up too."""
     y = x - h * grad + kick
     if y.ndim == 2:
-        return y, np.maximum.reduce(np.abs(y), axis=None) < BLOWUP_THRESHOLD
-    return y, np.maximum.reduce(np.abs(y).reshape(len(y), -1), axis=1) < BLOWUP_THRESHOLD
-
-
-def _ula_update(x, grad, h, kick, step, replica) -> np.ndarray:
-    """The ULA move numbered `step` of one configuration; raises on a blow-up."""
-    y, ok = _move(x, grad, h, kick)
-    if not ok:
-        raise BlowUpError(f"blow-up at step {step}", step=step, replica=replica)
-    return y
-
-
-def _mala_update(system, x, grad_x, u_x, h, kick, log_u, step, replica):
-    """ULA proposal from x (with grad U_N and U_N cached there), accepted
-    when log_u < log alpha. Returns (x, grad_x, u_x, accepted) after the move."""
-    y = _ula_update(x, grad_x, h, kick, step, replica)
-    u_y, grad_y = system.u_n_and_grad(y)
-    if log_u < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
-        return y, grad_y, u_y, True
-    return x, grad_x, u_x, False
+        return y, None if np.maximum.reduce(np.abs(y), axis=None) < BLOWUP_THRESHOLD else 0
+    ok = np.maximum.reduce(np.abs(y).reshape(len(y), -1), axis=1) < BLOWUP_THRESHOLD
+    first = int(np.argmin(ok))
+    return y, None if ok[first] else first
 
 
 def _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
@@ -125,21 +110,29 @@ def _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
     return u_x - u_y + (-sq_back) / (4.0 * h) - (-sq_fwd) / (4.0 * h)
 
 
-def _start(system: ParticleSystem, state: ChainState, h: float) -> np.ndarray:
-    """The configuration of `state`, checked, for one public step."""
+def _start(system: ParticleSystem, state: ChainState, h: float, rng) -> tuple:
+    """The configuration of `state`, checked, and the kick sqrt(2h) xi of one
+    public step."""
     if not h > 0:
         raise ValueError("step must be positive")
-    return system._check(state.configuration)
+    x = system._check(state.configuration)
+    return x, math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
+
+
+def _public_move(x, grad, h, kick, step) -> np.ndarray:
+    """The move numbered `step` of one public step; raises on a blow-up."""
+    y, bad = _move(x, grad, h, kick)
+    if bad is not None:
+        raise BlowUpError(f"blow-up at step {step}", step=step)
+    return y
 
 
 def ula_step(
     system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
 ) -> ChainState:
     """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
-    x = _start(system, state, h)
-    grad = system.grad_u_n(x)
-    kick = math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
-    y = _ula_update(x, grad, h, kick, state.step_index + 1, None)
+    x, kick = _start(system, state, h, rng)
+    y = _public_move(x, system.grad_u_n(x), h, kick, state.step_index + 1)
     return ChainState(y, state.step_index + 1, state.acceptance_count)
 
 
@@ -147,13 +140,14 @@ def mala_step(
     system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
 ) -> ChainState:
     """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N."""
-    x = _start(system, state, h)
-    kick, log_u = math.sqrt(2.0 * h) * rng.standard_normal(x.shape), np.log(rng.uniform())
+    x, kick = _start(system, state, h, rng)
+    log_u = np.log(rng.uniform())
     u_x, grad_x = system.u_n_and_grad(x)
-    x, _, _, accepted = _mala_update(
-        system, x, grad_x, u_x, h, kick, log_u, state.step_index + 1, None
-    )
-    return ChainState(x, state.step_index + 1, state.acceptance_count + accepted)
+    y = _public_move(x, grad_x, h, kick, state.step_index + 1)
+    u_y, grad_y = system.u_n_and_grad(y)
+    if log_u < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
+        return ChainState(y, state.step_index + 1, state.acceptance_count + 1)
+    return ChainState(x, state.step_index + 1, state.acceptance_count)
 
 
 @dataclass
@@ -193,73 +187,36 @@ class Trajectory:
                     ]))
 
 
-def _run_single_chain(
-    system, config, rng, x0, observables, record_steps, values, replica
-) -> float:
-    """Sequential chain through the ula_step / mala_step transitions, with
-    noise and uniforms drawn in chunks of _RNG_CHUNK steps. The recorded
-    states of a chunk (with U_N under MALA) are buffered, and the observables
-    are evaluated on that block after the chunk: no callback runs per step."""
-    h = config.step
-    mala = config.sampler == "MALA"
-    x = np.array(x0, dtype=float)
-    if mala:
-        u_x, grad_x = system.u_n_and_grad(x)
-    accepted = 0
-    record = record_steps.tolist() + [0]  # the 0 sentinel is never reached
-    k = 0
-    states = np.empty((min(_RNG_CHUNK, len(record_steps)), system.N, system.d))
-    u_cached = np.empty(len(states)) if mala else None
-    s = 0
-    while s < config.n_steps:
-        chunk = min(_RNG_CHUNK, config.n_steps - s)
-        kicks = rng.standard_normal((chunk, system.N, system.d))
-        kicks *= math.sqrt(2.0 * h)
-        log_u = np.log(rng.uniform(size=chunk)).tolist() if mala else None
-        k0 = k
-        for c in range(chunk):
-            s += 1
-            if mala:
-                x, grad_x, u_x, acc = _mala_update(
-                    system, x, grad_x, u_x, h, kicks[c], log_u[c], s, replica
-                )
-                accepted += acc
-            else:
-                x = _ula_update(x, system.grad_u_n(x), h, kicks[c], s, replica)
-            if s == record[k]:
-                states[k - k0] = x
-                if mala:
-                    u_cached[k - k0] = u_x
-                k += 1
-        if k > k0:
-            n = k - k0
-            u_block = u_cached[:n] if mala else None
-            out = {name: v[replica, k0:k] for name, v in values.items()}
-            _record(observables, states[:n], u_block, out)
-    return accepted / config.n_steps if mala else np.nan
-
-
-def _run_group(system, config, replicas, observables, record_steps, values) -> np.ndarray:
-    """The replicas of the range `replicas` moved as one (G, N, d) array per
-    step. Replica r draws from make_rng(seed, r) what its sequential chain
-    draws, per chunk of _RNG_CHUNK steps its noise and then its uniforms,
-    into a (G, chunk, N, d) buffer, and MALA accepts each replica on its
-    own: each replica's records and acceptance rate are bit for bit those
-    of `_run_single_chain`. At each recorded step the built-in observables
-    take the group's states as their block; any other callable is called
-    once per replica. A replica that blows up cuts the group to the
-    replicas below it, which run on; when the group ends, the lowest one
-    that blew up is raised at its own step, as the sequential loop reports.
-    Returns the acceptance rates (G,), NaN for ULA."""
+def _run_group(system, config, replicas, observables, record_steps, values):
+    """The replicas of the range `replicas` as one chain loop: a group of one
+    carries its state as (N, d) and takes the one-configuration energy
+    calls, a larger group carries (G, N, d) and takes their batch forms.
+    Replica r draws from make_rng(seed, r), per chunk of _RNG_CHUNK steps,
+    its noise and then its uniforms into its row of a (G, chunk, N, d)
+    buffer, and MALA accepts each replica on its own: each replica's records
+    and acceptance rate are bit for bit those of its chain run alone. Record
+    j of a chunk waits in the noise slot of step j, already spent, and with
+    U_N under MALA in the uniform's slot; after the chunk the built-in
+    observables take the group's recorded states as one block, and any other
+    callable is called once per replica and recorded state. A replica that
+    blows up cuts the group to the replicas below it, which run on; when the
+    group ends, the lowest one that blew up is raised at its own step, as
+    its chain alone reports. Returns the acceptance rates, NaN for ULA."""
     h = config.step
     mala = config.sampler == "MALA"
     rngs = [make_rng(config.seed, r) for r in replicas]
     x = np.stack([_initial_configuration(system, config.initial, rng) for rng in rngs])
     live = len(rngs)
-    u_x = None
+    one = live == 1
+    rows = 0 if one else slice(0, live)  # a group of one drops the group axis
+    x = x[rows]
+    if one:
+        u_and_grad, grad_u, accepted = system.u_n_and_grad, system.grad_u_n, 0
+    else:
+        u_and_grad, grad_u = system.u_n_and_grad_batch, system.grad_u_n_batch
+        accepted = np.zeros(live, dtype=np.int64)
     if mala:
-        u_x, grad_x = system.u_n_and_grad_batch(x)
-    accepted = np.zeros(live, dtype=np.int64)
+        u_x, grad_x = u_and_grad(x)
     blown = None
     record = record_steps.tolist() + [0]  # the 0 sentinel is never reached
     k = 0
@@ -273,50 +230,61 @@ def _run_group(system, config, replicas, observables, record_steps, values) -> n
             if mala:
                 log_u[i, :chunk] = np.log(rngs[i].uniform(size=chunk))
         kicks[:live, :chunk] *= math.sqrt(2.0 * h)
+        k0 = k
         for c in range(chunk):
             s += 1
-            y, ok = _move(x, grad_x if mala else system.grad_u_n_batch(x), h, kicks[:live, c])
-            if not ok.all():
-                live = int(np.argmin(ok))
-                blown = BlowUpError(
-                    f"blow-up at step {s}", step=s, replica=replicas.start + live
-                )
-                if live == 0:
+            y, bad = _move(x, grad_x if mala else grad_u(x), h, kicks[rows, c])
+            if bad is not None:
+                blown = BlowUpError(f"blow-up at step {s}", step=s, replica=replicas.start + bad)
+                if bad == 0:
                     raise blown
-                x, y = x[:live], y[:live]
+                live, rows = bad, slice(0, bad)
+                x, y = x[rows], y[rows]
                 if mala:
-                    u_x, grad_x = u_x[:live], grad_x[:live]
+                    u_x, grad_x = u_x[rows], grad_x[rows]
             if mala:
-                u_y, grad_y = system.u_n_and_grad_batch(y)
-                acc = log_u[:live, c] < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h)
-                accepted[:live] += acc
-                moved = acc[:, None, None]
-                x, grad_x = np.where(moved, y, x), np.where(moved, grad_y, grad_x)
-                u_x = np.where(acc, u_y, u_x)
+                u_y, grad_y = u_and_grad(y)
+                acc = log_u[rows, c] < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h)
+                if one:
+                    if acc:
+                        x, grad_x, u_x = y, grad_y, u_y
+                        accepted += 1
+                else:
+                    accepted[rows] += acc
+                    moved = acc[:, None, None]
+                    x, grad_x = np.where(moved, y, x), np.where(moved, grad_y, grad_x)
+                    u_x = np.where(acc, u_y, u_x)
             else:
                 x = y
             if s == record[k]:
-                rows = slice(replicas.start, replicas.start + live)
-                _record(observables, x, u_x, {name: v[rows, k] for name, v in values.items()})
+                kicks[rows, k - k0] = x
+                if mala:
+                    log_u[rows, k - k0] = u_x
                 k += 1
+        if k > k0:
+            n = k - k0
+            states = kicks[rows, :n].reshape(-1, system.N, system.d)
+            u_block = log_u[rows, :n].reshape(-1) if mala else None
+            out = slice(replicas.start, replicas.start + live), slice(k0, k)
+            for name, block in _record(observables, states, u_block).items():
+                values[name][out] = np.reshape(block, (live, n))
     if blown is not None:
         raise blown
-    return accepted / config.n_steps if mala else np.full(len(rngs), np.nan)
+    return accepted / config.n_steps if mala else np.nan
 
 
-def _record(observables, states, u_n, out):
-    """Observables of a block of recorded states (K, N, d) into the (K,)
-    views out[name]: built-ins as array expressions over the block, any
-    other callable once per state, in block order."""
-    per_state = []
-    for name, fn in observables.items():
-        if isinstance(fn, _Observable):
-            out[name][:] = fn.block(states, u_n)
-        else:
-            per_state.append((name, fn))
+def _record(observables, states, u_n) -> dict:
+    """Observables of a block of recorded states (K, N, d), K values each:
+    built-ins as array expressions over the block, any other callable once
+    per state, in block order."""
+    out = {name: fn.block(states, u_n) for name, fn in observables.items()
+           if isinstance(fn, _Observable)}
+    per_state = [(name, fn) for name, fn in observables.items() if name not in out]
+    out.update((name, np.empty(len(states))) for name, _ in per_state)
     for j, x in enumerate(states):
         for name, fn in per_state:
             out[name][j] = fn(x)
+    return out
 
 
 def _replica_groups(replicas: int, per_replica: int) -> list[range]:
@@ -377,28 +345,19 @@ def run_chain(
     """Run `config.replicas` independent chains and record observables
     every `thin` steps after burn-in. Deterministic given (seed, replica):
     replica r's records are the same whatever the replica count. Replicas
-    run in groups whose noise buffer fits in _GROUP_ENTRIES, each group as
-    one array (`_run_group`); a group of one, R=1 among them, is the
-    sequential chain. A blow-up raises BlowUpError for the lowest replica
-    that blows up, at its own step."""
+    run in groups whose noise buffer fits in _GROUP_ENTRIES, every group,
+    R=1's group of one included, through the one loop `_run_group`. A
+    blow-up raises BlowUpError for the lowest replica that blows up, at its
+    own step."""
     if observables is None:
         observables = default_observables(system)
     record_steps = config.record_steps()
-    n_rec = len(record_steps)
-    values = {name: np.empty((config.replicas, n_rec)) for name in observables}
-    acc = np.full(config.replicas, np.nan)
+    values = {name: np.empty((config.replicas, len(record_steps))) for name in observables}
+    acc = np.empty(config.replicas)
     chunk = min(_RNG_CHUNK, config.n_steps)
     for group in _replica_groups(config.replicas, chunk * system.N * system.d):
-        if len(group) > 1:
-            acc[group.start : group.stop] = _run_group(
-                system, config, group, observables, record_steps, values
-            )
-            continue
-        r = group.start
-        rng = make_rng(config.seed, r)
-        x0 = _initial_configuration(system, config.initial, rng)
-        acc[r] = _run_single_chain(
-            system, config, rng, x0, observables, record_steps, values, r
+        acc[group.start : group.stop] = _run_group(
+            system, config, group, observables, record_steps, values
         )
     return Trajectory(
         step=config.step,

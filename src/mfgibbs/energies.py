@@ -121,10 +121,11 @@ def _row(x) -> np.ndarray:
 
 def _rows(fn, xs, ndmin=0) -> np.ndarray:
     """A per-point callable evaluated once at every row of xs (..., d):
-    shape (...) followed by the shape of its value."""
-    flat = xs.reshape(-1, xs.shape[-1])
-    vals = np.stack([np.array(fn(x), dtype=float, ndmin=ndmin) for x in flat])
-    return vals.reshape(xs.shape[:-1] + vals.shape[1:])
+    shape (...) followed by the shape of its value, which gains leading ones
+    up to `ndmin` axes, as np.array(value, ndmin=ndmin)."""
+    vals = np.array([fn(x) for x in xs.reshape(-1, xs.shape[-1])], dtype=float)
+    pad = (1,) * (ndmin + 1 - vals.ndim)
+    return vals.reshape(xs.shape[:-1] + pad + vals.shape[1:])
 
 
 # The weighted sums over atoms below are one vector product per measure, so

@@ -12,8 +12,8 @@ from mfgibbs.dynamics import (
     SimConfig,
     Trajectory,
     _initial_configuration,
+    _Observable,
     _replica_groups,
-    _run_single_chain,
     default_observables,
     make_rng,
     mala_step,
@@ -41,16 +41,18 @@ def ou_system(kappa=1.0, N=1):
 
 
 class _Replay:
-    """Stub generator replaying a chain's draws in its order: per chunk of
-    _RNG_CHUNK steps all normals, then (MALA only) all uniforms."""
+    """Stub generator replaying replica r's draws of `cfg` in its order: its
+    initial configuration `x0`, then per chunk of _RNG_CHUNK steps all
+    normals, then (MALA only) all uniforms."""
 
-    def __init__(self, seed, n_steps, shape, mala):
-        rng = make_rng(seed, 0)
+    def __init__(self, system, cfg, replica=0):
+        rng = make_rng(cfg.seed, replica)
+        self.x0 = _initial_configuration(system, cfg.initial, rng)
         self.noise, self.unifs = [], []
-        for start in range(0, n_steps, _RNG_CHUNK):
-            chunk = min(_RNG_CHUNK, n_steps - start)
-            self.noise.extend(rng.standard_normal((chunk, *shape)))
-            if mala:
+        for start in range(0, cfg.n_steps, _RNG_CHUNK):
+            chunk = min(_RNG_CHUNK, cfg.n_steps - start)
+            self.noise.extend(rng.standard_normal((chunk, system.N, system.d)))
+            if cfg.sampler == "MALA":
                 self.unifs.extend(rng.uniform(size=chunk))
         self.k = 0
 
@@ -69,13 +71,12 @@ def _assert_chain_replays_steps(sampler, system=None):
     for bit; the run crosses a noise-chunk boundary."""
     if system is None:
         system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
-    shape = (system.N, system.d)
     n_steps, h = _RNG_CHUNK + 4, 0.05
     cfg = SimConfig(step=h, n_steps=n_steps, replicas=1, seed=9, sampler=sampler)
     traj = run_chain(system, cfg, observables={"x1": lambda x: x[0, 0]})
     step = mala_step if sampler == "MALA" else ula_step
-    replay = _Replay(9, n_steps, shape, sampler == "MALA")
-    state = ChainState(np.zeros(shape))
+    replay = _Replay(system, cfg)
+    state = ChainState(replay.x0)
     ref = []
     for _ in range(n_steps):
         state = step(system, state, h, replay)
@@ -345,14 +346,29 @@ class TestRunChain:
 
 
 def _serial_replica(system, cfg, observables, r):
-    """Replica r of `cfg` run alone through the sequential loop: its records
-    by name and its acceptance rate."""
-    shape = (cfg.replicas, len(cfg.record_steps()))
-    values = {name: np.full(shape, np.nan) for name in observables}
-    rng = make_rng(cfg.seed, r)
-    x0 = _initial_configuration(system, cfg.initial, rng)
-    acc = _run_single_chain(system, cfg, rng, x0, observables, cfg.record_steps(), values, r)
-    return {name: v[r] for name, v in values.items()}, acc
+    """Replica r of `cfg` replayed alone through the public step function on
+    its own draws: its records by name and its acceptance rate. A built-in
+    observable takes the recorded state as a block of one, with its U_N
+    under MALA, as the chain holds it."""
+    mala = cfg.sampler == "MALA"
+    step = mala_step if mala else ula_step
+    replay = _Replay(system, cfg, r)
+    state = ChainState(replay.x0)
+    recorded = set(cfg.record_steps().tolist())
+    records = {name: [] for name in observables}
+    while state.step_index < cfg.n_steps:
+        try:
+            state = step(system, state, cfg.step, replay)
+        except BlowUpError as exc:
+            raise BlowUpError(str(exc), step=exc.step, replica=r) from exc
+        if state.step_index in recorded:
+            x = state.configuration
+            u_n = np.array([system.u_n_and_grad(x)[0]]) if mala else None
+            for name, fn in observables.items():
+                block = isinstance(fn, _Observable)
+                records[name].append(fn.block(x[None], u_n)[0] if block else fn(x))
+    acc = state.acceptance_count / cfg.n_steps if mala else np.nan
+    return {name: np.array(v) for name, v in records.items()}, acc
 
 
 def _mean_square(x):
@@ -375,7 +391,7 @@ BATCH_SYSTEMS = {
 
 class TestReplicaGroups:
     """R >= 2 replicas move as (G, N, d) arrays; every replica is bit for bit
-    the sequential chain of (seed, r)."""
+    the public step function replayed on the draws of (seed, r)."""
 
     @pytest.mark.parametrize("name", list(BATCH_SYSTEMS))
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
@@ -459,6 +475,60 @@ class TestReplicaGroups:
             run_chain(system, cfg, observables)
         assert (exc.value.replica, exc.value.step) == (lowest, serial[lowest])
         assert str(exc.value) == f"blow-up at step {serial[lowest]}"
+
+    @pytest.mark.parametrize("group_size", [1, 6])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_non_finite_move_reports_the_serial_replica_and_step(
+        self, seed, group_size, monkeypatch
+    ):
+        # the gradient is NaN beyond |x| = 3, so the move from there is NaN,
+        # which `_move` counts as a blow-up; a higher replica blows up at an
+        # earlier step than the lowest one that does
+        energy = LinearPotentialEnergy(
+            v=lambda x: 0.5 * float(x @ x),
+            v_grad=lambda x: x if abs(x[0]) <= 3.0 else np.full_like(x, np.nan),
+            v_hess=lambda x: np.eye(1),
+        )
+        system = ParticleSystem(energy, 1, 1)
+        cfg = SimConfig(
+            step=0.1, n_steps=300, replicas=6, seed=seed, sampler="ULA",
+            initial=("gaussian", 1.0),
+        )
+        observables = {"x": lambda x: float(x[0, 0])}
+        serial = {}
+        for r in range(cfg.replicas):
+            try:
+                _serial_replica(system, cfg, observables, r)
+            except BlowUpError as exc:
+                serial[r] = exc.step
+        lowest = min(serial)
+        assert any(serial[r] < serial[lowest] for r in serial if r > lowest)
+        monkeypatch.setattr(dynamics, "_GROUP_ENTRIES", group_size * cfg.n_steps)
+        with pytest.raises(BlowUpError) as exc:
+            run_chain(system, cfg, observables)
+        assert (exc.value.replica, exc.value.step) == (lowest, serial[lowest])
+
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    def test_group_calls_each_builtin_block_once_per_chunk(self, sampler):
+        # three chunks, each with records, one group of three replicas
+        system = ParticleSystem(QuadraticMeanEnergy(0.3), 3, 1)
+        cfg = SimConfig(
+            step=0.05, n_steps=2 * _RNG_CHUNK + 5, thin=2, replicas=3, seed=5, sampler=sampler
+        )
+        assert len(_replica_groups(3, _RNG_CHUNK * system.N * system.d)) == 1
+        calls = {}
+
+        def counted(name, obs):
+            def block(states, u_n):
+                calls[name] = calls.get(name, 0) + 1
+                return obs.block(states, u_n)
+
+            return _Observable(block)
+
+        builtins = default_observables(system)
+        traj = run_chain(system, cfg, {name: counted(name, obs) for name, obs in builtins.items()})
+        assert calls == {name: 3 for name in builtins}
+        _assert_same_trajectory(traj, run_chain(system, cfg))
 
 
 class TestTrajectoryCsv:

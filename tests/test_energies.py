@@ -243,11 +243,28 @@ def _curved_features():
     )
 
 
+def _scalar_feature():
+    """Parametrized energy with the one feature |x|^2, returned as a Python
+    float, and its Jacobian as a (d,) vector: `_rows` pads both to one
+    feature axis (ndmin=1 and ndmin=2), and so R's gradient, a float too."""
+    return ParametrizedEnergy(
+        base=_sine_linear(),
+        phi=lambda x: float(x @ x),
+        phi_jac=lambda x: 2.0 * x,
+        phi_hess=lambda x: 2.0 * np.eye(len(x))[None],
+        r=lambda m: 0.5 * float(m @ m),
+        r_grad=lambda m: float(m[0]),
+        r_hess=lambda m: 1.0,
+        r_hess_bound=1.0,
+    )
+
+
 ARRAY_ENERGIES = {
     "quadratic": (lambda: QuadraticMeanEnergy(0.5), True),
     "linear": (_sine_linear, True),
     "parametrized": (lambda: quadratic_as_parametrized(0.5), True),
     "curved-features": (_curved_features, True),
+    "scalar-feature": (_scalar_feature, True),
     "kernel": (lambda: PairwiseKernelEnergy(1.0, 1.0, 0.05), False),
     "kernel-v1=cos": (_cos_perturbed_kernel, False),
 }
