@@ -40,6 +40,10 @@ _RNG_CHUNK = 4096
 #: it sets how many replicas `run_chain` moves as one array.
 _GROUP_ENTRIES = 2**18
 
+#: Entries of that buffer squared at once for MALA's |kick|^2, 128 kB: it
+#: bounds the temporary of squares beside the buffer.
+_SQUARE_ENTRIES = 2**14
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -81,12 +85,13 @@ def make_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _move(x, grad, h, kick):
-    """The ULA move x - h grad + kick, kick = sqrt(2h) noise, also the MALA
-    proposal, of one configuration (N, d) or a batch (G, N, d); with the
-    index of the first moved configuration at or above BLOWUP_THRESHOLD, or
-    None. NaN compares false, so a non-finite move blows up too."""
-    y = x - h * grad + kick
+def _move(x, hg, kick):
+    """The ULA move x - h grad U_N(x) + kick, kick = sqrt(2h) xi, also the
+    MALA proposal, from hg = h grad U_N(x), of one configuration (N, d) or a
+    batch (G, N, d); with the index of the first moved configuration at or
+    above BLOWUP_THRESHOLD, or None. NaN compares false, so a non-finite move
+    blows up too."""
+    y = x - hg + kick
     if y.ndim == 2:
         return y, None if np.maximum.reduce(np.abs(y), axis=None) < BLOWUP_THRESHOLD else 0
     ok = np.maximum.reduce(np.abs(y).reshape(len(y), -1), axis=1) < BLOWUP_THRESHOLD
@@ -94,20 +99,25 @@ def _move(x, grad, h, kick):
     return y, None if ok[first] else first
 
 
-def _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
-    """log of the MALA acceptance ratio of the ULA proposal y from x:
-    u_x - u_y + log q(y -> x) - log q(x -> y), where the proposal's log
-    density, up to the normalization both directions share, is
-    log q(a -> b) = -|b - a + h grad U_N(a)|^2 / (4h). A float for one
-    configuration (N, d), one value per configuration for a batch (G, N, d)."""
-    back, fwd = x - y + h * grad_y, y - x + h * grad_x
-    if back.ndim == 2:
-        sq_back = float(np.add.reduce(back * back, axis=None))
-        sq_fwd = float(np.add.reduce(fwd * fwd, axis=None))
-    else:
-        sq_back = np.add.reduce((back * back).reshape(len(back), -1), axis=1)
-        sq_fwd = np.add.reduce((fwd * fwd).reshape(len(fwd), -1), axis=1)
-    return u_x - u_y + (-sq_back) / (4.0 * h) - (-sq_fwd) / (4.0 * h)
+def _sq_norms(a):
+    """|a|^2 over the last two axes (N, d) of a: a scalar for one
+    configuration, one value per configuration for any leading axes. A
+    configuration's value is bit for bit the same in any batch."""
+    return np.add.reduce(a * a, axis=(-2, -1))
+
+
+def _mala_log_alpha(u_x, u_y, hg_x, hg_y, kick, kick_sq, h):
+    """log of the MALA acceptance ratio of the proposal y = x - hg_x + kick
+    from x, hg = h grad U_N at x or y, kick = sqrt(2h) xi and kick_sq =
+    |kick|^2: u_x - u_y + log q(y -> x) - log q(x -> y), where the proposal's
+    log density, up to the normalization both directions share, is
+    log q(a -> b) = -|b - a + h grad U_N(a)|^2 / (4h). The forward residual
+    y - x + hg_x is the kick, and the backward one x - y + hg_y is
+    hg_x + hg_y - kick, so
+    log alpha = u_x - u_y + (|kick|^2 - |hg_x + hg_y - kick|^2) / (4h).
+    A scalar for one configuration (N, d), one value per configuration for a
+    batch (G, N, d)."""
+    return u_x - u_y + (kick_sq - _sq_norms(hg_x + hg_y - kick)) / (4.0 * h)
 
 
 def _start(system: ParticleSystem, state: ChainState, h: float, rng) -> tuple:
@@ -119,9 +129,9 @@ def _start(system: ParticleSystem, state: ChainState, h: float, rng) -> tuple:
     return x, math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
 
 
-def _public_move(x, grad, h, kick, step) -> np.ndarray:
+def _public_move(x, hg, kick, step) -> np.ndarray:
     """The move numbered `step` of one public step; raises on a blow-up."""
-    y, bad = _move(x, grad, h, kick)
+    y, bad = _move(x, hg, kick)
     if bad is not None:
         raise BlowUpError(f"blow-up at step {step}", step=step)
     return y
@@ -132,20 +142,23 @@ def ula_step(
 ) -> ChainState:
     """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
     x, kick = _start(system, state, h, rng)
-    y = _public_move(x, system.grad_u_n(x), h, kick, state.step_index + 1)
+    y = _public_move(x, h * system._grad_u_n(x), kick, state.step_index + 1)
     return ChainState(y, state.step_index + 1, state.acceptance_count)
 
 
 def mala_step(
     system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
 ) -> ChainState:
-    """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N."""
+    """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N.
+    The configuration is checked once; the acceptance ratio is
+    `_mala_log_alpha`'s, the one `run_chain` takes, bit for bit."""
     x, kick = _start(system, state, h, rng)
     log_u = np.log(rng.uniform())
-    u_x, grad_x = system.u_n_and_grad(x)
-    y = _public_move(x, grad_x, h, kick, state.step_index + 1)
-    u_y, grad_y = system.u_n_and_grad(y)
-    if log_u < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
+    u_x, grad_x = system._u_n_and_grad(x)
+    hg_x = h * grad_x
+    y = _public_move(x, hg_x, kick, state.step_index + 1)
+    u_y, grad_y = system._u_n_and_grad(y)
+    if log_u < _mala_log_alpha(u_x, u_y, hg_x, h * grad_y, kick, _sq_norms(kick), h):
         return ChainState(y, state.step_index + 1, state.acceptance_count + 1)
     return ChainState(x, state.step_index + 1, state.acceptance_count)
 
@@ -189,19 +202,27 @@ class Trajectory:
 
 def _run_group(system, config, replicas, observables, record_steps, values):
     """The replicas of the range `replicas` as one chain loop: a group of one
-    carries its state as (N, d) and takes the one-configuration energy
-    calls, a larger group carries (G, N, d) and takes their batch forms.
-    Replica r draws from make_rng(seed, r), per chunk of _RNG_CHUNK steps,
-    its noise and then its uniforms into its row of a (G, chunk, N, d)
-    buffer, and MALA accepts each replica on its own: each replica's records
-    and acceptance rate are bit for bit those of its chain run alone. Record
-    j of a chunk waits in the noise slot of step j, already spent, and with
-    U_N under MALA in the uniform's slot; after the chunk the built-in
+    carries its state as (N, d), a larger group as (G, N, d). The state is
+    checked once, when it is drawn; each step calls the system's unchecked
+    lifts `_u_n_and_grad` (MALA) or `_grad_u_n` (ULA), which take either
+    shape. Replica r draws from make_rng(seed, r), per chunk of _RNG_CHUNK
+    steps, its noise and then its uniforms into its row of a
+    (G, chunk, N, d) buffer; under MALA the chunk's |kick|^2, one value per
+    replica and step, is taken after the draws, in passes over
+    _SQUARE_ENTRIES entries of the buffer. MALA
+    carries hg = h grad U_N with the state and U_N, proposes
+    y = x - hg_x + kick and accepts each replica on its own when
+    log u < u_x - u_y + (|kick|^2 - |hg_x + hg_y - kick|^2) / (4h)
+    (`_mala_log_alpha`), so each replica's records and acceptance rate are
+    bit for bit those of its chain run alone, and of `mala_step`. Record j of
+    a chunk waits in the noise slot of step j, already spent, and with U_N
+    under MALA in the uniform's slot; after the chunk the built-in
     observables take the group's recorded states as one block, and any other
     callable is called once per replica and recorded state. A replica that
-    blows up cuts the group to the replicas below it, which run on; when the
-    group ends, the lowest one that blew up is raised at its own step, as
-    its chain alone reports. Returns the acceptance rates, NaN for ULA."""
+    blows up cuts the group, and the state it carries, to the replicas below
+    it, which run on; when the group ends, the lowest one that blew up is
+    raised at its own step, as its chain alone reports. Returns the
+    acceptance rates, NaN for ULA."""
     h = config.step
     mala = config.sampler == "MALA"
     rngs = [make_rng(config.seed, r) for r in replicas]
@@ -210,18 +231,16 @@ def _run_group(system, config, replicas, observables, record_steps, values):
     one = live == 1
     rows = 0 if one else slice(0, live)  # a group of one drops the group axis
     x = x[rows]
-    if one:
-        u_and_grad, grad_u, accepted = system.u_n_and_grad, system.grad_u_n, 0
-    else:
-        u_and_grad, grad_u = system.u_n_and_grad_batch, system.grad_u_n_batch
-        accepted = np.zeros(live, dtype=np.int64)
+    accepted = 0 if one else np.zeros(live, dtype=np.int64)
     if mala:
-        u_x, grad_x = u_and_grad(x)
+        u_x, grad_x = system._u_n_and_grad(x)
+        hg_x = h * grad_x
     blown = None
     record = record_steps.tolist() + [0]  # the 0 sentinel is never reached
     k = 0
     kicks = np.empty((live, min(_RNG_CHUNK, config.n_steps), system.N, system.d))
     log_u = np.empty(kicks.shape[:2]) if mala else None
+    kick_sq = np.empty(kicks.shape[:2]) if mala else None
     s = 0
     while s < config.n_steps:
         chunk = min(_RNG_CHUNK, config.n_steps - s)
@@ -230,29 +249,37 @@ def _run_group(system, config, replicas, observables, record_steps, values):
             if mala:
                 log_u[i, :chunk] = np.log(rngs[i].uniform(size=chunk))
         kicks[:live, :chunk] *= math.sqrt(2.0 * h)
+        if mala:
+            width = max(1, _SQUARE_ENTRIES // kicks[:live, 0].size)  # steps per pass
+            for a in range(0, chunk, width):
+                b = min(a + width, chunk)
+                kick_sq[:live, a:b] = _sq_norms(kicks[:live, a:b])
         k0 = k
         for c in range(chunk):
             s += 1
-            y, bad = _move(x, grad_x if mala else grad_u(x), h, kicks[rows, c])
+            kick = kicks[rows, c]
+            y, bad = _move(x, hg_x if mala else h * system._grad_u_n(x), kick)
             if bad is not None:
                 blown = BlowUpError(f"blow-up at step {s}", step=s, replica=replicas.start + bad)
                 if bad == 0:
                     raise blown
                 live, rows = bad, slice(0, bad)
-                x, y = x[rows], y[rows]
+                x, y, kick = x[rows], y[rows], kick[rows]
                 if mala:
-                    u_x, grad_x = u_x[rows], grad_x[rows]
+                    u_x, hg_x = u_x[rows], hg_x[rows]
             if mala:
-                u_y, grad_y = u_and_grad(y)
-                acc = log_u[rows, c] < _mala_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h)
+                u_y, grad_y = system._u_n_and_grad(y)
+                hg_y = h * grad_y
+                log_alpha = _mala_log_alpha(u_x, u_y, hg_x, hg_y, kick, kick_sq[rows, c], h)
+                acc = log_u[rows, c] < log_alpha
                 if one:
                     if acc:
-                        x, grad_x, u_x = y, grad_y, u_y
+                        x, hg_x, u_x = y, hg_y, u_y
                         accepted += 1
                 else:
                     accepted[rows] += acc
                     moved = acc[:, None, None]
-                    x, grad_x = np.where(moved, y, x), np.where(moved, grad_y, grad_x)
+                    x, hg_x = np.where(moved, y, x), np.where(moved, hg_y, hg_x)
                     u_x = np.where(acc, u_y, u_x)
             else:
                 x = y
@@ -276,14 +303,16 @@ def _run_group(system, config, replicas, observables, record_steps, values):
 def _record(observables, states, u_n) -> dict:
     """Observables of a block of recorded states (K, N, d), K values each:
     built-ins as array expressions over the block, any other callable once
-    per state, in block order."""
+    per state, state by state in block order, its values taken by
+    `np.fromiter` into one (K, callables) array as they come."""
     out = {name: fn.block(states, u_n) for name, fn in observables.items()
            if isinstance(fn, _Observable)}
-    per_state = [(name, fn) for name, fn in observables.items() if name not in out]
-    out.update((name, np.empty(len(states))) for name, _ in per_state)
-    for j, x in enumerate(states):
-        for name, fn in per_state:
-            out[name][j] = fn(x)
+    per_state = {name: fn for name, fn in observables.items() if name not in out}
+    if per_state:
+        fns = list(per_state.values())
+        flat = np.fromiter((fn(x) for x in states for fn in fns), dtype=float,
+                           count=len(states) * len(fns))
+        out.update(zip(per_state, flat.reshape(len(states), len(fns)).T))
     return out
 
 

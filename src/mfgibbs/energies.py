@@ -543,25 +543,33 @@ class ParticleSystem:
 
     def grad_u_n(self, x) -> np.ndarray:
         """Gradient blocks; block i equals D_m F(mu_x, x_i)."""
-        x = self._check(x)
-        return self.energy._grad(x, self._w, x)
+        return self._grad_u_n(self._check(x))
 
     def grad_u_n_batch(self, xs) -> np.ndarray:
         """grad U_N at K configurations xs (K, N, d) from one `_grad` pass:
         (K, N, d), each configuration's gradient bit for bit its `grad_u_n`."""
-        xs = self._check_batch(xs)
-        return self.energy._grad(xs, self._w, xs)
+        return self._grad_u_n(self._check_batch(xs))
 
     def u_n_and_grad(self, x) -> tuple[float, np.ndarray]:
         """(U_N, grad U_N) from one `_value_and_grad` pass of the energy."""
-        f, grad = self.energy._value_and_grad(self._check(x), self._w)
-        return self.N * f, grad
+        return self._u_n_and_grad(self._check(x))
 
     def u_n_and_grad_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """(U_N (K,), grad U_N (K, N, d)) at K configurations xs (K, N, d)
         from one `_value_and_grad` pass, each configuration's pair bit for bit
         its `u_n_and_grad`."""
-        f, grad = self.energy._value_and_grad(self._check_batch(xs), self._w)
+        return self._u_n_and_grad(self._check_batch(xs))
+
+    # The unchecked lifts behind the four above, of a configuration (N, d) or
+    # a batch (K, N, d) that is already a float array of that shape. The
+    # samplers' chain loop, whose state is checked once at its start, calls
+    # them on every step.
+
+    def _grad_u_n(self, xs) -> np.ndarray:
+        return self.energy._grad(xs, self._w, xs)
+
+    def _u_n_and_grad(self, xs) -> tuple:
+        f, grad = self.energy._value_and_grad(xs, self._w)
         return self.N * f, grad
 
     def hess_u_n(self, x) -> np.ndarray:

@@ -64,15 +64,17 @@ class GapEstimate:
 
 
 def _autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
+    # the products are summed by np.add.reduce, not by BLAS, whose threads
+    # split a long sum in a way that depends on their number
     x = series - series.mean()
     n = len(x)
     acf = np.empty(max_lag + 1)
-    var = float(x @ x) / n
+    var = float(np.add.reduce(x * x)) / n
     # the mean of equal values can be off by round-off, so x need not vanish
     if var == 0 or np.ptp(series) == 0:
         raise ValueError("constant observable")
     for lag in range(max_lag + 1):
-        acf[lag] = float(x[: n - lag] @ x[lag:]) / n / var
+        acf[lag] = float(np.add.reduce(x[: n - lag] * x[lag:])) / n / var
     return acf
 
 

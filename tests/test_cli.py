@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfgibbs
 from mfgibbs import __version__, cli
 from mfgibbs.cli import main
 from mfgibbs.config import GRID_N_MAX, ConfigError, load_config
@@ -66,6 +71,28 @@ sampler = MALA
 
 [analysis]
 max_lag = 20
+"""
+
+
+# 3*10^4 records: long enough that OpenBLAS splits a dot product over them
+# across its threads
+LONG_CHAIN = """
+[energy]
+type = quadratic
+a = 0.5
+
+[system]
+n = 10
+d = 1
+
+[sim]
+step = 0.1
+n_steps = 30000
+seed = 1
+sampler = ULA
+
+[analysis]
+max_lag = 200
 """
 
 
@@ -304,6 +331,22 @@ class TestEstimate:
         assert err.startswith("frozen chain: constant observable 'xbar'")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        cfg = write(tmp_path, LONG_CHAIN)
+        src = str(Path(mfgibbs.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"est-{threads}.json"
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+            )
+            argv = [sys.executable, "-m", "mfgibbs.cli", "estimate", "--config", cfg, "--out", str(out)]
+            subprocess.run(argv, env=env, check=True, timeout=300)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_too_short_for_lag_exit_2(self, tmp_path):
         text = QUADRATIC.replace("max_lag = 20", "max_lag = 1000")

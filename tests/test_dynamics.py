@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,50 @@ class TestSteps:
         for h in (0.0, float("nan")):
             with pytest.raises(ValueError):
                 ula_step(system, ChainState(np.zeros((1, 1))), h, make_rng(0))
+
+
+def _textbook_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
+    """u_x - u_y + log q(y -> x) - log q(x -> y), from the proposal's log
+    density log q(a -> b) = -|b - a + h grad U_N(a)|^2 / (4h); with the sum
+    of the four terms' magnitudes, the scale of its round-off."""
+
+    def log_q(a, b, grad_a):
+        r = b - a + h * grad_a
+        return -np.sum(r * r, axis=(-2, -1)) / (4.0 * h)
+
+    terms = [u_x, -u_y, log_q(y, x, grad_y), -log_q(x, y, grad_x)]
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
+class TestMalaLogAlpha:
+    """`_mala_log_alpha` takes the forward residual as the kick and the
+    backward one as hg_x + hg_y - kick; it is the textbook ratio."""
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("energy", ["quadratic", "kernel"])
+    def test_matches_the_textbook_ratio(self, energy, d, batch):
+        if energy == "quadratic":
+            system = ParticleSystem(QuadraticMeanEnergy(0.3), 6, d)
+        else:
+            system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 6, d)
+        lift = system.u_n_and_grad_batch if batch else system.u_n_and_grad
+        rng = np.random.default_rng([d, len(batch), len(energy)])
+        h = 0.1
+        for _ in range(20):
+            x = 1.5 * rng.standard_normal(batch + (system.N, d))
+            kick = math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
+            u_x, grad_x = lift(x)
+            y = x - h * grad_x + kick
+            u_y, grad_y = lift(y)
+            ref, scale = _textbook_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h)
+            kick_sq = dynamics._sq_norms(kick)
+            got = dynamics._mala_log_alpha(u_x, u_y, h * grad_x, h * grad_y, kick, kick_sq, h)
+            assert np.shape(got) == batch
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+            # the comparison catches a sign error in the backward gradient term
+            flipped = dynamics._mala_log_alpha(u_x, u_y, h * grad_x, -h * grad_y, kick, kick_sq, h)
+            assert np.all(np.abs(flipped - ref) > 1e-6 * scale)
 
 
 class TestRng:
@@ -507,6 +552,42 @@ class TestReplicaGroups:
         with pytest.raises(BlowUpError) as exc:
             run_chain(system, cfg, observables)
         assert (exc.value.replica, exc.value.step) == (lowest, serial[lowest])
+
+    @pytest.mark.parametrize("seed", [27, 42])
+    def test_mala_blow_up_cuts_the_carried_state(self, seed):
+        # flat inside |x| <= 5, a cliff of -1e300 with a huge gradient beyond:
+        # a proposal over the edge is accepted, and the move from there blows
+        # up. Within one chunk a higher replica blows up first, cutting the
+        # group to replicas 0-2 with their U_N, h grad U_N and |kick|^2 rows;
+        # then replica 2 blows up, and replicas 0 and 1 run to the end.
+        energy = LinearPotentialEnergy(
+            v=lambda x: 0.0 if abs(x[0]) <= 5.0 else -1e300,
+            v_grad=lambda x: 0.0 * x if abs(x[0]) <= 5.0 else -1e20 * x,
+            v_hess=lambda x: np.zeros((1, 1)),
+        )
+        system = ParticleSystem(energy, 1, 1)
+        cfg = SimConfig(
+            step=0.05, n_steps=300, replicas=8, seed=seed, sampler="MALA",
+            initial=("gaussian", 2.5),
+        )
+        assert cfg.n_steps < _RNG_CHUNK
+        observables = dict(default_observables(system), x=lambda x: float(x[0, 0]))
+        serial, records = {}, {}
+        for r in range(cfg.replicas):
+            try:
+                records[r] = _serial_replica(system, cfg, observables, r)[0]
+            except BlowUpError as exc:
+                serial[r] = exc.step
+        lowest = min(serial)
+        assert lowest == 2 and any(serial[r] < serial[lowest] for r in serial if r > lowest)
+        record_steps = cfg.record_steps()
+        values = {name: np.full((cfg.replicas, len(record_steps)), np.nan) for name in observables}
+        with pytest.raises(BlowUpError) as exc:
+            dynamics._run_group(system, cfg, range(cfg.replicas), observables, record_steps, values)
+        assert (exc.value.replica, exc.value.step) == (lowest, serial[lowest])
+        for r in range(lowest):
+            for name in observables:
+                np.testing.assert_array_equal(values[name][r], records[r][name])
 
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
     def test_group_calls_each_builtin_block_once_per_chunk(self, sampler):
