@@ -57,8 +57,8 @@ class SimConfig:
     initial: object = "zeros"  # "zeros" | ("gaussian", scale) | explicit (N, d) array
 
     def __post_init__(self):
-        if not self.step > 0:  # NaN fails too
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:  # NaN fails too
+            raise ValueError("step must be positive and finite")
         if self.n_steps < 1 or self.thin < 1 or self.replicas < 1:
             raise ValueError("n_steps, thin, replicas must be positive")
         if not 0 <= self.burn_in < self.n_steps:
@@ -120,12 +120,20 @@ def _mala_log_alpha(u_x, u_y, hg_x, hg_y, kick, kick_sq, h):
     return u_x - u_y + (kick_sq - _sq_norms(hg_x + hg_y - kick)) / (4.0 * h)
 
 
+def _one_configuration(system: ParticleSystem, x) -> np.ndarray:
+    """x checked by the system and held to one configuration (N, d)."""
+    x = system._check(x)
+    if x.ndim != 2:
+        raise ValueError(f"a chain state is one configuration, not a batch of shape {x.shape}")
+    return x
+
+
 def _start(system: ParticleSystem, state: ChainState, h: float, rng) -> tuple:
     """The configuration of `state`, checked, and the kick sqrt(2h) xi of one
     public step."""
-    if not h > 0:
-        raise ValueError("step must be positive")
-    x = system._check(state.configuration)
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ValueError("step must be positive and finite")
+    x = _one_configuration(system, state.configuration)
     return x, math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
 
 
@@ -334,10 +342,7 @@ def _initial_configuration(system: ParticleSystem, initial, rng) -> np.ndarray:
     if isinstance(initial, tuple) and initial and initial[0] == "gaussian":
         scale = float(initial[1]) if len(initial) > 1 else 1.0
         return scale * rng.standard_normal((system.N, system.d))
-    x = np.asarray(initial, dtype=float)
-    if x.shape != (system.N, system.d):
-        raise ValueError("explicit initial configuration has wrong shape")
-    return x
+    return _one_configuration(system, initial)
 
 
 @dataclass(frozen=True)
@@ -359,7 +364,7 @@ def default_observables(system: ParticleSystem) -> dict:
     """The built-in observables by name; the one table of their names."""
 
     def u_n_block(states, u_n):
-        return u_n if u_n is not None else system.u_n_batch(states)
+        return u_n if u_n is not None else system.u_n(states)
 
     return {
         "xbar": _Observable(lambda xs, u: np.mean(xs[:, :, 0], axis=1)),

@@ -20,13 +20,13 @@ per-point callable is called once per atom, not once per mixture.
 Configurations that differ in one particle share their weights: (K, n, d)
 with (n,). Each measure's value is bit for bit the one it has alone. With
 no batch axis it gives F of one measure, and `_eval` is that case, written
-once in the base class. `ParticleSystem.u_n_batch` lifts the batch to U_N.
+once in the base class.
 
 `_value_and_grad` and `_grad` at the atoms take the same leading axis of
 configurations: points (G, n, d) with shared weights (n,) give values (G,)
 and D_m F at every atom (G, n, d), each configuration's result bit for bit
-the one it has alone. `ParticleSystem.u_n_and_grad_batch` and
-`grad_u_n_batch` lift them; the samplers move replica groups with them.
+the one it has alone. `ParticleSystem`'s `u_n`, `grad_u_n` and
+`u_n_and_grad` lift them to one configuration (N, d) or a batch (K, N, d).
 """
 
 from __future__ import annotations
@@ -390,8 +390,6 @@ def _gauss_within(points, rhs):
     _BLOCK_ENTRIES, each block's matrices built once for the rhs that share
     them, or taken one slice at a time when one slice alone is over it.
     Each measure's product is the one it has on its own."""
-    if points.ndim == 2:
-        return _gauss_matmul(points, points, rhs)
     n = points.shape[-2]
     if math.prod(points.shape[:-2]) == 1:
         one = points.reshape(n, -1)
@@ -506,8 +504,10 @@ def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """(energy, N, d) bundle exposing U_N = N F(mu_x) and its derivatives:
-    the one lift from F at the uniform weights 1/N to U_N."""
+    """The one lift from F at the uniform weights 1/N to U_N = N F(mu_x).
+    `u_n`, `grad_u_n` and `u_n_and_grad` take one configuration (N, d) or a
+    batch (K, N, d), each configuration bit for bit as alone; `hess_u_n`
+    takes one configuration."""
 
     energy: MeanFieldEnergy
     N: int
@@ -522,48 +522,31 @@ class ParticleSystem:
         object.__setattr__(self, "_w", w)
 
     def _check(self, x) -> np.ndarray:
+        """x as a float array of one configuration (N, d) or a batch (K, N, d)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.N, self.d):
-            raise ValueError(f"configuration shape {x.shape}, expected {(self.N, self.d)}")
+        if x.ndim not in (2, 3) or x.shape[-2:] != (self.N, self.d):
+            expected = f"{(self.N, self.d)} or (K, {self.N}, {self.d})"
+            raise ValueError(f"configuration shape {x.shape}, expected {expected}")
         return x
 
-    def u_n(self, x) -> float:
-        return self.N * self.energy._eval(self._check(x), self._w)
-
-    def _check_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[1:] != (self.N, self.d):
-            expected = f"(K, {self.N}, {self.d})"
-            raise ValueError(f"configuration batch shape {xs.shape}, expected {expected}")
-        return xs
-
-    def u_n_batch(self, xs) -> np.ndarray:
-        """U_N at K configurations xs (K, N, d) from one `_eval_batch` pass: (K,)."""
-        return self.N * self.energy._eval_batch(self._check_batch(xs), self._w)
+    def u_n(self, x):
+        """U_N: a float for one configuration, (K,) for a batch."""
+        x = self._check(x)
+        if x.ndim == 2:
+            return self.N * self.energy._eval(x, self._w)
+        return self.N * self.energy._eval_batch(x, self._w)
 
     def grad_u_n(self, x) -> np.ndarray:
         """Gradient blocks; block i equals D_m F(mu_x, x_i)."""
         return self._grad_u_n(self._check(x))
 
-    def grad_u_n_batch(self, xs) -> np.ndarray:
-        """grad U_N at K configurations xs (K, N, d) from one `_grad` pass:
-        (K, N, d), each configuration's gradient bit for bit its `grad_u_n`."""
-        return self._grad_u_n(self._check_batch(xs))
-
-    def u_n_and_grad(self, x) -> tuple[float, np.ndarray]:
+    def u_n_and_grad(self, x) -> tuple:
         """(U_N, grad U_N) from one `_value_and_grad` pass of the energy."""
         return self._u_n_and_grad(self._check(x))
 
-    def u_n_and_grad_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """(U_N (K,), grad U_N (K, N, d)) at K configurations xs (K, N, d)
-        from one `_value_and_grad` pass, each configuration's pair bit for bit
-        its `u_n_and_grad`."""
-        return self._u_n_and_grad(self._check_batch(xs))
-
-    # The unchecked lifts behind the four above, of a configuration (N, d) or
-    # a batch (K, N, d) that is already a float array of that shape. The
-    # samplers' chain loop, whose state is checked once at its start, calls
-    # them on every step.
+    # The unchecked lifts behind the two above, of an x that is already a
+    # float array (N, d) or (K, N, d). The samplers' chain loop, whose state
+    # is checked once at its start, calls them on every step.
 
     def _grad_u_n(self, xs) -> np.ndarray:
         return self.energy._grad(xs, self._w, xs)
@@ -576,6 +559,8 @@ class ParticleSystem:
         """Exact Nd x Nd Hessian from the block decomposition
         (1/N) D_m^2 F(mu_x, x_i, x_j) + 1_{i=j} grad_x D_m F(mu_x, x_i)."""
         x = self._check(x)
+        if x.ndim != 2:
+            raise ValueError(f"hess_u_n takes one configuration, not a batch of shape {x.shape}")
         N, d = self.N, self.d
         H = self.energy._hess_mm_matrix(x, self._w) / N
         i = np.arange(N)

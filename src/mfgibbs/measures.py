@@ -36,8 +36,9 @@ class DiscreteMeasure:
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
+        # copies: the measure is immutable, and the caller's arrays stay writable
+        pts = np.array(self.points, dtype=float, ndmin=2)
+        w = np.array(self.weights, dtype=float).ravel()
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights must have equal length")
         if pts.shape[0] < 1:

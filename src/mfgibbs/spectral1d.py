@@ -150,7 +150,7 @@ def conditional_potential(
     configs = np.empty((n, system.N, 1))
     configs[:, 0, 0] = np.linspace(lo, hi, n)
     configs[:, 1:] = frozen
-    vals = system.u_n_batch(configs)
+    vals = system.u_n(configs)
     return Grid1D(lo, hi, n, vals - vals.min())
 
 

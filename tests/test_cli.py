@@ -405,6 +405,14 @@ class TestNonFiniteInputs:
         out = str(tmp_path / "t.csv")
         self._assert_config_error(capsys, ["simulate", "--config", cfg, "--out", out])
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_infinite_step(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, QUADRATIC.replace("step = 0.1", "step = inf"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert "step must be positive and finite" in err
+
     @pytest.mark.parametrize("eps", ["1.5", "0", "nan", "abc"])
     def test_epsilon_outside_unit_interval(self, tmp_path, capsys, eps):
         cfg = write(tmp_path, QUADRATIC.replace("epsilon = 0.5", f"epsilon = {eps}"))

@@ -172,7 +172,7 @@ class TestMalaLogAlpha:
             system = ParticleSystem(QuadraticMeanEnergy(0.3), 6, d)
         else:
             system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 6, d)
-        lift = system.u_n_and_grad_batch if batch else system.u_n_and_grad
+        lift = system.u_n_and_grad
         rng = np.random.default_rng([d, len(batch), len(energy)])
         h = 0.1
         for _ in range(20):
@@ -388,6 +388,30 @@ class TestRunChain:
             SimConfig(step=0.1, n_steps=10, sampler="HMC")
         with pytest.raises(ValueError):
             SimConfig(step=float("nan"), n_steps=10)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            SimConfig(step=math.inf, n_steps=10)
+
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    def test_chain_state_is_one_configuration(self, sampler):
+        # a batch (K, N, d) is rejected, naming its shape, by the public steps
+        # and as an explicit initial configuration
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 2)
+        batch = np.zeros((4, 3, 2))
+        step = mala_step if sampler == "MALA" else ula_step
+        with pytest.raises(ValueError, match=r"not a batch of shape \(4, 3, 2\)"):
+            step(system, ChainState(batch), 0.1, make_rng(0))
+        cfg = SimConfig(step=0.1, n_steps=5, sampler=sampler, initial=batch)
+        with pytest.raises(ValueError, match=r"not a batch of shape \(4, 3, 2\)"):
+            run_chain(system, cfg)
+        with pytest.raises(ValueError, match=r"configuration shape \(3, 3\)"):
+            _initial_configuration(system, np.zeros((3, 3)), make_rng(0))
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("step", [ula_step, mala_step])
+    def test_public_step_size_positive_and_finite(self, step, h):
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 1)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            step(system, ChainState(np.zeros((3, 1))), h, make_rng(0))
 
 
 def _serial_replica(system, cfg, observables, r):

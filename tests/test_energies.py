@@ -450,7 +450,7 @@ class TestEvalBatch:
                 assert e.eval(DiscreteMeasure(p, w)) == one
         system = ParticleSystem(e, self.n, d)
         x = points[0]
-        assert system.u_n(x) == self.n * e._eval(x, system._w) == system.u_n_batch(x[None])[0]
+        assert system.u_n(x) == self.n * e._eval(x, system._w) == system.u_n(x[None])[0]
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["v1=0", "v1=cos"])
     @pytest.mark.parametrize("d", [1, 2])
@@ -621,15 +621,24 @@ class TestParticleSystem:
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 2, 1)
         with pytest.raises(ValueError):
             system.u_n([[0.0], [1.0], [2.0]])
-        with pytest.raises(ValueError):
-            system.u_n_batch([[0.0], [1.0]])
+        # neither one configuration (N, d) nor a batch (K, N, d): (N+1, d),
+        # (d,) and (1, K, N, d)
+        for shape in [(3, 1), (1,), (1, 4, 2, 1)]:
+            for lift in (system.u_n, system.grad_u_n, system.u_n_and_grad, system.hess_u_n):
+                with pytest.raises(ValueError, match=r"configuration shape \("):
+                    lift(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"not a batch of shape \(3, 2, 1\)"):
+            system.hess_u_n(np.zeros((3, 2, 1)))
 
-    def test_u_n_batch_is_u_n_per_configuration(self):
+    def test_u_n_of_a_batch_is_u_n_per_configuration(self):
         rng = np.random.default_rng(12)
         for e in all_energies():
             system = ParticleSystem(e, 5, 2)
             xs = rng.normal(size=(4, 5, 2))
-            np.testing.assert_array_equal(system.u_n_batch(xs), [system.u_n(x) for x in xs])
+            u = system.u_n(xs)
+            assert isinstance(u, np.ndarray) and u.shape == (4,)
+            assert all(type(system.u_n(x)) is float for x in xs)
+            np.testing.assert_array_equal(u, [system.u_n(x) for x in xs])
 
 
 class TestBatchedGradients:
@@ -660,9 +669,9 @@ class TestBatchedGradients:
             np.testing.assert_array_equal(e._grad(x, w, x), grad)
 
         system = ParticleSystem(e, N, d)
-        u, grad_u = system.u_n_and_grad_batch(xs)
-        np.testing.assert_array_equal(system.grad_u_n_batch(xs), grad_u)
-        np.testing.assert_array_equal(system.u_n_batch(xs), u)
+        u, grad_u = system.u_n_and_grad(xs)
+        np.testing.assert_array_equal(system.grad_u_n(xs), grad_u)
+        np.testing.assert_array_equal(system.u_n(xs), u)
         for x, value, grad in zip(xs, u, grad_u):
             one_value, one_grad = system.u_n_and_grad(x)
             assert one_value == value
@@ -671,6 +680,6 @@ class TestBatchedGradients:
 
     def test_batch_shape_checked(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 2, 1)
-        for lift in (system.grad_u_n_batch, system.u_n_and_grad_batch):
-            with pytest.raises(ValueError, match="configuration batch shape"):
+        for lift in (system.u_n, system.grad_u_n, system.u_n_and_grad):
+            with pytest.raises(ValueError, match="configuration shape"):
                 lift(np.zeros((3, 2, 2)))

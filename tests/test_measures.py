@@ -86,6 +86,20 @@ class TestInvariants:
         with pytest.raises(ValueError):
             mu.points[0, 0] = 5.0
 
+    def test_callers_arrays_stay_writable(self):
+        # the measure keeps copies: the caller's arrays stay writable, and
+        # writing to them leaves the measure as it was built
+        x, w = np.zeros((3, 1)), np.full(3, 1.0 / 3.0)
+        y = np.array([[0.0], [2.0]])
+        mu, nu = DiscreteMeasure(x, w), empirical(y)
+        assert x.flags.writeable and w.flags.writeable and y.flags.writeable
+        x[0, 0], w[:] = 5.0, [1.0, 0.0, 0.0]
+        y[0, 0] = 5.0
+        np.testing.assert_array_equal(mu.points, np.zeros((3, 1)))
+        np.testing.assert_array_equal(mu.weights, np.full(3, 1.0 / 3.0))
+        np.testing.assert_array_equal(nu.points, [[0.0], [2.0]])
+        assert not (mu.points.flags.writeable or mu.weights.flags.writeable)
+
 
 class TestMix:
     def test_diracs(self):
