@@ -276,21 +276,18 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         outer = z[..., :, None] * z[..., None, :]
         return self.L * gauss * (4.0 * outer - 2.0 * eye) + 2.0 * self.alpha * eye
 
-    def _pair_sums(self, points, weights, xs=None):
+    def _pair_sums(self, points, weights, xs):
         """(mean, c, ew): the mean of mu, the atoms c centred there, and
-        ew = exp(-|xs_i - p_j|^2) @ [w, w c] (m, 1 + d), which carries the
-        Gaussian pair terms in O(n m). The alpha |z|^2 terms need only moments:
-        sum_j w_j |x - p_j|^2 = |x - mean|^2 + sum_j w_j |c_j|^2. Without xs,
-        or with xs the atoms themselves, the query rows are the atoms, and mu
-        may be a batch of measures."""
+        ew = exp(-|xs_i - p_j|^2) @ [w, w c] (..., m, 1 + d) from
+        `_gauss_product`, which carries the Gaussian pair terms in O(n m).
+        The alpha |z|^2 terms need only moments:
+        sum_j w_j |x - p_j|^2 = |x - mean|^2 + sum_j w_j |c_j|^2."""
         mean = _wmean(weights, points)
         c = points - mean[..., None, :]
         rhs = np.empty(c.shape[:-1] + (1 + c.shape[-1],))
         rhs[..., 0] = weights
         np.multiply(weights[..., None], c, out=rhs[..., 1:])
-        if xs is None or xs is points:
-            return mean, c, _gauss_within(points, rhs)
-        return mean, c, _gauss_matmul(xs, points, rhs)
+        return mean, c, _gauss_product(xs, points, rhs)
 
     def _grad_from_sums(self, xs, cx, ew):
         pair = cx * ew[..., :1] - ew[..., 1:]
@@ -313,7 +310,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
 
     def _value_and_grad(self, points, weights):
         """F and D_m F at every atom from one O(N^2) pass of `_pair_sums`."""
-        _, c, ew = self._pair_sums(points, weights)
+        _, c, ew = self._pair_sums(points, weights, points)
         value = self._value(points, weights, c, ew[..., 0])
         if points.ndim == 2:
             value = float(value)
@@ -322,7 +319,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     def _eval_batch(self, points, weights):
         """F from the pass of `_pair_sums` alone, without assembling D_m F:
         each measure's value is bit for bit the one `_value_and_grad` gives."""
-        _, c, ew = self._pair_sums(points, weights)
+        _, c, ew = self._pair_sums(points, weights, points)
         return self._value(points, weights, c, ew[..., 0])
 
     def _flat(self, points, weights, xs):
@@ -349,7 +346,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         return hess
 
 
-#: Entries of one row block of the Gaussian matrix in `_gauss_matmul`.
+#: Entries of one block of Gaussian matrices in `_gauss_product`.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -369,38 +366,36 @@ def _gauss_rows(xs, points):
     return gauss
 
 
-def _gauss_matmul(xs, points, rhs):
-    """exp(-|xs_i - p_j|^2) @ rhs, for rhs (n, k) or a stack (K, n, k), over
-    row blocks of at most _BLOCK_ENTRIES entries: one block, with no copy,
-    up to 256 x 256."""
-    rows = max(1, _BLOCK_ENTRIES // len(points))
-    if len(xs) <= rows:
-        return _gauss_rows(xs, points) @ rhs
-    blocks = range(0, len(xs), rows)
-    return np.concatenate(
-        [_gauss_rows(xs[s : s + rows], points) @ rhs for s in blocks], axis=-2
-    )
-
-
-def _gauss_within(points, rhs):
-    """exp(-|p_i - p_j|^2) @ rhs over the atoms of each measure: points
-    (..., n, d) whose leading axes broadcast to those of rhs (..., n, k).
-    One set of atoms takes `_gauss_matmul`'s row blocks, for all its rhs.
-    More are split along the first axis into blocks of whole sets within
-    _BLOCK_ENTRIES, each block's matrices built once for the rhs that share
-    them, or taken one slice at a time when one slice alone is over it.
-    Each measure's product is the one it has on its own."""
-    n = points.shape[-2]
+def _gauss_product(xs, points, rhs):
+    """exp(-|xs_i - p_j|^2) @ rhs, shape (..., m, k): the query rows xs
+    (..., m, d) and the atoms points (..., n, d) share their leading axes,
+    which broadcast to those of rhs (..., n, k). Every Gaussian pair sum of
+    the kernel energy is this product, in blocks of at most _BLOCK_ENTRIES
+    matrix entries. One set of atoms is built once for all its rhs, in row
+    blocks: one block, with no copy, up to 256 x 256. More are split along
+    the first axis into blocks of whole sets, each block's matrices built
+    once for the rhs that share them, or taken one set at a time when one
+    set alone is over the budget. Each set's product is the one it has on
+    its own."""
+    m, n = xs.shape[-2], points.shape[-2]
     if math.prod(points.shape[:-2]) == 1:
-        one = points.reshape(n, -1)
-        return _gauss_matmul(one, one, rhs)
-    points = points.reshape((1,) * (rhs.ndim - points.ndim) + points.shape)
-    points = np.broadcast_to(points, rhs.shape[:1] + points.shape[1:])
-    per = _BLOCK_ENTRIES // (n * n * math.prod(points.shape[1:-2]))
+        xs, points = xs.reshape(m, -1), points.reshape(n, -1)
+        rows = max(1, _BLOCK_ENTRIES // n)
+        if m <= rows:
+            return _gauss_rows(xs, points) @ rhs
+        blocks = range(0, m, rows)
+        return np.concatenate(
+            [_gauss_rows(xs[s : s + rows], points) @ rhs for s in blocks], axis=-2
+        )
+    pad = (1,) * (rhs.ndim - points.ndim)
+    if pad or len(points) < len(rhs):  # sets shared along rhs's first axis
+        lead = rhs.shape[:1]
+        xs, points = (np.broadcast_to(a, lead + (pad + a.shape)[1:]) for a in (xs, points))
+    per = _BLOCK_ENTRIES // (m * n * math.prod(points.shape[1:-2]))
     if per == 0:
-        return np.stack([_gauss_within(p, r) for p, r in zip(points, rhs)])
+        return np.stack([_gauss_product(*one) for one in zip(xs, points, rhs)])
     blocks = [slice(s, s + per) for s in range(0, len(points), per)]
-    return np.concatenate([_gauss_rows(points[b], points[b]) @ rhs[b] for b in blocks])
+    return np.concatenate([_gauss_rows(xs[b], points[b]) @ rhs[b] for b in blocks])
 
 
 @dataclass(frozen=True)
@@ -522,9 +517,9 @@ class ParticleSystem:
         object.__setattr__(self, "_w", w)
 
     def _check(self, x) -> np.ndarray:
-        """x as a float array of one configuration (N, d) or a batch (K, N, d)."""
+        """x as a float array of one configuration (N, d) or a batch (K, N, d), K >= 1."""
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (2, 3) or x.shape[-2:] != (self.N, self.d):
+        if x.ndim not in (2, 3) or x.shape[-2:] != (self.N, self.d) or not x.size:
             expected = f"{(self.N, self.d)} or (K, {self.N}, {self.d})"
             raise ValueError(f"configuration shape {x.shape}, expected {expected}")
         return x

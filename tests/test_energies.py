@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
-from mfgibbs.energies import _gauss_matmul, _gauss_within, quadratic_as_parametrized
+from mfgibbs.energies import _gauss_product, quadratic_as_parametrized
 
 
 def random_measure(rng, d=1, max_atoms=5):
@@ -312,7 +314,7 @@ class TestArrayConvention:
         xs = rng.normal(size=(m, d)) * 2.0
         rhs = rng.normal(size=(n, 1 + d))
         ref = np.exp(-np.sum((xs[:, None, :] - points[None, :, :]) ** 2, axis=-1)) @ rhs
-        _assert_rel_close(_gauss_matmul(xs, points, rhs), ref)
+        _assert_rel_close(_gauss_product(xs, points, rhs), ref)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
@@ -476,7 +478,8 @@ class TestEvalBatch:
         w = _unit_weights(rng, n)
         rhs = rng.normal(size=(K, n, 1 + d))
         z = configs[:, :, None, :] - configs[:, None, :, :]
-        _assert_rel_close(_gauss_within(configs, rhs), np.exp(-np.sum(z * z, axis=-1)) @ rhs)
+        ref = np.exp(-np.sum(z * z, axis=-1)) @ rhs
+        _assert_rel_close(_gauss_product(configs, configs, rhs), ref)
         e = PairwiseKernelEnergy(1.0, 1.0, 0.05)
         values = [_kernel_reference(e, x, w)[0] for x in configs]
         _assert_rel_close(e._eval_batch(configs, w), values)
@@ -644,8 +647,8 @@ class TestParticleSystem:
 class TestBatchedGradients:
     """`_value_and_grad` and `_grad` at the atoms of G configurations (G, N, d)
     with shared weights equal each configuration taken alone, bit for bit,
-    and so do their `ParticleSystem` lifts. N=200 takes `_gauss_within`'s
-    blocks of one configuration, N=300 its per-slice row blocks."""
+    and so do their `ParticleSystem` lifts. N=200 takes `_gauss_product`'s
+    blocks of one configuration, N=300 its per-set row blocks."""
 
     G = 4
 
@@ -683,3 +686,64 @@ class TestBatchedGradients:
         for lift in (system.u_n, system.grad_u_n, system.u_n_and_grad):
             with pytest.raises(ValueError, match="configuration shape"):
                 lift(np.zeros((3, 2, 2)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
+    def test_empty_batch_rejected(self, name, d):
+        system = ParticleSystem(ARRAY_ENERGIES[name][0](), 3, d)
+        for lift in (system.u_n, system.grad_u_n, system.u_n_and_grad):
+            with pytest.raises(ValueError, match=rf"configuration shape \(0, 3, {d}\)"):
+                lift(np.zeros((0, 3, d)))
+
+    @pytest.mark.parametrize("G, N", [(300, 15), (3, 300)], ids=["set-blocks", "row-blocks"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["v1=0", "v1=cos"])
+    def test_kernel_query_rows_count_by_value(self, G, N, d, perturbed):
+        # an equal copy of the atoms as query rows takes the same product as
+        # the atoms themselves: 300 sets of 15 fill more than one block of
+        # sets; one set of 300 atoms alone is over the budget, so takes rows
+        per = _BLOCK_ENTRIES // (N * N)
+        assert G > per > 0 or N > _BLOCK_ENTRIES // N
+        e = _cos_perturbed_kernel() if perturbed else PairwiseKernelEnergy(1.0, 1.0, 0.05)
+        rng = np.random.default_rng(G + N + d)
+        x = rng.normal(size=(G, N, d)) * 1.5
+        w = _unit_weights(rng, N)
+        grad = e._grad(x, w, x)
+        np.testing.assert_array_equal(e._grad(x, w, x.copy()), grad)
+        for one, one_grad in zip(x, grad):
+            np.testing.assert_array_equal(e._grad(one, w, one), one_grad)
+            np.testing.assert_array_equal(e._grad(one, w, one.copy()), one_grad)
+        np.testing.assert_array_equal(e._flat(x[0], w, x[0].copy()), e._flat(x[0], w, x[0]))
+
+
+class TestBlockBudget:
+    """The Gaussian pair products are formed in blocks of at most
+    _BLOCK_ENTRIES entries, so a call's peak memory stays near the size of
+    its inputs and outputs: unblocked, the three calls below would hold
+    128 MB, 72 MB and 13 MB of pair matrices."""
+
+    @staticmethod
+    def _peak_mb(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_flat_on_a_grid_at_a_copy_of_its_nodes(self):
+        e = PairwiseKernelEnergy(1.0, 1.0, 0.05)
+        nodes = np.linspace(-8.0, 8.0, 4001)[:, None]
+        w = np.full(len(nodes), 1.0 / len(nodes))
+        assert self._peak_mb(lambda: e._flat(nodes, w, nodes.copy())) < 3.0
+
+    def test_u_n_and_grad_of_one_configuration(self):
+        system = ParticleSystem(PairwiseKernelEnergy(1.0, 1.0, 0.05), 3000, 1)
+        x = np.random.default_rng(3).normal(size=(3000, 1)) * 2.0
+        assert self._peak_mb(lambda: system.u_n_and_grad(x)) < 3.0
+
+    def test_value_and_grad_of_a_batch(self):
+        e = PairwiseKernelEnergy(1.0, 1.0, 0.05)
+        x = np.random.default_rng(4).normal(size=(2000, 20, 2)) * 2.0
+        w = np.full(20, 1.0 / 20)
+        assert self._peak_mb(lambda: e._value_and_grad(x, w)) < 8.0
