@@ -19,11 +19,8 @@ from .errors import BlowUpError
 
 __all__ = [
     "SimConfig",
-    "ChainState",
     "Trajectory",
     "make_rng",
-    "ula_step",
-    "mala_step",
     "run_chain",
 ]
 
@@ -71,13 +68,6 @@ class SimConfig:
         return np.arange(self.burn_in + 1, self.n_steps + 1, self.thin)
 
 
-@dataclass(frozen=True)
-class ChainState:
-    configuration: np.ndarray  # (N, d)
-    step_index: int = 0
-    acceptance_count: int = 0
-
-
 def make_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """Counter-based stream keyed by (seed, replica): reproducible and
     independent across replicas regardless of scheduling."""
@@ -118,57 +108,6 @@ def _mala_log_alpha(u_x, u_y, hg_x, hg_y, kick, kick_sq, h):
     A scalar for one configuration (N, d), one value per configuration for a
     batch (G, N, d)."""
     return u_x - u_y + (kick_sq - _sq_norms(hg_x + hg_y - kick)) / (4.0 * h)
-
-
-def _one_configuration(system: ParticleSystem, x) -> np.ndarray:
-    """x checked by the system and held to one configuration (N, d)."""
-    x = system._check(x)
-    if x.ndim != 2:
-        raise ValueError(f"a chain state is one configuration, not a batch of shape {x.shape}")
-    return x
-
-
-def _start(system: ParticleSystem, state: ChainState, h: float, rng) -> tuple:
-    """The configuration of `state`, checked, and the kick sqrt(2h) xi of one
-    public step."""
-    if not 0 < h < math.inf:  # NaN fails too
-        raise ValueError("step must be positive and finite")
-    x = _one_configuration(system, state.configuration)
-    return x, math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
-
-
-def _public_move(x, hg, kick, step) -> np.ndarray:
-    """The move numbered `step` of one public step; raises on a blow-up."""
-    y, bad = _move(x, hg, kick)
-    if bad is not None:
-        raise BlowUpError(f"blow-up at step {step}", step=step)
-    return y
-
-
-def ula_step(
-    system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
-) -> ChainState:
-    """x <- x - h grad U_N(x) + sqrt(2h) xi, xi standard normal."""
-    x, kick = _start(system, state, h, rng)
-    y = _public_move(x, h * system._grad_u_n(x), kick, state.step_index + 1)
-    return ChainState(y, state.step_index + 1, state.acceptance_count)
-
-
-def mala_step(
-    system: ParticleSystem, state: ChainState, h: float, rng: np.random.Generator
-) -> ChainState:
-    """ULA proposal with Metropolis-Hastings correction; reversible for m_*^N.
-    The configuration is checked once; the acceptance ratio is
-    `_mala_log_alpha`'s, the one `run_chain` takes, bit for bit."""
-    x, kick = _start(system, state, h, rng)
-    log_u = np.log(rng.uniform())
-    u_x, grad_x = system._u_n_and_grad(x)
-    hg_x = h * grad_x
-    y = _public_move(x, hg_x, kick, state.step_index + 1)
-    u_y, grad_y = system._u_n_and_grad(y)
-    if log_u < _mala_log_alpha(u_x, u_y, hg_x, h * grad_y, kick, _sq_norms(kick), h):
-        return ChainState(y, state.step_index + 1, state.acceptance_count + 1)
-    return ChainState(x, state.step_index + 1, state.acceptance_count)
 
 
 @dataclass
@@ -222,7 +161,7 @@ def _run_group(system, config, replicas, observables, record_steps, values):
     y = x - hg_x + kick and accepts each replica on its own when
     log u < u_x - u_y + (|kick|^2 - |hg_x + hg_y - kick|^2) / (4h)
     (`_mala_log_alpha`), so each replica's records and acceptance rate are
-    bit for bit those of its chain run alone, and of `mala_step`. Record j of
+    bit for bit those of its chain run alone. Record j of
     a chunk waits in the noise slot of step j, already spent, and with U_N
     under MALA in the uniform's slot; after the chunk the built-in
     observables take the group's recorded states as one block, and any other
@@ -342,7 +281,10 @@ def _initial_configuration(system: ParticleSystem, initial, rng) -> np.ndarray:
     if isinstance(initial, tuple) and initial and initial[0] == "gaussian":
         scale = float(initial[1]) if len(initial) > 1 else 1.0
         return scale * rng.standard_normal((system.N, system.d))
-    return _one_configuration(system, initial)
+    x = system._check(initial)
+    if x.ndim != 2:
+        raise ValueError(f"a chain state is one configuration, not a batch of shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -374,7 +374,8 @@ def _gauss_product(xs, points, rhs):
     matrix entries. One set of atoms is built once for all its rhs, in row
     blocks: one block, with no copy, up to 256 x 256. More are split along
     the first axis into blocks of whole sets, each block's matrices built
-    once for the rhs that share them, or taken one set at a time when one
+    once for the rhs that share them (one block, with no copy, when all
+    sets fit the budget), or taken one set at a time when one
     set alone is over the budget. Each set's product is the one it has on
     its own."""
     m, n = xs.shape[-2], points.shape[-2]
@@ -394,6 +395,8 @@ def _gauss_product(xs, points, rhs):
     per = _BLOCK_ENTRIES // (m * n * math.prod(points.shape[1:-2]))
     if per == 0:
         return np.stack([_gauss_product(*one) for one in zip(xs, points, rhs)])
+    if len(points) <= per:
+        return _gauss_rows(xs, points) @ rhs
     blocks = [slice(s, s + per) for s in range(0, len(points), per)]
     return np.concatenate([_gauss_rows(xs[b], points[b]) @ rhs[b] for b in blocks])
 

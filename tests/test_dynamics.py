@@ -9,7 +9,7 @@ from mfgibbs import dynamics
 from mfgibbs.dynamics import (
     _GROUP_ENTRIES,
     _RNG_CHUNK,
-    ChainState,
+    BLOWUP_THRESHOLD,
     SimConfig,
     Trajectory,
     _initial_configuration,
@@ -17,9 +17,7 @@ from mfgibbs.dynamics import (
     _replica_groups,
     default_observables,
     make_rng,
-    mala_step,
     run_chain,
-    ula_step,
 )
 from mfgibbs.energies import (
     LinearPotentialEnergy,
@@ -41,112 +39,6 @@ def ou_system(kappa=1.0, N=1):
     return ParticleSystem(energy, N, 1)
 
 
-class _Replay:
-    """Stub generator replaying replica r's draws of `cfg` in its order: its
-    initial configuration `x0`, then per chunk of _RNG_CHUNK steps all
-    normals, then (MALA only) all uniforms."""
-
-    def __init__(self, system, cfg, replica=0):
-        rng = make_rng(cfg.seed, replica)
-        self.x0 = _initial_configuration(system, cfg.initial, rng)
-        self.noise, self.unifs = [], []
-        for start in range(0, cfg.n_steps, _RNG_CHUNK):
-            chunk = min(_RNG_CHUNK, cfg.n_steps - start)
-            self.noise.extend(rng.standard_normal((chunk, system.N, system.d)))
-            if cfg.sampler == "MALA":
-                self.unifs.extend(rng.uniform(size=chunk))
-        self.k = 0
-
-    def standard_normal(self, shape):
-        out = self.noise[self.k]
-        assert out.shape == shape
-        self.k += 1
-        return out
-
-    def uniform(self):
-        return self.unifs[self.k - 1]
-
-
-def _assert_chain_replays_steps(sampler, system=None):
-    """run_chain and the public step function fed the same draws agree bit
-    for bit; the run crosses a noise-chunk boundary."""
-    if system is None:
-        system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
-    n_steps, h = _RNG_CHUNK + 4, 0.05
-    cfg = SimConfig(step=h, n_steps=n_steps, replicas=1, seed=9, sampler=sampler)
-    traj = run_chain(system, cfg, observables={"x1": lambda x: x[0, 0]})
-    step = mala_step if sampler == "MALA" else ula_step
-    replay = _Replay(system, cfg)
-    state = ChainState(replay.x0)
-    ref = []
-    for _ in range(n_steps):
-        state = step(system, state, h, replay)
-        ref.append(state.configuration[0, 0])
-    np.testing.assert_array_equal(traj.observables["x1"][0], ref)
-
-
-class _ZeroNoise:
-    """Stub generator: no diffusion, acceptance forced."""
-
-    def standard_normal(self, shape=None):
-        return np.zeros(shape) if shape is not None else 0.0
-
-    def uniform(self, size=None):
-        return np.full(size, 1e-300) if size is not None else 1e-300
-
-
-class TestSteps:
-    def test_ula_drift_only(self):
-        # with the noise zeroed, ULA is explicit Euler for x' = -grad U
-        system = ou_system(kappa=2.0)
-        state = ChainState(np.array([[1.0]]))
-        out = ula_step(system, state, 0.1, _ZeroNoise())
-        assert abs(out.configuration[0, 0] - 0.8) < 1e-15
-        assert out.step_index == 1
-
-    def test_ula_noise_scale(self):
-        # zero drift point: increments are exactly sqrt(2h) * N(0,1)
-        system = ou_system()
-        rng = make_rng(0)
-        ref = make_rng(0).standard_normal((1, 1))
-        out = ula_step(system, ChainState(np.zeros((1, 1))), 0.5, rng)
-        assert abs(out.configuration[0, 0] - np.sqrt(1.0) * ref[0, 0]) < 1e-15
-
-    def test_mala_accept_bookkeeping(self):
-        system = ou_system()
-        state = ChainState(np.array([[0.3]]))
-        out = mala_step(system, state, 0.05, _ZeroNoise())
-        # downhill drift move is always accepted
-        assert out.acceptance_count == 1
-        assert out.step_index == 1
-
-    def test_mala_acceptance_rate_reasonable(self):
-        system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)
-        cfg = SimConfig(step=0.1, n_steps=4000, replicas=1, seed=3, sampler="MALA")
-        traj = run_chain(system, cfg)
-        assert 0.5 < traj.acceptance_rates[0] < 1.0
-
-    def test_mala_small_step_accepts_almost_always(self):
-        system = ou_system()
-        cfg = SimConfig(step=1e-4, n_steps=2000, replicas=1, seed=4, sampler="MALA")
-        traj = run_chain(system, cfg)
-        assert traj.acceptance_rates[0] > 0.99
-
-    def test_ula_blow_up_reports_step(self):
-        system = ou_system()
-        state = ChainState(np.array([[1e9]]), step_index=7)
-        with pytest.raises(BlowUpError) as exc:
-            ula_step(system, state, 0.1, make_rng(0))
-        assert exc.value.step == 8
-        assert exc.value.replica is None
-
-    def test_invalid_step(self):
-        system = ou_system()
-        for h in (0.0, float("nan")):
-            with pytest.raises(ValueError):
-                ula_step(system, ChainState(np.zeros((1, 1))), h, make_rng(0))
-
-
 def _textbook_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
     """u_x - u_y + log q(y -> x) - log q(x -> y), from the proposal's log
     density log q(a -> b) = -|b - a + h grad U_N(a)|^2 / (4h); with the sum
@@ -158,6 +50,71 @@ def _textbook_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h):
 
     terms = [u_x, -u_y, log_q(y, x, grad_y), -log_q(x, y, grad_x)]
     return sum(terms), sum(np.abs(t) for t in terms)
+
+
+def _replay(system, cfg, observables, r):
+    """Replica r of `cfg` replayed alone on its own draws, with no code of
+    the chain loop: its records by name, each observable called on the
+    state, and its acceptance rate, NaN for ULA. make_rng(seed, r) draws
+    x0, then per chunk of _RNG_CHUNK steps the normals xi and (MALA) the
+    uniforms u. The move is x - h grad U_N(x) + sqrt(2h) xi through the
+    public lifts; a move with max |y| not below BLOWUP_THRESHOLD, NaN
+    included, raises BlowUpError. MALA accepts when log u < log alpha, taken
+    from the two proposal densities; a log u within round-off of log alpha
+    fails the test as a tie, naming the step, since the loop's algebra of
+    the same ratio may decide it the other way."""
+    h, mala = cfg.step, cfg.sampler == "MALA"
+    rng = make_rng(cfg.seed, r)
+    shape = (system.N, system.d)
+    if isinstance(cfg.initial, str):
+        assert cfg.initial == "zeros"
+        x = np.zeros(shape)
+    elif isinstance(cfg.initial, tuple):
+        x = cfg.initial[1] * rng.standard_normal(shape)
+    else:
+        x = np.array(cfg.initial, dtype=float)
+    if mala:
+        u_x, grad_x = system.u_n_and_grad(x)
+    recorded = set(cfg.record_steps().tolist())
+    records = {name: [] for name in observables}
+    accepted = 0
+    for start in range(0, cfg.n_steps, _RNG_CHUNK):
+        chunk = min(_RNG_CHUNK, cfg.n_steps - start)
+        xis = rng.standard_normal((chunk,) + shape)
+        log_us = np.log(rng.uniform(size=chunk)) if mala else None
+        for c in range(chunk):
+            s = start + c + 1
+            grad = grad_x if mala else system.grad_u_n(x)
+            y = x - h * grad + math.sqrt(2 * h) * xis[c]
+            if not np.max(np.abs(y)) < BLOWUP_THRESHOLD:
+                raise BlowUpError(f"blow-up at step {s}", step=s, replica=r)
+            if mala:
+                u_y, grad_y = system.u_n_and_grad(y)
+                log_alpha, scale = _textbook_log_alpha(x, y, u_x, u_y, grad_x, grad_y, h)
+                if abs(log_us[c] - log_alpha) <= 1e-9 * scale:
+                    pytest.fail(f"replica {r}, step {s}: log u is within round-off of log alpha")
+                if log_us[c] < log_alpha:
+                    x, u_x, grad_x = y, u_y, grad_y
+                    accepted += 1
+            else:
+                x = y
+            if s in recorded:
+                for name, fn in observables.items():
+                    records[name].append(fn(x))
+    acc = accepted / cfg.n_steps if mala else np.nan
+    return {name: np.array(v) for name, v in records.items()}, acc
+
+
+def _assert_replicas_replay(system, cfg, observables):
+    """Every replica's records and acceptance rate from run_chain are bit
+    for bit its `_replay`."""
+    traj = run_chain(system, cfg, observables)
+    for r in range(cfg.replicas):
+        records, acc = _replay(system, cfg, observables, r)
+        for name in observables:
+            np.testing.assert_array_equal(traj.observables[name][r], records[name])
+        assert np.array_equal(traj.acceptance_rates[r], acc, equal_nan=True)
+    return traj
 
 
 class TestMalaLogAlpha:
@@ -224,15 +181,56 @@ class TestRunChain:
         for name in a.observables:
             np.testing.assert_array_equal(a.observables[name], b.observables[name])
 
-    def test_ula_matches_single_step_reference(self):
-        _assert_chain_replays_steps("ULA")
+    @pytest.mark.parametrize(
+        "sampler, energy", [("ULA", "quadratic"), ("MALA", "quadratic"), ("MALA", "kernel")]
+    )
+    def test_one_chain_equals_its_replay(self, sampler, energy):
+        # every step recorded; the run crosses a noise-chunk boundary
+        if energy == "quadratic":
+            system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
+        else:
+            system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 20, 1)
+        cfg = SimConfig(step=0.05, n_steps=_RNG_CHUNK + 4, replicas=1, seed=9, sampler=sampler)
+        _assert_replicas_replay(system, cfg, {"x1": lambda x: x[0, 0]})
 
-    def test_mala_matches_single_step_reference(self):
-        _assert_chain_replays_steps("MALA")
+    @pytest.mark.parametrize("sampler, replicas", [("MALA", 1), ("ULA", 3)])
+    def test_replay_catches_a_reordered_move(self, sampler, replicas, monkeypatch):
+        # the loop's move summed in another order, x + kick - hg, is the same
+        # move up to round-off; the replay, which shares no code with the
+        # loop, tells it apart
+        system = ParticleSystem(QuadraticMeanEnergy(0.3), 4, 1)
+        cfg = SimConfig(
+            step=0.05, n_steps=300, replicas=replicas, seed=9, sampler=sampler,
+            initial=("gaussian", 1.0),
+        )
+        observables = {"x1": lambda x: x[0, 0]}
+        _assert_replicas_replay(system, cfg, observables)
+        move = dynamics._move
+        monkeypatch.setattr(
+            dynamics, "_move", lambda x, hg, kick: move(x + kick, hg, np.zeros_like(kick))
+        )
+        with pytest.raises(AssertionError):
+            _assert_replicas_replay(system, cfg, observables)
 
-    def test_kernel_mala_matches_single_step_reference(self):
-        kernel = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
-        _assert_chain_replays_steps("MALA", ParticleSystem(kernel, 20, 1))
+    def test_ula_noise_scale(self):
+        # at the zero-drift point one step is exactly sqrt(2h) xi
+        h, seed = 0.08, 4
+        cfg = SimConfig(step=h, n_steps=1, seed=seed, sampler="ULA")
+        traj = run_chain(ou_system(), cfg, observables={"x": lambda x: x[0, 0]})
+        xi = make_rng(seed, 0).standard_normal()
+        assert traj.observables["x"][0, 0] == math.sqrt(2 * h) * xi
+
+    def test_mala_acceptance_rate_reasonable(self):
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)
+        cfg = SimConfig(step=0.1, n_steps=4000, replicas=1, seed=3, sampler="MALA")
+        traj = run_chain(system, cfg)
+        assert 0.5 < traj.acceptance_rates[0] < 1.0
+
+    def test_mala_small_step_accepts_almost_always(self):
+        system = ou_system()
+        cfg = SimConfig(step=1e-4, n_steps=2000, replicas=1, seed=4, sampler="MALA")
+        traj = run_chain(system, cfg)
+        assert traj.acceptance_rates[0] > 0.99
 
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
     def test_replica_independent_of_replica_count(self, sampler):
@@ -380,64 +378,25 @@ class TestRunChain:
         run_chain(system, cfg)  # just exercises the path
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(step=-0.1, n_steps=10)
+        for h in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                SimConfig(step=h, n_steps=10)
         with pytest.raises(ValueError):
             SimConfig(step=0.1, n_steps=10, burn_in=10)
         with pytest.raises(ValueError):
             SimConfig(step=0.1, n_steps=10, sampler="HMC")
-        with pytest.raises(ValueError):
-            SimConfig(step=float("nan"), n_steps=10)
-        with pytest.raises(ValueError, match="step must be positive and finite"):
-            SimConfig(step=math.inf, n_steps=10)
 
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
     def test_chain_state_is_one_configuration(self, sampler):
-        # a batch (K, N, d) is rejected, naming its shape, by the public steps
-        # and as an explicit initial configuration
+        # a batch (K, N, d) is rejected as an explicit initial configuration,
+        # naming its shape
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 2)
         batch = np.zeros((4, 3, 2))
-        step = mala_step if sampler == "MALA" else ula_step
-        with pytest.raises(ValueError, match=r"not a batch of shape \(4, 3, 2\)"):
-            step(system, ChainState(batch), 0.1, make_rng(0))
         cfg = SimConfig(step=0.1, n_steps=5, sampler=sampler, initial=batch)
         with pytest.raises(ValueError, match=r"not a batch of shape \(4, 3, 2\)"):
             run_chain(system, cfg)
         with pytest.raises(ValueError, match=r"configuration shape \(3, 3\)"):
             _initial_configuration(system, np.zeros((3, 3)), make_rng(0))
-
-    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
-    @pytest.mark.parametrize("step", [ula_step, mala_step])
-    def test_public_step_size_positive_and_finite(self, step, h):
-        system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 1)
-        with pytest.raises(ValueError, match="step must be positive and finite"):
-            step(system, ChainState(np.zeros((3, 1))), h, make_rng(0))
-
-
-def _serial_replica(system, cfg, observables, r):
-    """Replica r of `cfg` replayed alone through the public step function on
-    its own draws: its records by name and its acceptance rate. A built-in
-    observable takes the recorded state as a block of one, with its U_N
-    under MALA, as the chain holds it."""
-    mala = cfg.sampler == "MALA"
-    step = mala_step if mala else ula_step
-    replay = _Replay(system, cfg, r)
-    state = ChainState(replay.x0)
-    recorded = set(cfg.record_steps().tolist())
-    records = {name: [] for name in observables}
-    while state.step_index < cfg.n_steps:
-        try:
-            state = step(system, state, cfg.step, replay)
-        except BlowUpError as exc:
-            raise BlowUpError(str(exc), step=exc.step, replica=r) from exc
-        if state.step_index in recorded:
-            x = state.configuration
-            u_n = np.array([system.u_n_and_grad(x)[0]]) if mala else None
-            for name, fn in observables.items():
-                block = isinstance(fn, _Observable)
-                records[name].append(fn.block(x[None], u_n)[0] if block else fn(x))
-    acc = state.acceptance_count / cfg.n_steps if mala else np.nan
-    return {name: np.array(v) for name, v in records.items()}, acc
 
 
 def _mean_square(x):
@@ -460,7 +419,7 @@ BATCH_SYSTEMS = {
 
 class TestReplicaGroups:
     """R >= 2 replicas move as (G, N, d) arrays; every replica is bit for bit
-    the public step function replayed on the draws of (seed, r)."""
+    its `_replay` on the draws of (seed, r)."""
 
     @pytest.mark.parametrize("name", list(BATCH_SYSTEMS))
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
@@ -474,13 +433,8 @@ class TestReplicaGroups:
         )
         assert len(_replica_groups(5, _RNG_CHUNK * system.N * system.d)) == 1
         observables = dict(default_observables(system), m2=_mean_square)
-        traj = run_chain(system, cfg, observables)
+        traj = _assert_replicas_replay(system, cfg, observables)
         assert traj.steps[0] < _RNG_CHUNK < traj.steps[-1]
-        for r in range(cfg.replicas):
-            records, acc = _serial_replica(system, cfg, observables, r)
-            for obs in observables:
-                np.testing.assert_array_equal(traj.observables[obs][r], records[obs])
-            assert np.array_equal(traj.acceptance_rates[r], acc, equal_nan=True)
 
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
     def test_group_budget_does_not_change_the_trajectory(self, sampler, monkeypatch):
@@ -533,7 +487,7 @@ class TestReplicaGroups:
         serial = {}
         for r in range(cfg.replicas):
             try:
-                _serial_replica(system, cfg, observables, r)
+                _replay(system, cfg, observables, r)
             except BlowUpError as exc:
                 assert exc.replica == r
                 serial[r] = exc.step
@@ -567,7 +521,7 @@ class TestReplicaGroups:
         serial = {}
         for r in range(cfg.replicas):
             try:
-                _serial_replica(system, cfg, observables, r)
+                _replay(system, cfg, observables, r)
             except BlowUpError as exc:
                 serial[r] = exc.step
         lowest = min(serial)
@@ -599,7 +553,7 @@ class TestReplicaGroups:
         serial, records = {}, {}
         for r in range(cfg.replicas):
             try:
-                records[r] = _serial_replica(system, cfg, observables, r)[0]
+                records[r] = _replay(system, cfg, observables, r)[0]
             except BlowUpError as exc:
                 serial[r] = exc.step
         lowest = min(serial)

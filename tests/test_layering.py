@@ -6,13 +6,15 @@ A module may import only modules of a strictly lower layer. The package
 `__init__` re-exports the public API and sits outside the layering. Two
 facts have one owner each: `config` turns an energy type into an energy, so
 `cli` imports no energy, and `ParticleSystem` lifts F to U_N, so `dynamics`
-calls no energy primitive.
+calls no energy primitive. The tests' replay of a replica shares no code
+with the chain loop it checks.
 """
 
 import ast
 from pathlib import Path
 
 import mfgibbs
+from mfgibbs import dynamics
 
 LAYERS = {
     "measures": 0,
@@ -55,9 +57,9 @@ def test_imports_point_down():
     assert not bad, bad
 
 
-def _names(path):
-    """Every identifier and attribute name a source file mentions."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def _names(tree):
+    """Every identifier and attribute name a syntax tree mentions."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -70,4 +72,23 @@ def test_cli_imports_no_energy():
 
 def test_dynamics_calls_no_energy_primitive():
     primitives = {"_eval", "_eval_batch", "_value_and_grad", "_grad", "_flat"}
-    assert not primitives & set(_names(SRC / "dynamics.py"))
+    assert not primitives & set(_names(ast.parse((SRC / "dynamics.py").read_text())))
+
+
+def test_replay_names_no_dynamics_private():
+    # every replica of the chain loop is checked against `_replay` in
+    # test_dynamics.py; it and the test functions it calls share no code
+    # with the loop, and of the privates of `dynamics` name only the chunk
+    # size that defines the random stream
+    tree = ast.parse((Path(__file__).parent / "test_dynamics.py").read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    names, reached, todo = set(), set(), ["_replay"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            names |= set(_names(functions[name]))
+            todo.extend(names & functions.keys())
+    privates = {name for name in vars(dynamics) if name.startswith("_")}
+    assert "_textbook_log_alpha" in reached
+    assert names & privates == {"_RNG_CHUNK"}
