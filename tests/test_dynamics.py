@@ -220,6 +220,37 @@ class TestRunChain:
         xi = make_rng(seed, 0).standard_normal()
         assert traj.observables["x"][0, 0] == math.sqrt(2 * h) * xi
 
+    def test_ula_drift_is_explicit_euler(self):
+        # one ULA step of kappa |x|^2 / 2 from x0 = 1: x0 - h kappa x0 +
+        # sqrt(2h) xi; an explicit start draws nothing, so xi is the first normal
+        h, seed = 0.1, 4
+        cfg = SimConfig(step=h, n_steps=1, seed=seed, sampler="ULA", initial=np.array([[1.0]]))
+        traj = run_chain(ou_system(kappa=2.0), cfg, observables={"x": lambda x: x[0, 0]})
+        xi = make_rng(seed, 0).standard_normal()
+        assert abs(traj.observables["x"][0, 0] - (0.8 + math.sqrt(2 * h) * xi)) < 1e-15
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_mala_acceptance_rate_counts_the_moves(self, replicas):
+        # every step recorded from zeros: a rejected proposal repeats the
+        # state and an accepted one moves it, so the rate is the share of moves
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)
+        cfg = SimConfig(step=0.4, n_steps=500, replicas=replicas, seed=8, sampler="MALA")
+        traj = run_chain(system, cfg, observables={"x1": lambda x: x[0, 0]})
+        for r in range(replicas):
+            path = np.concatenate([[0.0], traj.observables["x1"][r]])
+            moves = np.count_nonzero(np.diff(path))
+            assert 0 < moves < cfg.n_steps
+            assert traj.acceptance_rates[r] == moves / cfg.n_steps
+
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    def test_blow_up_at_the_first_step(self, sampler):
+        # from x0 = 1e9 the first move lands at about 9e8, beyond BLOWUP_THRESHOLD
+        cfg = SimConfig(step=0.1, n_steps=10, seed=0, sampler=sampler, initial=np.array([[1e9]]))
+        with pytest.raises(BlowUpError) as exc:
+            run_chain(ou_system(), cfg)
+        assert (exc.value.replica, exc.value.step) == (0, 1)
+        assert str(exc.value) == "blow-up at step 1"
+
     def test_mala_acceptance_rate_reasonable(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)
         cfg = SimConfig(step=0.1, n_steps=4000, replicas=1, seed=3, sampler="MALA")
@@ -377,10 +408,12 @@ class TestRunChain:
         )
         run_chain(system, cfg)  # just exercises the path
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            SimConfig(step=h, n_steps=10)
+
     def test_config_validation(self):
-        for h in (0.0, -0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="step must be positive and finite"):
-                SimConfig(step=h, n_steps=10)
         with pytest.raises(ValueError):
             SimConfig(step=0.1, n_steps=10, burn_in=10)
         with pytest.raises(ValueError):
