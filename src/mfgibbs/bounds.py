@@ -16,7 +16,7 @@ import numpy as np
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy
 from .energies import ParametrizedEnergy, QuadraticMeanEnergy
 from .errors import GibbsUndefinedError, TheoremInvalidError
-from .measures import DiscreteMeasure, mixture_atoms, stack_atoms, w2_squared
+from .measures import DiscreteMeasure, mixture_atoms, stack_pairs, w2_squared_pairs
 
 __all__ = [
     "PoincareInputs",
@@ -286,53 +286,53 @@ def corollary_report(
     return report, {**example, "var_phi": var_phi}
 
 
-def _mixture_deficits(energy, mus, nus, penalties) -> np.ndarray:
-    """Worst deficit over `DEFAULT_T_GRID` of each pair (mus[i], nus[i]).
-    Pairs whose atoms have the same shapes share one batched value pass for
-    all their mixtures and one for each endpoint set."""
+def _mixture_deficits(energy, mu, nu, penalty) -> np.ndarray:
+    """Worst deficit over `DEFAULT_T_GRID` of each pair of the stacks mu and
+    nu against its penalty (P,): one batched value pass for all the
+    mixtures and one for each endpoint stack."""
     t = np.asarray(DEFAULT_T_GRID)
-    penalties = np.asarray(penalties, dtype=float)
-    groups = {}
-    for i, (mu, nu) in enumerate(zip(mus, nus)):
-        groups.setdefault((mu.points.shape, nu.points.shape), []).append(i)
-    worst = np.empty(len(penalties))
-    for members in groups.values():
-        group_mu, group_nu = [mus[i] for i in members], [nus[i] for i in members]
-        lhs = energy._eval_batch(*mixture_atoms(group_mu, group_nu, t))
-        f_mu = energy._eval_batch(*stack_atoms(group_mu))[:, None]
-        f_nu = energy._eval_batch(*stack_atoms(group_nu))[:, None]
-        penalty = penalties[members, None]
-        deficit = lhs - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty
-        worst[members] = np.max(deficit, axis=1)
-    return worst
+    lhs = energy._eval_batch(*mixture_atoms(mu, nu, t))
+    f_mu = energy._eval_batch(*mu)[:, None]
+    f_nu = energy._eval_batch(*nu)[:, None]
+    deficit = lhs - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty[:, None]
+    return np.max(deficit, axis=1)
 
 
 def semi_convexity_deficits(
     energy: MeanFieldEnergy, mus, nus, lam: float | None = None
 ) -> np.ndarray:
     """Worst mixture-convexity deficit of each pair (mus[i], nus[i]) against
-    the lambda/2 W2^2 penalty, lambda the declared one unless given.
+    the lambda/2 W2^2 penalty, lambda the declared one unless given. An item
+    is a DiscreteMeasure or its atoms (points (n, d), weights (n,)); pairs
+    with the same atom shapes are evaluated as one stack.
 
     Nonpositive (up to 1e-9) means the modulus holds on that pair.
     """
     if lam is None:
         lam = energy.declared_lambda
-    penalties = [0.5 * lam * w2_squared(nu, mu) for mu, nu in zip(mus, nus, strict=True)]
-    return _mixture_deficits(energy, mus, nus, penalties)
+    worst = np.empty(len(mus))
+    for index, mu, nu in stack_pairs(mus, nus):
+        worst[index] = _mixture_deficits(energy, mu, nu, 0.5 * lam * w2_squared_pairs(nu, mu))
+    return worst
 
 
 def cost_convexity_deficits(energy: MeanFieldEnergy, mus, nus, cost=None) -> np.ndarray:
     """Worst mixture-convexity deficit of each pair (mus[i], nus[i]) against
-    a cost functional C(mu, nu).
+    a cost functional C(mu, nu), called with the items as given. Items and
+    stacks are as for `semi_convexity_deficits`.
 
     Defaults to the parametrized energy's alpha_r |int phi d(nu - mu)|^2.
     """
-    if cost is None:
-        if not isinstance(energy, ParametrizedEnergy):
-            raise TypeError("cost functional required for non-parametrized energies")
-        cost = energy.cost_functional
-    penalties = [cost(mu, nu) for mu, nu in zip(mus, nus, strict=True)]
-    return _mixture_deficits(energy, mus, nus, penalties)
+    if cost is None and not isinstance(energy, ParametrizedEnergy):
+        raise TypeError("cost functional required for non-parametrized energies")
+    worst = np.empty(len(mus))
+    for index, mu, nu in stack_pairs(mus, nus):
+        if cost is None:
+            penalty = energy._cost(*mu, *nu)
+        else:
+            penalty = np.array([cost(mus[i], nus[i]) for i in index], dtype=float)
+        worst[index] = _mixture_deficits(energy, mu, nu, penalty)
+    return worst
 
 
 def check_semi_convexity(

@@ -107,11 +107,12 @@ def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 def cmd_verify(suite: str) -> int:
-    try:
-        results = verify.run_suite(suite)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
+    # only the name is a config error: a KeyError inside a suite is an internal one
+    if suite not in verify.SUITES:
+        print(f"config error: unknown suite {suite!r}; choose from {sorted(verify.SUITES)}",
+              file=sys.stderr)
         return EXIT_CONFIG
+    results = verify.SUITES[suite]()
     width = max(len(name) for name, _, _ in results)
     all_ok = True
     for name, ok, detail in results:

@@ -471,12 +471,15 @@ class ParametrizedEnergy(MeanFieldEnergy):
             acc = acc + np.einsum("k,ikab->iab", g, _rows(self.phi_hess, xs))
         return acc
 
+    def _cost(self, mu_points, mu_weights, nu_points, nu_weights):
+        """alpha_r * |int phi d(nu - mu)|^2 of one pair, or of each pair of
+        two stacks of measures (P,)."""
+        diff = self._feature_mean(nu_points, nu_weights) - self._feature_mean(mu_points, mu_weights)
+        return self.alpha_r * _wsum(diff, diff)
+
     def cost_functional(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """Mixture-convexity cost alpha_r * |int phi d(nu - mu)|^2."""
-        fm = self._feature_mean(mu.points, mu.weights)
-        fn = self._feature_mean(nu.points, nu.weights)
-        diff = fn - fm
-        return self.alpha_r * float(diff @ diff)
+        return self._cost(mu.points, mu.weights, nu.points, nu.weights)
 
 
 def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:

@@ -1,4 +1,12 @@
-"""Finitely supported probability measures and exact Wasserstein-2 distances."""
+"""Finitely supported probability measures and exact Wasserstein-2 distances.
+
+A measure is given by its atoms `points` (n, d) and `weights` (n,). A stack
+of P measures with n atoms each is the pair (points (P, n, d), weights
+(P, n)): `stack_atoms` builds one from measures, and `stack_pairs` groups
+pairs of measures, or of their atoms, into stacks. `check_atoms` holds every
+check a measure must pass, over any leading axes; `DiscreteMeasure` calls it
+for one measure and `stack_pairs` once per stack.
+"""
 
 from __future__ import annotations
 
@@ -10,14 +18,37 @@ from scipy.optimize import linear_sum_assignment
 __all__ = [
     "DiscreteMeasure",
     "UnsupportedTransportError",
+    "check_atoms",
     "empirical",
     "mix",
     "mixture_atoms",
     "stack_atoms",
+    "stack_pairs",
     "w2_squared",
+    "w2_squared_pairs",
 ]
 
 _WEIGHT_TOL = 1e-12
+
+
+def check_atoms(points, weights) -> None:
+    """Raise ValueError unless points (..., n, d) and weights (..., n) are the
+    atoms of probability measures, one per leading index: at least one atom,
+    finite coordinates, and weights that are nonnegative and sum to one
+    within 1e-12. A sum that is off names the first such measure's sum, the
+    message `DiscreteMeasure` raises for that measure alone."""
+    if points.ndim < 2 or points.shape[:-1] != weights.shape:
+        raise ValueError("points and weights must have equal length")
+    if weights.shape[-1] < 1:
+        raise ValueError("measure needs at least one atom")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("non-finite atom coordinates")
+    if not np.all(weights >= 0):  # NaN fails too
+        raise ValueError("negative or NaN weights")
+    off = ~(np.abs(weights.sum(axis=-1) - 1.0) <= _WEIGHT_TOL)
+    if np.any(off):
+        first = tuple(np.argwhere(off)[0])
+        raise ValueError(f"weights sum to {weights[first].sum()}, not 1")
 
 
 class UnsupportedTransportError(ValueError):
@@ -39,16 +70,7 @@ class DiscreteMeasure:
         # copies: the measure is immutable, and the caller's arrays stay writable
         pts = np.array(self.points, dtype=float, ndmin=2)
         w = np.array(self.weights, dtype=float).ravel()
-        if pts.shape[0] != w.shape[0]:
-            raise ValueError("points and weights must have equal length")
-        if pts.shape[0] < 1:
-            raise ValueError("measure needs at least one atom")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("non-finite atom coordinates")
-        if not np.all(w >= 0):  # NaN fails too
-            raise ValueError("negative or NaN weights")
-        if not abs(w.sum() - 1.0) <= _WEIGHT_TOL:
-            raise ValueError(f"weights sum to {w.sum()}, not 1")
+        check_atoms(pts, w)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         pts.setflags(write=False)
@@ -75,10 +97,39 @@ def empirical(points) -> DiscreteMeasure:
     return DiscreteMeasure(pts, np.full(n, 1.0 / n))
 
 
+def _atoms(m) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of a DiscreteMeasure, or of its atoms given as such a pair."""
+    if isinstance(m, DiscreteMeasure):
+        return m.points, m.weights
+    points, weights = m
+    return np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
+
+
 def stack_atoms(measures) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms (P, n, d) and weights (P, n) of P measures of n atoms each,
-    a batch for `_eval_batch`."""
-    return np.stack([m.points for m in measures]), np.stack([m.weights for m in measures])
+    """The stack (points (P, n, d), weights (P, n)) of P measures of n atoms
+    each, a batch for `_eval_batch`. An item is a DiscreteMeasure or the
+    atoms (points (n, d), weights (n,)) of one."""
+    points, weights = zip(*map(_atoms, measures))
+    return np.stack(points), np.stack(weights)
+
+
+def stack_pairs(mus, nus) -> list:
+    """The pairs (mus[i], nus[i]) as stacks, one for each pair of atom
+    shapes: a list of (pair indices, mu stack, nu stack). Items are as for
+    `stack_atoms`; each stack is checked once, by `check_atoms`."""
+    groups = {}
+    for i, (mu, nu) in enumerate(zip(mus, nus, strict=True)):
+        mu, nu = _atoms(mu), _atoms(nu)
+        key = (mu[0].shape, mu[1].shape, nu[0].shape, nu[1].shape)
+        groups.setdefault(key, []).append((i, mu, nu))
+    stacks = []
+    for members in groups.values():
+        index, mu, nu = zip(*members)
+        mu, nu = stack_atoms(mu), stack_atoms(nu)
+        check_atoms(*mu)
+        check_atoms(*nu)
+        stacks.append((np.array(index), mu, nu))
+    return stacks
 
 
 def mixture_atoms(mu, nu, t_grid):
@@ -87,14 +138,11 @@ def mixture_atoms(mu, nu, t_grid):
     weights per t (K, n), t*w_mu followed by (1-t)*w_nu and renormalised to
     sum to one. An atom of weight zero keeps its column.
 
-    mu and nu may also be sequences of P measures, the pairs (mu_i, nu_i),
-    with one atom count on each side. Then points (P, 1, n, d) hold each
-    pair's atoms once for its weight rows (P, K, n), and pair i is bit for
-    bit its own mixture_atoms."""
-    if isinstance(mu, DiscreteMeasure):
-        (mu_p, mu_w), (nu_p, nu_w) = (mu.points, mu.weights), (nu.points, nu.weights)
-    else:
-        (mu_p, mu_w), (nu_p, nu_w) = stack_atoms(mu), stack_atoms(nu)
+    mu and nu may also be stacks of P measures (points (P, n, d), weights
+    (P, n)), the pairs (mu_i, nu_i), with one atom count on each side. Then
+    points (P, 1, n, d) hold each pair's atoms once for its weight rows
+    (P, K, n), and pair i is bit for bit its own mixture_atoms."""
+    (mu_p, mu_w), (nu_p, nu_w) = _atoms(mu), _atoms(nu)
     if mu_p.shape[-1] != nu_p.shape[-1]:
         raise ValueError("dimension mismatch")
     t = np.asarray(t_grid, dtype=float)
@@ -117,57 +165,73 @@ def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     return DiscreteMeasure(pts[keep], w[keep])
 
 
-def _w2_squared_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    # Exact quantile (monotone) coupling: merge the two CDF breakpoint sets.
-    xi = np.argsort(mu.points[:, 0], kind="stable")
-    yi = np.argsort(nu.points[:, 0], kind="stable")
-    x, wx = mu.points[xi, 0], mu.weights[xi]
-    y, wy = nu.points[yi, 0], nu.weights[yi]
-    cost = 0.0
-    i = j = 0
-    rx, ry = wx[0], wy[0]
-    while True:
-        m = min(rx, ry)
-        cost += m * (x[i] - y[j]) ** 2
-        rx -= m
-        ry -= m
-        if rx <= 1e-15:
-            i += 1
-            if i >= len(x):
-                break
-            rx = wx[i]
-        if ry <= 1e-15:
-            j += 1
-            if j >= len(y):
-                break
-            ry = wy[j]
-    return cost
+def _w2_squared_1d(x, wx, y, wy) -> np.ndarray:
+    """W2^2 of P pairs of measures on the line, atoms x (P, n) weighted wx
+    against atoms y (P, m) weighted wy, by the quantile (monotone) coupling
+    (Santambrogio 2015, Optimal Transport for Applied Mathematicians, 2.2).
+    Both quantile functions are constant between consecutive points u_k of
+    the sorted union of the two CDFs' breakpoints, so the mass
+    u_k - u_{k-1} moves from one atom of x to one atom of y. All P pairs in
+    one array pass, each pair's result the one it has alone."""
+
+    def sorted_cdf(z, w):
+        order = np.argsort(z, axis=1, kind="stable")
+        return np.take_along_axis(z, order, 1), np.cumsum(np.take_along_axis(w, order, 1), axis=1)
+
+    (x, cx), (y, cy) = sorted_cdf(x, wx), sorted_cdf(y, wy)
+    n, m = cx.shape[1], cy.shape[1]
+    breaks = np.concatenate([cx, cy], axis=1)
+    order = np.argsort(breaks, axis=1, kind="stable")
+    # totals within round-off of one: the coupling ends where the lighter side's mass does
+    u = np.minimum(np.take_along_axis(breaks, order, 1), np.minimum(cx[:, -1:], cy[:, -1:]))
+    mass = np.diff(u, axis=1, prepend=0.0)
+    # On an interval (u_{k-1}, u_k] of positive mass the breakpoints sorted
+    # before u_k are those below it; a side's count of them is the index of
+    # the atom it moves. An interval of zero mass may point one past the end.
+    from_x = order < n
+    i = np.minimum(np.cumsum(from_x, axis=1) - from_x, n - 1)
+    j = np.minimum(np.cumsum(~from_x, axis=1) - ~from_x, m - 1)
+    gap = np.take_along_axis(x, i, 1) - np.take_along_axis(y, j, 1)
+    return np.sum(mass * gap**2, axis=1)
 
 
-def _w2_squared_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
+def _w2_squared_assignment(x, y) -> float:
+    diff = x[:, None, :] - y[None, :, :]
     cost = np.sum(diff * diff, axis=-1)
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / mu.n_atoms)
+    return float(cost[rows, cols].sum() / x.shape[0])
 
 
-def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact squared Wasserstein-2 distance between supported instances.
+def w2_squared_pairs(mu, nu) -> np.ndarray:
+    """Exact squared Wasserstein-2 distance of each pair (mu_i, nu_i) of two
+    stacks (points (P, n, d), weights (P, n)) of measures: (P,).
 
-    d=1 handles arbitrary weights via the quantile coupling; d>=2 requires
-    equal-size uniform-weight supports and solves the assignment problem.
+    d=1 handles arbitrary weights via the quantile coupling, all pairs in one
+    array pass; d>=2 requires equal-size uniform-weight supports and solves
+    one assignment problem per pair.
     """
-    if mu.dim != nu.dim:
+    (x, wx), (y, wy) = mu, nu
+    if x.shape[-1] != y.shape[-1]:
         raise UnsupportedTransportError("dimension mismatch")
-    if mu.dim == 1:
-        return _w2_squared_1d(mu, nu)
+    if x.shape[-1] == 1:
+        return _w2_squared_1d(x[..., 0], wx, y[..., 0], wy)
+    n = x.shape[-2]
     uniform = (
-        mu.n_atoms == nu.n_atoms
-        and np.allclose(mu.weights, 1.0 / mu.n_atoms, atol=1e-12)
-        and np.allclose(nu.weights, 1.0 / nu.n_atoms, atol=1e-12)
+        n == y.shape[-2]
+        and np.allclose(wx, 1.0 / n, atol=1e-12)
+        and np.allclose(wy, 1.0 / n, atol=1e-12)
     )
     if not uniform:
         raise UnsupportedTransportError(
             "unsupported-transport-instance: d>=2 needs equal-size uniform supports"
         )
-    return _w2_squared_assignment(mu, nu)
+    return np.array([_w2_squared_assignment(a, b) for a, b in zip(x, y)])
+
+
+def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Exact squared Wasserstein-2 distance between supported instances: the
+    one-pair case of `w2_squared_pairs`."""
+    (value,) = w2_squared_pairs(
+        (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None])
+    )
+    return float(value)

@@ -17,7 +17,7 @@ from .energies import (
     quadratic_as_parametrized,
 )
 from .estimators import conditional_gap_mc, entropy_decay_gaussian
-from .measures import DiscreteMeasure, empirical
+from .measures import empirical
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -25,10 +25,11 @@ SHARPNESS_A = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 SHARPNESS_N = (10, 50, 200)
 
 
-def _random_measure(rng) -> DiscreteMeasure:
+def _random_atoms(rng) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms (n, 1) and weights (n,) of a random measure on the line, n in 1..6."""
     n = int(rng.integers(1, 7))
     w = rng.random(n) + 0.05
-    return DiscreteMeasure(rng.normal(size=(n, 1)) * 2.0, w / w.sum())
+    return rng.normal(size=(n, 1)) * 2.0, w / w.sum()
 
 
 def suite_sharpness():
@@ -58,13 +59,25 @@ def _concrete_energies():
 
 
 def _random_pairs(rng, count):
-    """`count` pairs (mu, nu) of random measures, mu drawn before nu."""
-    pairs = [(_random_measure(rng), _random_measure(rng)) for _ in range(count)]
+    """`count` pairs (mu, nu) of random measures as atoms, mu drawn before nu."""
+    pairs = [(_random_atoms(rng), _random_atoms(rng)) for _ in range(count)]
     return [mu for mu, _ in pairs], [nu for _, nu in pairs]
 
 
-def suite_curvature():
+def _random_deficits():
+    """(check name, deficit of each pair in draw order) of the mixture
+    checks on random pairs."""
     rng = np.random.default_rng(0)
+    checks = []
+    for name, energy in _concrete_energies():
+        deficits = bounds.semi_convexity_deficits(energy, *_random_pairs(rng, 1000))
+        checks.append((f"semi-convexity {name}", deficits))
+    par = quadratic_as_parametrized(0.5)  # cost-convexity for the parametrized route
+    deficits = bounds.cost_convexity_deficits(par, *_random_pairs(rng, 200))
+    return checks + [("cost-convexity parametrized", deficits)]
+
+
+def suite_curvature():
     results = []
     quad = QuadraticMeanEnergy(0.5)
     # equality case on Dirac pairs
@@ -76,13 +89,9 @@ def suite_curvature():
     deficit = bounds.check_semi_convexity(quad, empirical([[0.0]]), empirical([[2.0]]), lam=0.25)
     results.append(("understated lambda detected", deficit > 1e-6, f"deficit={deficit:.3e}"))
     # np.max, unlike max, carries a NaN deficit into a FAIL
-    for name, energy in _concrete_energies():
-        worst = float(np.max(bounds.semi_convexity_deficits(energy, *_random_pairs(rng, 1000))))
-        results.append((f"semi-convexity {name}", worst <= 1e-9, f"worst={worst:.2e}"))
-    # cost-convexity for the parametrized route
-    par = quadratic_as_parametrized(0.5)
-    worst = float(np.max(bounds.cost_convexity_deficits(par, *_random_pairs(rng, 200))))
-    results.append(("cost-convexity parametrized", worst <= 1e-9, f"worst={worst:.2e}"))
+    for name, deficits in _random_deficits():
+        worst = float(np.max(deficits))
+        results.append((name, worst <= 1e-9, f"worst={worst:.2e}"))
     return results
 
 

@@ -562,10 +562,21 @@ def test_grid_n_above_the_cap_exit_2_before_the_fixed_point(tmp_path, monkeypatc
     assert load_config(write(tmp_path, text)).analysis["grid_n"] == GRID_N_MAX
 
 
-@pytest.mark.parametrize("command", ["verify", "simulate"])
-def test_unexpected_error_exit_5_in_one_line(tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize(
+    "command, error, message",
+    [
+        ("verify", RuntimeError("something\nunexpected"), "RuntimeError: something unexpected"),
+        ("simulate", RuntimeError("something\nunexpected"), "RuntimeError: something unexpected"),
+        # a KeyError inside a suite is no unknown suite name
+        ("verify", KeyError("missing"), "KeyError: 'missing'"),
+    ],
+    ids=["verify", "simulate", "verify-KeyError"],
+)
+def test_unexpected_error_exit_5_in_one_line(
+    tmp_path, monkeypatch, capsys, command, error, message
+):
     def broken(*args, **kwargs):
-        raise RuntimeError("something\nunexpected")
+        raise error
 
     if command == "verify":
         monkeypatch.setitem(cli.verify.SUITES, "sharpness", broken)
@@ -574,7 +585,14 @@ def test_unexpected_error_exit_5_in_one_line(tmp_path, monkeypatch, capsys, comm
         monkeypatch.setattr(cli, "run_chain", broken)
         argv = ["simulate", "--config", write(tmp_path, QUADRATIC), "--out", str(tmp_path / "t")]
     assert main(argv) == 5
-    assert capsys.readouterr().err == "internal error: RuntimeError: something unexpected\n"
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+def test_unknown_suite_name_exit_2(capsys):
+    # argparse's choices stop it on the command line; the command checks it too
+    assert cli.cmd_verify("nonsense") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown suite 'nonsense'")
 
 
 def test_bad_ini_seed_accepted_under_seed_override(tmp_path):

@@ -7,11 +7,14 @@ import pytest
 from mfgibbs.measures import (
     DiscreteMeasure,
     UnsupportedTransportError,
+    check_atoms,
     empirical,
     mix,
     mixture_atoms,
     stack_atoms,
+    stack_pairs,
     w2_squared,
+    w2_squared_pairs,
 )
 
 
@@ -25,6 +28,34 @@ def brute_force_w2_uniform(xs, ys):
         cost = sum(float(np.sum((xs[i] - ys[perm[i]]) ** 2)) for i in range(n)) / n
         best = min(best, cost)
     return best
+
+
+def merge_loop_w2(mu, nu):
+    """Oracle for W2^2 on the line: the quantile coupling, merging the two
+    CDFs' breakpoints one at a time."""
+    xi = np.argsort(mu.points[:, 0], kind="stable")
+    yi = np.argsort(nu.points[:, 0], kind="stable")
+    x, wx = mu.points[xi, 0], mu.weights[xi]
+    y, wy = nu.points[yi, 0], nu.weights[yi]
+    cost = 0.0
+    i = j = 0
+    rx, ry = wx[0], wy[0]
+    while True:
+        m = min(rx, ry)
+        cost += m * (x[i] - y[j]) ** 2
+        rx -= m
+        ry -= m
+        if rx <= 1e-15:
+            i += 1
+            if i >= len(x):
+                break
+            rx = wx[i]
+        if ry <= 1e-15:
+            j += 1
+            if j >= len(y):
+                break
+            ry = wy[j]
+    return cost
 
 
 class TestEmpirical:
@@ -152,7 +183,7 @@ class TestMix:
 
         mus, nus = [draw(2) for _ in range(4)], [draw(3) for _ in range(4)]
         t = (0.0, 0.3, 1.0)
-        points, weights = mixture_atoms(mus, nus, t)
+        points, weights = mixture_atoms(stack_atoms(mus), stack_atoms(nus), t)
         assert points.shape == (4, 1, 5, d) and weights.shape == (4, 3, 5)
         for i, (mu, nu) in enumerate(zip(mus, nus)):
             one_points, one_weights = mixture_atoms(mu, nu, t)
@@ -160,7 +191,7 @@ class TestMix:
             np.testing.assert_array_equal(weights[i], one_weights)
         assert stack_atoms(mus)[0].shape == (4, 2, d)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            mixture_atoms(mus, [empirical(np.zeros((3, d + 1)))] * 4, t)
+            mixture_atoms(stack_atoms(mus), stack_atoms([empirical(np.zeros((3, d + 1)))] * 4), t)
 
 
 class TestW2:
@@ -232,3 +263,150 @@ def random_measure(rng, d=1):
     n = int(rng.integers(1, 6))
     w = rng.random(n) + 0.1
     return DiscreteMeasure(rng.normal(size=(n, d)), w / w.sum())
+
+
+def weighted(rng, n, zeros=0, duplicates=False):
+    """A random measure on the line with n atoms, `zeros` of them of weight zero."""
+    points = rng.normal(size=(n, 1)) * 2.0
+    if duplicates:
+        points = rng.choice(points[: max(1, n // 2)], size=n)
+    w = rng.random(n) + 0.05
+    w[rng.permutation(n)[:zeros]] = 0.0
+    return DiscreteMeasure(points, w / w.sum())
+
+
+def off_total(mu, scale):
+    """mu with its weights scaled: a total up to 1e-12 away from one."""
+    return DiscreteMeasure(mu.points, mu.weights * scale)
+
+
+class TestW2Pairs:
+    """The array pass against the merge loop, over stacks of P pairs with
+    atom counts n != m and the instances that trip a breakpoint merge."""
+
+    @staticmethod
+    def check(mus, nus):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # as under the CLI
+            got = w2_squared_pairs(stack_atoms(mus), stack_atoms(nus))
+        assert got.shape == (len(mus),) and np.all(np.isfinite(got))
+        want = [merge_loop_w2(mu, nu) for mu, nu in zip(mus, nus)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        return got
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 5), (4, 1), (6, 2), (3, 4), (7, 7)])
+    def test_random_groups(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        self.check([weighted(rng, n) for _ in range(60)], [weighted(rng, m) for _ in range(60)])
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (3, 6), (4, 2), (5, 10)])
+    def test_tied_breakpoints(self, n, m):
+        # uniform weights: the CDFs share breakpoints at multiples of 1/max(n, m)
+        rng = np.random.default_rng(n * m)
+        mus = [empirical(rng.normal(size=(n, 1))) for _ in range(30)]
+        nus = [empirical(rng.normal(size=(m, 1))) for _ in range(30)]
+        self.check(mus, nus)
+        self.check(mus, mus)  # identical pairs: zero
+        np.testing.assert_array_equal(w2_squared_pairs(*[stack_atoms(mus)] * 2), 0.0)
+
+    def test_duplicate_atoms(self):
+        rng = np.random.default_rng(41)
+        mus = [weighted(rng, 5, duplicates=True) for _ in range(40)]
+        nus = [weighted(rng, 3, duplicates=True) for _ in range(40)]
+        assert any(len(np.unique(mu.points)) < mu.n_atoms for mu in mus)
+        self.check(mus, nus)
+
+    def test_zero_weight_atoms(self):
+        rng = np.random.default_rng(42)
+        mus = [weighted(rng, 5, zeros=2) for _ in range(40)]
+        nus = [weighted(rng, 4, zeros=int(k % 4)) for k in range(40)]
+        self.check(mus, nus)
+        # a zero-weight atom far away moves nothing
+        far = DiscreteMeasure([[0.0], [1e3]], [1.0, 0.0])
+        assert w2_squared(far, empirical([[1.0]])) == 1.0
+
+    @pytest.mark.parametrize("s_mu, s_nu", [(1 + 9e-13, 1 - 9e-13), (1 - 9e-13, 1 + 9e-13),
+                                            (1 + 9e-13, 1 + 9e-13), (1 - 9e-13, 1.0)])
+    def test_totals_off_by_round_off(self, s_mu, s_nu):
+        rng = np.random.default_rng(43)
+        mus = [off_total(weighted(rng, 4), s_mu) for _ in range(40)]
+        nus = [off_total(weighted(rng, 3), s_nu) for _ in range(40)]
+        self.check(mus, nus)
+
+    def test_one_pair_is_the_one_row_stack(self):
+        rng = np.random.default_rng(44)
+        for n, m in [(1, 1), (1, 4), (5, 2), (6, 6)]:
+            mus = [weighted(rng, n, zeros=n // 3) for _ in range(5)]
+            nus = [weighted(rng, m) for _ in range(5)]
+            stacked = self.check(mus, nus)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                alone = [w2_squared(mu, nu) for mu, nu in zip(mus, nus)]
+            np.testing.assert_array_equal(alone, stacked)  # bit for bit
+
+    def test_dimension_mismatch(self):
+        mus = stack_atoms([empirical([[0.0]])])
+        with pytest.raises(UnsupportedTransportError, match="dimension mismatch"):
+            w2_squared_pairs(mus, stack_atoms([empirical([[0.0, 1.0]])]))
+
+
+def corrupt(points, weights, fault):
+    """One measure's atoms with one fault of those a measure must not have."""
+    points, weights = points.copy(), weights.copy()
+    if fault == "non-finite atom":
+        points[1, 0] = np.inf
+    elif fault == "negative weight":
+        weights[:2] = weights[0] + weights[1], -weights[1]
+    elif fault == "NaN weight":
+        weights[0] = np.nan
+    else:  # the sum off by more than 1e-12
+        weights *= 1.0 + 3e-12
+    return points, weights
+
+
+class TestCheckAtoms:
+    FAULTS = ["non-finite atom", "negative weight", "NaN weight", "sum off"]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    def test_one_bad_measure_raises_its_own_message(self, fault, bad):
+        rng = np.random.default_rng(50)
+        atoms = [(m.points, m.weights) for m in (weighted(rng, 3) for _ in range(7))]
+        atoms[bad] = corrupt(*atoms[bad], fault)
+        with pytest.raises(ValueError) as alone:
+            DiscreteMeasure(*atoms[bad])
+        points, weights = (np.stack(a) for a in zip(*atoms))
+        with pytest.raises(ValueError) as stacked:
+            check_atoms(points, weights)
+        assert str(stacked.value) == str(alone.value)
+        # and through the stacks the batch checkers build, the pair's other side good
+        good = [(m.points, m.weights) for m in (weighted(rng, 2) for _ in range(7))]
+        for mus, nus in [(atoms, good), (good, atoms)]:
+            with pytest.raises(ValueError) as paired:
+                stack_pairs(mus, nus)
+            assert str(paired.value) == str(alone.value)
+
+    def test_leading_axes(self):
+        rng = np.random.default_rng(51)
+        points = rng.normal(size=(2, 3, 4, 1))
+        weights = rng.random((2, 3, 4)) + 0.05
+        weights /= weights.sum(axis=-1, keepdims=True)
+        check_atoms(points, weights)
+        weights[1, 2, 0] = -0.1
+        with pytest.raises(ValueError, match="negative or NaN weights"):
+            check_atoms(points, weights)
+        with pytest.raises(ValueError, match="equal length"):
+            check_atoms(points, weights[..., :3])
+        with pytest.raises(ValueError, match="at least one atom"):
+            check_atoms(points[..., :0, :], weights[..., :0])
+
+    def test_stack_pairs_groups_by_atom_counts(self):
+        rng = np.random.default_rng(52)
+        mus = [weighted(rng, n) for n in (1, 2, 1, 3, 2)]
+        nus = [weighted(rng, n) for n in (2, 2, 2, 1, 2)]
+        groups = stack_pairs(mus, [(nu.points, nu.weights) for nu in nus])
+        assert sorted(map(list, (index for index, _, _ in groups))) == [[0, 2], [1, 4], [3]]
+        for index, (mu_p, mu_w), (nu_p, nu_w) in groups:
+            for k, i in enumerate(index):
+                np.testing.assert_array_equal(mu_p[k], mus[i].points)
+                np.testing.assert_array_equal(nu_w[k], nus[i].weights)
+        with pytest.raises(ValueError):
+            stack_pairs(mus, nus[:4])

@@ -1,49 +1,89 @@
 import numpy as np
+from test_measures import merge_loop_w2
 
 from mfgibbs import bounds, verify
 from mfgibbs.cli import main
 from mfgibbs.energies import QuadraticMeanEnergy, quadratic_as_parametrized
-from mfgibbs.measures import empirical, mix, w2_squared
+from mfgibbs.measures import DiscreteMeasure, empirical, mix
+
+# The reference below builds every measure as a DiscreteMeasure and takes one
+# pair and one mixture at a time, with the merge loop as its W2^2 and the
+# parametrized cost from the feature map atom by atom: it shares neither the
+# stacks, nor the array W2^2, nor the batched deficits with the suite.
 
 
-def per_pair_worst(energy, pairs, penalty_of):
-    """The worst deficit over `pairs`, one pair and one mixture at a time."""
-    worst = -np.inf
-    for mu, nu in pairs:
-        f_mu, f_nu = energy.eval(mu), energy.eval(nu)
-        penalty = penalty_of(mu, nu)
-        for t in bounds.DEFAULT_T_GRID:
-            lhs = energy.eval(mix(mu, nu, t))
-            worst = max(worst, lhs - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty)
-    return worst
+def random_measure(rng):
+    """A random measure on the line, drawn as the curvature suite draws its atoms."""
+    n = int(rng.integers(1, 7))
+    w = rng.random(n) + 0.05
+    return DiscreteMeasure(rng.normal(size=(n, 1)) * 2.0, w / w.sum())
 
 
 def draw_pairs(rng, count):
-    return [(verify._random_measure(rng), verify._random_measure(rng)) for _ in range(count)]
+    return [(random_measure(rng), random_measure(rng)) for _ in range(count)]
+
+
+def per_pair_deficits(energy, pairs, penalty_of):
+    """The worst deficit of each pair, one pair and one mixture at a time."""
+    deficits = []
+    for mu, nu in pairs:
+        f_mu, f_nu = energy.eval(mu), energy.eval(nu)
+        penalty = penalty_of(mu, nu)
+        deficits.append(max(
+            energy.eval(mix(mu, nu, t)) - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty
+            for t in bounds.DEFAULT_T_GRID
+        ))
+    return deficits
+
+
+def semi(lam):
+    return lambda mu, nu: 0.5 * lam * merge_loop_w2(nu, mu)
+
+
+def feature_cost(par):
+    """alpha_r |int phi d(nu - mu)|^2 from the feature map, one atom at a time."""
+
+    def cost(mu, nu):
+        mean = lambda m: m.weights @ np.array([par.phi(x) for x in m.points])
+        diff = mean(nu) - mean(mu)
+        return par.alpha_r * float(diff @ diff)
+
+    return cost
+
+
+def reference_random_deficits():
+    """(check name, deficit of each pair) of the suite's random checks, by the reference."""
+    rng = np.random.default_rng(0)
+    checks = []
+    for name, energy in verify._concrete_energies():
+        deficits = per_pair_deficits(energy, draw_pairs(rng, 1000), semi(energy.declared_lambda))
+        checks.append((f"semi-convexity {name}", deficits))
+    par = quadratic_as_parametrized(0.5)
+    deficits = per_pair_deficits(par, draw_pairs(rng, 200), feature_cost(par))
+    return checks + [("cost-convexity parametrized", deficits)]
 
 
 def test_curvature_suite_is_the_per_pair_loop():
-    rng = np.random.default_rng(0)
     quad = QuadraticMeanEnergy(0.5)
-
-    def semi(lam):
-        return lambda mu, nu: 0.5 * lam * w2_squared(nu, mu)
-
     ends = [(0.0, 2.0), (-1.0, 3.0), (0.5, 0.5)]
     diracs = [(empirical([[x]]), empirical([[y]])) for x, y in ends]
-    worst = max(abs(per_pair_worst(quad, [pair], semi(0.5))) for pair in diracs)
+    worst = max(abs(d) for d in per_pair_deficits(quad, diracs, semi(0.5)))
     expected = [("quadratic Dirac equality", worst <= 1e-12, f"|deficit|={worst:.2e}")]
-    deficit = per_pair_worst(quad, [(empirical([[0.0]]), empirical([[2.0]]))], semi(0.25))
+    (deficit,) = per_pair_deficits(quad, [(empirical([[0.0]]), empirical([[2.0]]))], semi(0.25))
     expected.append(("understated lambda detected", deficit > 1e-6, f"deficit={deficit:.3e}"))
-    for name, energy in verify._concrete_energies():
-        worst = per_pair_worst(energy, draw_pairs(rng, 1000), semi(energy.declared_lambda))
-        expected.append((f"semi-convexity {name}", worst <= 1e-9, f"worst={worst:.2e}"))
-    par = quadratic_as_parametrized(0.5)
-    worst = per_pair_worst(par, draw_pairs(rng, 200), par.cost_functional)
-    expected.append(("cost-convexity parametrized", worst <= 1e-9, f"worst={worst:.2e}"))
+    reference = reference_random_deficits()
+    for name, deficits in reference:
+        worst = max(deficits)
+        expected.append((name, worst <= 1e-9, f"worst={worst:.2e}"))
     assert all(ok for _, ok, _ in expected)
 
     assert verify.run_suite("curvature") == expected
+    # every pair, not only the worst one
+    suite = verify._random_deficits()
+    assert [name for name, _ in suite] == [name for name, _ in reference]
+    for (name, got), (_, want) in zip(suite, reference):
+        assert got.shape == (len(want),), name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
 class _NaNAwayFromZero(QuadraticMeanEnergy):
