@@ -32,7 +32,6 @@ __all__ = [
     "example_inputs",
     "corollary_report",
     "check_semi_convexity",
-    "check_cost_convexity",
     "semi_convexity_deficits",
     "cost_convexity_deficits",
     "hessian_block_bound",
@@ -177,14 +176,16 @@ class QuadraticExampleConstants:
 
 
 def quadratic_example_constants(a: float, N: int) -> QuadraticExampleConstants:
-    """rho_N = 1 - a/N, lambda = Mmm = a; exact optimal constant 1 - a."""
+    """rho_N = 1 - a/N, lambda and Mmm as QuadraticMeanEnergy(a) declares
+    them (it checks a > 0); exact optimal constant 1 - a."""
     if a >= 1.0:
         raise GibbsUndefinedError("gibbs-undefined: quadratic-mean energy needs a < 1")
-    if not 0.0 < a:
-        raise ValueError("a must lie in (0, 1)")
+    energy = QuadraticMeanEnergy(a)
     if N <= a:
         raise ValueError("need N > a")
-    inputs = PoincareInputs(rho_N=1.0 - a / N, lam=a, Mmm=a, N=N)
+    inputs = PoincareInputs(
+        rho_N=1.0 - a / N, lam=energy.declared_lambda, Mmm=energy.declared_Mmm, N=N
+    )
     # algebraically equal to poincare_constant(inputs); this grouping keeps
     # the round-off of the two a/N terms from polluting the closed form
     bound = (1.0 - a) - 2.0 * a / N
@@ -343,16 +344,6 @@ def check_semi_convexity(
 ) -> float:
     """The one-pair case of `semi_convexity_deficits`."""
     return float(semi_convexity_deficits(energy, [mu], [nu], lam)[0])
-
-
-def check_cost_convexity(
-    energy: MeanFieldEnergy,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    cost=None,
-) -> float:
-    """The one-pair case of `cost_convexity_deficits`."""
-    return float(cost_convexity_deficits(energy, [mu], [nu], cost)[0])
 
 
 def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:

@@ -116,12 +116,9 @@ class Trajectory:
 
     step: float
     thin: int
-    burn_in: int
     steps: np.ndarray  # recorded step indices, shared across replicas
     observables: dict  # name -> (replicas, n_records) array
     acceptance_rates: np.ndarray  # per replica; NaN for ULA
-    seed: int
-    sampler: str
 
     @property
     def times(self) -> np.ndarray:
@@ -338,10 +335,7 @@ def run_chain(
     return Trajectory(
         step=config.step,
         thin=config.thin,
-        burn_in=config.burn_in,
         steps=record_steps,
         observables=values,
         acceptance_rates=acc,
-        seed=config.seed,
-        sampler=config.sampler,
     )

@@ -477,10 +477,6 @@ class ParametrizedEnergy(MeanFieldEnergy):
         diff = self._feature_mean(nu_points, nu_weights) - self._feature_mean(mu_points, mu_weights)
         return self.alpha_r * _wsum(diff, diff)
 
-    def cost_functional(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        """Mixture-convexity cost alpha_r * |int phi d(nu - mu)|^2."""
-        return self._cost(mu.points, mu.weights, nu.points, nu.weights)
-
 
 def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:
     """The quadratic-mean energy in parametrized form: F0 = 1/2 int |x|^2,

@@ -76,17 +76,6 @@ class DiscreteMeasure:
         pts.setflags(write=False)
         w.setflags(write=False)
 
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
 
 def empirical(points) -> DiscreteMeasure:
     """Uniform measure on the rows of an (N, d) configuration."""

@@ -50,11 +50,6 @@ class Grid1D:
             raise ValueError("non-finite potential")
         object.__setattr__(self, "potential", pot)
 
-    @classmethod
-    def from_callable(cls, u, lo: float, hi: float, n: int) -> "Grid1D":
-        x = np.linspace(lo, hi, n)
-        return cls(lo, hi, n, np.array([float(u(xi)) for xi in x]))
-
     @property
     def x(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)

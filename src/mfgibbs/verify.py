@@ -19,7 +19,7 @@ from .energies import (
 from .estimators import conditional_gap_mc, entropy_decay_gaussian
 from .measures import empirical
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["SUITES"]
 
 SHARPNESS_A = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 SHARPNESS_N = (10, 50, 200)
@@ -182,9 +182,3 @@ SUITES = {
     "conditional": suite_conditional,
     "entropy": suite_entropy,
 }
-
-
-def run_suite(name: str):
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name]()

@@ -340,8 +340,8 @@ class TestCheckers:
 
     def test_cost_convexity_dirac_equality(self):
         par = quadratic_as_parametrized(0.5)
-        deficit = bounds.check_cost_convexity(
-            par, empirical([[0.0]]), empirical([[2.0]])
+        (deficit,) = bounds.cost_convexity_deficits(
+            par, [empirical([[0.0]])], [empirical([[2.0]])]
         )
         assert abs(deficit) < 1e-12
 
@@ -349,8 +349,8 @@ class TestCheckers:
         rng = np.random.default_rng(21)
         par = quadratic_as_parametrized(0.5)
         for _ in range(200):
-            deficit = bounds.check_cost_convexity(
-                par, random_measure(rng), random_measure(rng)
+            (deficit,) = bounds.cost_convexity_deficits(
+                par, [random_measure(rng)], [random_measure(rng)]
             )
             assert deficit <= 1e-9
 
@@ -359,12 +359,12 @@ class TestCheckers:
         quad = QuadraticMeanEnergy(0.5)
 
         def cost(mu, nu):
-            diff = nu.mean() - mu.mean()
+            diff = nu.weights @ nu.points - mu.weights @ mu.points
             return 0.25 * float(diff @ diff)  # (a/2) (int x d(nu-mu))^2
 
         for _ in range(100):
-            deficit = bounds.check_cost_convexity(
-                quad, random_measure(rng), random_measure(rng), cost=cost
+            (deficit,) = bounds.cost_convexity_deficits(
+                quad, [random_measure(rng)], [random_measure(rng)], cost=cost
             )
             assert abs(deficit) <= 1e-9  # exact algebraic identity
 
@@ -414,6 +414,17 @@ def per_pair_deficit(energy, mu, nu, penalty):
     )
 
 
+def feature_cost(par, mu, nu):
+    """alpha_r |sum_j w_j phi(y_j) - sum_i w_i phi(x_i)|^2 of one pair, phi
+    called once per atom."""
+
+    def feature_mean(m):
+        return m.weights @ np.array([par.phi(x) for x in m.points])
+
+    diff = feature_mean(nu) - feature_mean(mu)
+    return par.alpha_r * float(diff @ diff)
+
+
 def uniform_measure(rng, n, d):
     return empirical(rng.normal(size=(n, d)) * 1.5)
 
@@ -442,7 +453,7 @@ class TestBatchedCheckers:
         rng = np.random.default_rng(30)
         mus = [random_measure(rng) for _ in range(80)]
         nus = [random_measure(rng) for _ in range(80)]
-        assert len({(mu.n_atoms, nu.n_atoms) for mu, nu in zip(mus, nus)}) > 10
+        assert len({(mu.points.shape[0], nu.points.shape[0]) for mu, nu in zip(mus, nus)}) > 10
         got = bounds.semi_convexity_deficits(energy, mus, nus)
         assert got.shape == (80,)
         ref = self._semi_reference(energy, mus, nus, energy.declared_lambda)
@@ -487,13 +498,13 @@ class TestBatchedCheckers:
         nus = [random_measure(rng) for _ in range(40)]
 
         def cost(mu, nu):
-            diff = nu.mean() - mu.mean()
+            diff = nu.weights @ nu.points - mu.weights @ mu.points
             return 0.25 * float(diff @ diff)
 
         got = bounds.cost_convexity_deficits(quad, mus, nus, cost=cost)
         ref = [per_pair_deficit(quad, mu, nu, cost(mu, nu)) for mu, nu in zip(mus, nus)]
         np.testing.assert_array_equal(got, ref)
-        assert bounds.check_cost_convexity(quad, mus[0], nus[0], cost=cost) == got[0]
+        assert bounds.cost_convexity_deficits(quad, [mus[0]], [nus[0]], cost=cost)[0] == got[0]
 
     def test_default_cost_is_the_parametrized_one(self):
         par = self.ENERGIES["parametrized"]()
@@ -502,7 +513,7 @@ class TestBatchedCheckers:
         nus = [random_measure(rng) for _ in range(40)]
         got = bounds.cost_convexity_deficits(par, mus, nus)
         ref = [
-            per_pair_deficit(par, mu, nu, par.cost_functional(mu, nu))
+            per_pair_deficit(par, mu, nu, feature_cost(par, mu, nu))
             for mu, nu in zip(mus, nus)
         ]
         np.testing.assert_array_equal(got, ref)

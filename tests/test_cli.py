@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mfgibbs
-from mfgibbs import __version__, cli
+from mfgibbs import __version__, cli, verify
 from mfgibbs.cli import main
 from mfgibbs.config import GRID_N_MAX, ConfigError, load_config
 
@@ -211,6 +211,11 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
 
+    @pytest.mark.parametrize("name", list(verify.SUITES))
+    def test_every_suite_passes(self, capsys, name):
+        assert main(["verify", name]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"suite {name}: PASS"
+
 
 class TestSimulate:
     def test_csv_and_meta(self, tmp_path):
@@ -384,6 +389,37 @@ class TestConfigErrors:
             "[sim]\nsampler = HMC\n",
         )
         assert main(["simulate", "--config", bad, "--out", "/tmp/x.csv"]) == 2
+
+
+CONFIG_ERRORS = {
+    "unknown-sim-key": (
+        QUADRATIC.replace("sampler = MALA", "sampler = MALA\nfoo = 1"),
+        "unknown key 'foo' in section [sim]",
+    ),
+    "unknown-analysis-key": (
+        QUADRATIC.replace("max_lag = 20", "max_lag = 20\nbar = 2"),
+        "unknown key 'bar' in section [analysis]",
+    ),
+    "feature_map=cubic": (
+        "[energy]\ntype = parametrized\na = 0.5\nfeature_map = cubic\n[system]\nn = 5\n",
+        "[energy] feature_map must be identity, got 'cubic'",
+    ),
+    "no-system-section": (
+        "[energy]\ntype = quadratic\na = 0.5\n",
+        "missing [system] section",
+    ),
+    "thin=0": (
+        QUADRATIC.replace("sampler = MALA", "sampler = MALA\nthin = 0"),
+        "bad [sim] values: n_steps, thin, replicas must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_config_error_names_its_cause(tmp_path, capsys, case):
+    text, message = CONFIG_ERRORS[case]
+    assert main(["constants", "--config", write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestNonFiniteInputs:

@@ -419,6 +419,16 @@ class TestRunChain:
         with pytest.raises(ValueError):
             SimConfig(step=0.1, n_steps=10, sampler="HMC")
 
+    @pytest.mark.parametrize("field", ["n_steps", "thin", "replicas"])
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(ValueError, match="n_steps, thin, replicas must be positive"):
+            SimConfig(**{"step": 0.1, "n_steps": 10, field: 0})
+
+    def test_unknown_initial_condition(self):
+        cfg = SimConfig(step=0.1, n_steps=5, initial="uniform")
+        with pytest.raises(ValueError, match="unknown initial condition 'uniform'"):
+            run_chain(ou_system(), cfg)
+
     @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
     def test_chain_state_is_one_configuration(self, sampler):
         # a batch (K, N, d) is rejected as an explicit initial configuration,
@@ -628,12 +638,9 @@ class TestTrajectoryCsv:
         traj = Trajectory(
             step=0.5,
             thin=1,
-            burn_in=0,
             steps=np.array([1, 2]),
             observables={"a": np.array([[1.5, 2.5], [3.5, 4.5]])},
             acceptance_rates=np.array([0.9, 0.8]),
-            seed=0,
-            sampler="MALA",
         )
         path = tmp_path / "out.csv"
         traj.to_csv(path)
@@ -662,12 +669,9 @@ def _trajectory(replicas, n_records, names, thin=1, burn_in=0, seed=0):
     return Trajectory(
         step=0.1,
         thin=thin,
-        burn_in=burn_in,
         steps=burn_in + 1 + thin * np.arange(n_records),
         observables={name: rng.standard_normal((replicas, n_records)) for name in names},
         acceptance_rates=np.full(replicas, 0.5),
-        seed=seed,
-        sampler="MALA",
     )
 
 

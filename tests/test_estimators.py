@@ -44,12 +44,9 @@ def synthetic_ar1_trajectory(rate, dt, n, replicas=4, seed=0):
     return Trajectory(
         step=dt,
         thin=1,
-        burn_in=0,
         steps=np.arange(1, n + 1),
         observables={"x": data},
         acceptance_rates=np.full(replicas, np.nan),
-        seed=seed,
-        sampler="ULA",
     )
 
 

@@ -11,6 +11,7 @@ with the chain loop it checks.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import mfgibbs
@@ -44,6 +45,16 @@ def _relative_imports(path):
 
 def test_every_module_has_a_layer():
     assert MODULES == set(LAYERS) | ANYWHERE
+
+
+def test_every_export_resolves():
+    # a deletion that leaves its name in an `__all__` fails here
+    dangling = []
+    for name in ["mfgibbs"] + [f"mfgibbs.{m}" for m in sorted(MODULES)]:
+        module = importlib.import_module(name)
+        exports = getattr(module, "__all__", [])
+        dangling += [f"{name}.{export}" for export in exports if not hasattr(module, export)]
+    assert not dangling, dangling
 
 
 def test_imports_point_down():

@@ -61,17 +61,17 @@ def merge_loop_w2(mu, nu):
 class TestEmpirical:
     def test_two_points(self):
         mu = empirical([[0.0], [2.0]])
-        assert mu.n_atoms == 2
+        assert mu.points.shape[0] == 2
         np.testing.assert_allclose(mu.weights, [0.5, 0.5])
 
     def test_duplicates_kept(self):
         mu = empirical([[1.0], [1.0], [1.0]])
-        assert mu.n_atoms == 3
+        assert mu.points.shape[0] == 3
         np.testing.assert_allclose(mu.weights, [1 / 3] * 3)
 
     def test_2d(self):
         mu = empirical([[0.0, 0.0], [1.0, 1.0]])
-        assert mu.dim == 2
+        assert mu.points.shape[1] == 2
         np.testing.assert_allclose(mu.weights, [0.5, 0.5])
 
     def test_empty_rejected(self):
@@ -312,7 +312,7 @@ class TestW2Pairs:
         rng = np.random.default_rng(41)
         mus = [weighted(rng, 5, duplicates=True) for _ in range(40)]
         nus = [weighted(rng, 3, duplicates=True) for _ in range(40)]
-        assert any(len(np.unique(mu.points)) < mu.n_atoms for mu in mus)
+        assert any(len(np.unique(mu.points)) < mu.points.shape[0] for mu in mus)
         self.check(mus, nus)
 
     def test_zero_weight_atoms(self):

@@ -77,7 +77,7 @@ def test_curvature_suite_is_the_per_pair_loop():
         expected.append((name, worst <= 1e-9, f"worst={worst:.2e}"))
     assert all(ok for _, ok, _ in expected)
 
-    assert verify.run_suite("curvature") == expected
+    assert verify.SUITES["curvature"]() == expected
     # every pair, not only the worst one
     suite = verify._random_deficits()
     assert [name for name, _ in suite] == [name for name, _ in reference]
@@ -102,7 +102,7 @@ def test_a_nan_deficit_fails_the_curvature_suite(monkeypatch, capsys):
     nan_pairs = sum(np.isnan(bounds.check_semi_convexity(energy, mu, nu)) for mu, nu in pairs)
     assert 0 < nan_pairs < len(pairs)  # some pairs, not all
 
-    results = {name: (ok, detail) for name, ok, detail in verify.run_suite("curvature")}
+    results = {name: (ok, detail) for name, ok, detail in verify.SUITES["curvature"]()}
     assert results["semi-convexity nan-prone"] == (False, "worst=nan")
     assert main(["verify", "curvature"]) == 1
     lines = capsys.readouterr().out.splitlines()
