@@ -15,8 +15,8 @@ The value F has one primitive, `_eval_batch`, which every energy defines:
 F at many measures in one call. Points (..., n, d) and weights (..., n)
 have leading batch axes that broadcast, and the values have the broadcast
 shape. Mixtures of two measures share their atoms: (n, d) with weights
-(K, n), or, for P pairs at once, (P, 1, n, d) with (P, K, n), so that a
-per-point callable is called once per atom, not once per mixture.
+(K, n), or, for P pairs at once, (P, 1, n, d) with (P, K, n), so that the
+atoms' features are evaluated once per atom, not once per mixture.
 Configurations that differ in one particle share their weights: (K, n, d)
 with (n,). Each measure's value is bit for bit the one it has alone. With
 no batch axis it gives F of one measure, and `_eval` is that case, written
@@ -27,6 +27,12 @@ configurations: points (G, n, d) with shared weights (n,) give values (G,)
 and D_m F at every atom (G, n, d), each configuration's result bit for bit
 the one it has alone. `ParticleSystem`'s `u_n`, `grad_u_n` and
 `u_n_and_grad` lift them to one configuration (N, d) or a batch (K, N, d).
+
+The user callables (V, phi, R, the kernel's V1 and their derivatives) take
+an array of rows (..., d), or of feature means (..., k) for R, and return
+the matching array: (...) for a value, (..., d) or (..., k) for a gradient
+or features, (..., k, d) for phi's Jacobian, (..., d, d) or (..., k, d, d)
+for a Hessian. A primitive calls each callable once, on all its rows.
 """
 
 from __future__ import annotations
@@ -119,15 +125,6 @@ def _row(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, float))
 
 
-def _rows(fn, xs, ndmin=0) -> np.ndarray:
-    """A per-point callable evaluated once at every row of xs (..., d):
-    shape (...) followed by the shape of its value, which gains leading ones
-    up to `ndmin` axes, as np.array(value, ndmin=ndmin)."""
-    vals = np.array([fn(x) for x in xs.reshape(-1, xs.shape[-1])], dtype=float)
-    pad = (1,) * (ndmin + 1 - vals.ndim)
-    return vals.reshape(xs.shape[:-1] + pad + vals.shape[1:])
-
-
 # The weighted sums over atoms below are one vector product per measure, so
 # a batch of measures gives bit for bit what its measures give one by one.
 # One measure takes the plain product, as a Python float: the same result,
@@ -206,31 +203,31 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
 class LinearPotentialEnergy(MeanFieldEnergy):
     """F(mu) = int V dmu: linear in mu, hence flat-convex with D_m^2 F = 0."""
 
-    v: Callable  # x -> float
-    v_grad: Callable  # x -> (d,)
-    v_hess: Callable  # x -> (d, d)
+    v: Callable  # rows (..., d) -> (...)
+    v_grad: Callable  # (..., d) -> (..., d)
+    v_hess: Callable  # (..., d) -> (..., d, d)
 
     declared_lambda = 0.0
     declared_Mmm = 0.0
 
     def _eval_batch(self, points, weights):
-        return _wsum(weights, _rows(self.v, points))
+        return _wsum(weights, self.v(points))
 
     def _flat(self, points, weights, xs):
-        return _rows(self.v, xs)
+        return self.v(xs)
 
     def _grad(self, points, weights, xs):
-        return _rows(self.v_grad, xs)
+        return self.v_grad(xs)
 
     def _hess_mm(self, points, weights, xs, ys):
         return np.zeros((len(xs), len(ys)) + 2 * xs.shape[1:])
 
     def _grad_x_of_Dm(self, points, weights, xs):
-        return _rows(self.v_hess, xs)
+        return self.v_hess(xs)
 
 
-def _zero(x):
-    return 0.0
+def _zero(xs):
+    return np.zeros(xs.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -247,7 +244,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     eta: float
     L: float = 0.0
     alpha: float = 0.0
-    v1: Callable | None = None  # bounded perturbation x -> float
+    v1: Callable | None = None  # bounded perturbation, rows (..., d) -> (...)
     v1_grad: Callable | None = None
     v1_hess: Callable | None = None
     v1_sup: float = 0.0
@@ -293,7 +290,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         pair = cx * ew[..., :1] - ew[..., 1:]
         grad = self.eta * xs - 2.0 * self.L * pair + 2.0 * self.alpha * cx
         if self.v1 is not _zero:
-            grad += _rows(self.v1_grad, xs)
+            grad += self.v1_grad(xs)
         return grad
 
     def _value(self, points, weights, c, gauss_w):
@@ -305,7 +302,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
             + self.alpha * _wsum(weights, np.sum(c * c, axis=-1))
         )
         if self.v1 is not _zero:
-            value += _wsum(weights, _rows(self.v1, points))
+            value += _wsum(weights, self.v1(points))
         return value
 
     def _value_and_grad(self, points, weights):
@@ -328,7 +325,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         flat = 0.5 * self.eta * np.sum(xs * xs, axis=1) + self.L * ew[:, 0]
         flat += self.alpha * (np.sum(cx * cx, axis=1) + float(weights @ np.sum(c * c, axis=1)))
         if self.v1 is not _zero:
-            flat += _rows(self.v1, xs)
+            flat += self.v1(xs)
         return flat
 
     def _grad(self, points, weights, xs):
@@ -342,7 +339,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         pair = np.tensordot(weights, self._w_hess(xs[:, None, :] - points), axes=(0, 1))
         hess = self.eta * np.eye(xs.shape[1]) + pair
         if self.v1 is not _zero:
-            hess += _rows(self.v1_hess, xs)
+            hess += self.v1_hess(xs)
         return hess
 
 
@@ -413,15 +410,15 @@ class ParametrizedEnergy(MeanFieldEnergy):
     """
 
     base: MeanFieldEnergy
-    phi: Callable = None  # x -> (k,)
-    phi_jac: Callable = None  # x -> (k, d)
+    phi: Callable = None  # rows (..., d) -> (..., k)
+    phi_jac: Callable = None  # (..., d) -> (..., k, d)
     phi_lip: float = 1.0
-    r: Callable = None  # (k,) -> float
-    r_grad: Callable = None
-    r_hess: Callable = None
+    r: Callable = None  # feature means (..., k) -> (...)
+    r_grad: Callable = None  # (..., k) -> (..., k)
+    r_hess: Callable = None  # (..., k) -> (..., k, k)
     alpha_r: float = 0.0
     r_hess_bound: float = 0.0
-    phi_hess: Callable | None = None  # x -> (k, d, d); None means affine features
+    phi_hess: Callable | None = None  # (..., d) -> (..., k, d, d); None: affine features
 
     def __post_init__(self):
         if self.base.declared_lambda != 0.0:
@@ -439,28 +436,28 @@ class ParametrizedEnergy(MeanFieldEnergy):
 
     def _feature_mean(self, points, weights):
         """int phi dmu, for one measure or a batch."""
-        return _wmean(weights, _rows(self.phi, points, 1))
+        return _wmean(weights, self.phi(points))
 
     def _outer_grad(self, points, weights):
         """grad R at int phi dmu, for one measure or a batch: (..., k)."""
-        return _rows(self.r_grad, self._feature_mean(points, weights), 1)
+        return self.r_grad(self._feature_mean(points, weights))
 
     def _eval_batch(self, points, weights):
-        outer = _rows(self.r, self._feature_mean(points, weights))
+        outer = self.r(self._feature_mean(points, weights))
         return self.base._eval_batch(points, weights) + outer
 
     def _flat(self, points, weights, xs):
         g = self._outer_grad(points, weights)
-        return self.base._flat(points, weights, xs) + np.sum(_rows(self.phi, xs, 1) * g, axis=1)
+        return self.base._flat(points, weights, xs) + np.sum(self.phi(xs) * g, axis=1)
 
     def _grad(self, points, weights, xs):
-        jac = _rows(self.phi_jac, xs, 2)
+        jac = self.phi_jac(xs)
         g = self._outer_grad(points, weights)
         return self.base._grad(points, weights, xs) + np.sum(jac * g[..., None, :, None], axis=-2)
 
     def _hess_mm(self, points, weights, xs, ys):
-        h = np.atleast_2d(self.r_hess(self._feature_mean(points, weights)))
-        jx, jy = _rows(self.phi_jac, xs, 2), _rows(self.phi_jac, ys, 2)
+        h = self.r_hess(self._feature_mean(points, weights))
+        jx, jy = self.phi_jac(xs), self.phi_jac(ys)
         pair = np.einsum("ika,kl,jlb->ijab", jx, h, jy)
         return self.base._hess_mm(points, weights, xs, ys) + pair
 
@@ -468,7 +465,7 @@ class ParametrizedEnergy(MeanFieldEnergy):
         acc = self.base._grad_x_of_Dm(points, weights, xs)
         if self.phi_hess is not None:
             g = self._outer_grad(points, weights)
-            acc = acc + np.einsum("k,ikab->iab", g, _rows(self.phi_hess, xs))
+            acc = acc + np.einsum("k,ikab->iab", g, self.phi_hess(xs))
         return acc
 
     def _cost(self, mu_points, mu_weights, nu_points, nu_weights):
@@ -478,22 +475,25 @@ class ParametrizedEnergy(MeanFieldEnergy):
         return self.alpha_r * _wsum(diff, diff)
 
 
+def _identity(xs):  # a copy, never a view of the caller's rows
+    return np.array(xs, float)
+
+
+def _eye(xs):  # the identity matrix broadcast over the rows
+    return np.broadcast_to(np.eye(xs.shape[-1]), xs.shape + xs.shape[-1:])
+
+
 def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:
     """The quadratic-mean energy in parametrized form: F0 = 1/2 int |x|^2,
-    identity features, outer R(m) = -(a/2) m^2 (so alpha_r = a/2)."""
-    base = LinearPotentialEnergy(
-        v=lambda x: 0.5 * float(x @ x),
-        v_grad=lambda x: np.asarray(x, float),
-        v_hess=lambda x: np.eye(len(x)),
-    )
+    identity features, outer R(m) = -(a/2) |m|^2 (so alpha_r = a/2)."""
     return ParametrizedEnergy(
-        base=base,
-        phi=lambda x: np.asarray(x, float),
-        phi_jac=lambda x: np.eye(len(x)),
+        base=LinearPotentialEnergy(lambda x: 0.5 * np.sum(x * x, axis=-1), _identity, _eye),
+        phi=_identity,
+        phi_jac=_eye,
         phi_lip=1.0,
-        r=lambda m: -0.5 * a * float(m @ m),
-        r_grad=lambda m: -a * np.asarray(m, float),
-        r_hess=lambda m: -a * np.eye(len(np.atleast_1d(m))),
+        r=lambda m: -0.5 * a * np.sum(m * m, axis=-1),
+        r_grad=lambda m: -a * m,
+        r_hess=lambda m: -a * _eye(m),
         alpha_r=a / 2.0,
         r_hess_bound=a,
     )

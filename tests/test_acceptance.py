@@ -232,9 +232,9 @@ def test_criterion_08_sampler_correctness():
         kappa, h = 1.0, 0.1
         ou = ParticleSystem(
             LinearPotentialEnergy(
-                v=lambda x: 0.5 * kappa * float(x @ x),
+                v=lambda x: 0.5 * kappa * np.sum(x * x, axis=-1),
                 v_grad=lambda x: kappa * x,
-                v_hess=lambda x: kappa * np.eye(len(x)),
+                v_hess=lambda x: kappa * np.eye(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1)),
             ),
             1,
             1,

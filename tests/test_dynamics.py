@@ -32,9 +32,9 @@ from mfgibbs.spectral1d import ou_exact_flow
 def ou_system(kappa=1.0, N=1):
     """Independent particles in the potential kappa |x|^2 / 2."""
     energy = LinearPotentialEnergy(
-        v=lambda x: 0.5 * kappa * float(x @ x),
+        v=lambda x: 0.5 * kappa * np.sum(x * x, axis=-1),
         v_grad=lambda x: kappa * x,
-        v_hess=lambda x: kappa * np.eye(len(x)),
+        v_hess=lambda x: kappa * np.eye(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1)),
     )
     return ParticleSystem(energy, N, 1)
 
@@ -387,9 +387,9 @@ class TestRunChain:
     def test_blow_up_raises(self):
         # negative-curvature potential with an exploding start
         energy = LinearPotentialEnergy(
-            v=lambda x: -2.0 * float(x @ x),
+            v=lambda x: -2.0 * np.sum(x * x, axis=-1),
             v_grad=lambda x: -4.0 * x,
-            v_hess=lambda x: -4.0 * np.eye(len(x)),
+            v_hess=lambda x: -4.0 * np.eye(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1)),
         )
         system = ParticleSystem(energy, 1, 1)
         cfg = SimConfig(
@@ -517,9 +517,9 @@ class TestReplicaGroups:
         # and a higher replica blows up at an earlier step than the lowest
         # one that does. The report is the lowest one, at its own step.
         energy = LinearPotentialEnergy(
-            v=lambda x: 0.0,
-            v_grad=lambda x: x if abs(x[0]) < 6.0 else -x,
-            v_hess=lambda x: np.eye(1),
+            v=lambda x: np.zeros(x.shape[:-1]),
+            v_grad=lambda x: np.where(np.abs(x) < 6.0, x, -x),
+            v_hess=lambda x: np.ones(x.shape + (1,)),
         )
         system = ParticleSystem(energy, 1, 1)
         cfg = SimConfig(
@@ -551,9 +551,9 @@ class TestReplicaGroups:
         # which `_move` counts as a blow-up; a higher replica blows up at an
         # earlier step than the lowest one that does
         energy = LinearPotentialEnergy(
-            v=lambda x: 0.5 * float(x @ x),
-            v_grad=lambda x: x if abs(x[0]) <= 3.0 else np.full_like(x, np.nan),
-            v_hess=lambda x: np.eye(1),
+            v=lambda x: 0.5 * np.sum(x * x, axis=-1),
+            v_grad=lambda x: np.where(np.abs(x) <= 3.0, x, np.nan),
+            v_hess=lambda x: np.ones(x.shape + (1,)),
         )
         system = ParticleSystem(energy, 1, 1)
         cfg = SimConfig(
@@ -582,9 +582,9 @@ class TestReplicaGroups:
         # group to replicas 0-2 with their U_N, h grad U_N and |kick|^2 rows;
         # then replica 2 blows up, and replicas 0 and 1 run to the end.
         energy = LinearPotentialEnergy(
-            v=lambda x: 0.0 if abs(x[0]) <= 5.0 else -1e300,
-            v_grad=lambda x: 0.0 * x if abs(x[0]) <= 5.0 else -1e20 * x,
-            v_hess=lambda x: np.zeros((1, 1)),
+            v=lambda x: np.where(np.abs(x[..., 0]) <= 5.0, 0.0, -1e300),
+            v_grad=lambda x: np.where(np.abs(x) <= 5.0, 0.0 * x, -1e20 * x),
+            v_hess=lambda x: np.zeros(x.shape + (1,)),
         )
         system = ParticleSystem(energy, 1, 1)
         cfg = SimConfig(

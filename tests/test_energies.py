@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ def random_measure(rng, d=1, max_atoms=5):
     n = int(rng.integers(1, max_atoms + 1))
     w = rng.random(n) + 0.1
     return DiscreteMeasure(rng.normal(size=(n, d)) * 1.5, w / w.sum())
+
+
+def _eye(x):
+    """The identity matrix at every row of x (..., d): (..., d, d)."""
+    return np.eye(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1))
 
 
 def all_energies():
@@ -106,18 +112,18 @@ class TestClosedForms:
 
     def test_parametrized_with_zero_outer_reduces_to_base(self):
         base = LinearPotentialEnergy(
-            v=lambda x: 0.5 * float(x @ x),
-            v_grad=lambda x: np.asarray(x, float),
-            v_hess=lambda x: np.eye(len(x)),
+            v=lambda x: 0.5 * np.sum(x * x, axis=-1),
+            v_grad=lambda x: np.array(x, float),
+            v_hess=_eye,
         )
         par = ParametrizedEnergy(
             base=base,
-            phi=lambda x: np.asarray(x, float),
-            phi_jac=lambda x: np.eye(len(x)),
+            phi=lambda x: np.array(x, float),
+            phi_jac=_eye,
             phi_lip=1.0,
-            r=lambda m: 0.0,
-            r_grad=lambda m: np.zeros_like(np.atleast_1d(m)),
-            r_hess=lambda m: np.zeros((len(np.atleast_1d(m)),) * 2),
+            r=lambda m: np.zeros(m.shape[:-1]),
+            r_grad=np.zeros_like,
+            r_hess=lambda m: np.zeros(m.shape + m.shape[-1:]),
         )
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -170,9 +176,9 @@ def _kernel_reference(e, x, w):
 def _cos_perturbed_kernel():
     return PairwiseKernelEnergy(
         eta=1.0, L=1.0, alpha=0.05,
-        v1=lambda x: 0.3 * float(np.cos(x[0])),
-        v1_grad=lambda x: np.eye(len(x))[0] * (-0.3 * np.sin(x[0])),
-        v1_hess=lambda x: np.diag(np.eye(len(x))[0]) * (-0.3 * np.cos(x[0])),
+        v1=lambda x: 0.3 * np.cos(x[..., 0]),
+        v1_grad=lambda x: np.eye(x.shape[-1])[0] * (-0.3 * np.sin(x[..., :1])),
+        v1_hess=lambda x: np.diag(np.eye(x.shape[-1])[0]) * (-0.3 * np.cos(x[..., :1, None])),
         v1_sup=0.3,
     )
 
@@ -205,13 +211,8 @@ class TestValueAndGrad:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_other_energies_match_eval_and_grad_all(self, d):
-        linear = LinearPotentialEnergy(
-            v=lambda x: 0.5 * float(x @ x) + float(np.sin(x[0])),
-            v_grad=lambda x: x + np.eye(len(x))[0] * np.cos(x[0]),
-            v_hess=lambda x: np.eye(len(x)) - np.diag(np.eye(len(x))[0]) * np.sin(x[0]),
-        )
         rng = np.random.default_rng(d)
-        for e in (QuadraticMeanEnergy(0.5), linear, quadratic_as_parametrized(0.5)):
+        for e in (QuadraticMeanEnergy(0.5), _sine_linear(), quadratic_as_parametrized(0.5)):
             for N in (1, 7, 200):
                 x = rng.normal(size=(N, d)) * 1.5
                 w = np.full(N, 1.0 / N)
@@ -223,9 +224,9 @@ class TestValueAndGrad:
 
 def _sine_linear():
     return LinearPotentialEnergy(
-        v=lambda x: 0.5 * float(x @ x) + float(np.sin(x[0])),
-        v_grad=lambda x: x + np.eye(len(x))[0] * np.cos(x[0]),
-        v_hess=lambda x: np.eye(len(x)) - np.diag(np.eye(len(x))[0]) * np.sin(x[0]),
+        v=lambda x: 0.5 * np.sum(x * x, axis=-1) + np.sin(x[..., 0]),
+        v_grad=lambda x: x + np.eye(x.shape[-1])[0] * np.cos(x[..., :1]),
+        v_hess=lambda x: _eye(x) - np.diag(np.eye(x.shape[-1])[0]) * np.sin(x[..., :1, None]),
     )
 
 
@@ -233,30 +234,32 @@ def _curved_features():
     """Parametrized energy with the non-affine features (sin x_0, |x|^2)."""
     return ParametrizedEnergy(
         base=_sine_linear(),
-        phi=lambda x: np.array([np.sin(x[0]), float(x @ x)]),
-        phi_jac=lambda x: np.stack([np.eye(len(x))[0] * np.cos(x[0]), 2.0 * x]),
-        phi_hess=lambda x: np.stack(
-            [-np.diag(np.eye(len(x))[0]) * np.sin(x[0]), 2.0 * np.eye(len(x))]
+        phi=lambda x: np.stack([np.sin(x[..., 0]), np.sum(x * x, axis=-1)], axis=-1),
+        phi_jac=lambda x: np.stack(
+            [np.eye(x.shape[-1])[0] * np.cos(x[..., :1]), 2.0 * x], axis=-2
         ),
-        r=lambda m: 0.5 * float(m @ m),
-        r_grad=lambda m: np.asarray(m, float),
-        r_hess=lambda m: np.eye(2),
+        phi_hess=lambda x: np.stack(
+            [-np.diag(np.eye(x.shape[-1])[0]) * np.sin(x[..., :1, None]), 2.0 * _eye(x)],
+            axis=-3,
+        ),
+        r=lambda m: 0.5 * np.sum(m * m, axis=-1),
+        r_grad=lambda m: np.array(m, float),
+        r_hess=_eye,
         r_hess_bound=1.0,
     )
 
 
 def _scalar_feature():
-    """Parametrized energy with the one feature |x|^2, returned as a Python
-    float, and its Jacobian as a (d,) vector: `_rows` pads both to one
-    feature axis (ndmin=1 and ndmin=2), and so R's gradient, a float too."""
+    """Parametrized energy with the one feature |x|^2: k = 1, so phi gives
+    (..., 1), its Jacobian (..., 1, d) and R's Hessian (1, 1)."""
     return ParametrizedEnergy(
         base=_sine_linear(),
-        phi=lambda x: float(x @ x),
-        phi_jac=lambda x: 2.0 * x,
-        phi_hess=lambda x: 2.0 * np.eye(len(x))[None],
-        r=lambda m: 0.5 * float(m @ m),
-        r_grad=lambda m: float(m[0]),
-        r_hess=lambda m: 1.0,
+        phi=lambda x: np.sum(x * x, axis=-1, keepdims=True),
+        phi_jac=lambda x: 2.0 * x[..., None, :],
+        phi_hess=lambda x: 2.0 * _eye(x)[..., None, :, :],
+        r=lambda m: 0.5 * np.sum(m * m, axis=-1),
+        r_grad=lambda m: np.array(m, float),
+        r_hess=_eye,
         r_hess_bound=1.0,
     )
 
@@ -747,3 +750,70 @@ class TestBlockBudget:
         x = np.random.default_rng(4).normal(size=(2000, 20, 2)) * 2.0
         w = np.full(20, 1.0 / 20)
         assert self._peak_mb(lambda: e._value_and_grad(x, w)) < 8.0
+
+
+def _counting(energy, counts):
+    """A copy of energy, its base's callables included, in which each user
+    callable adds one to counts[its field name] per call."""
+
+    def counted(name, fn):
+        def call(x):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(x)
+
+        return call
+
+    changes = {}
+    for f in fields(energy):
+        value = getattr(energy, f.name)
+        if isinstance(value, MeanFieldEnergy):
+            changes[f.name] = _counting(value, counts)
+        elif callable(value):
+            changes[f.name] = counted(f.name, value)
+    return replace(energy, **changes)
+
+
+class TestCallables:
+    """The user callables take arrays of rows: a primitive calls each of them
+    once, on all its rows, however many measures or query rows it is given."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: quadratic_as_parametrized(0.5), _curved_features, _cos_perturbed_kernel],
+        ids=["parametrized", "curved-features", "kernel-v1=cos"],
+    )
+    def test_calls_do_not_grow_with_the_rows(self, build):
+        n, d, K = 6, 2, 3
+        rng = np.random.default_rng(90)
+        points = rng.normal(size=(n, d)) * 1.5
+        w = _unit_weights(rng, n)
+
+        def calls(size):
+            atoms = rng.normal(size=(size, 1, n, d)) * 1.5
+            rows = _unit_weights(rng, size, K, n)
+            xs = rng.normal(size=(size, d)) * 1.5
+            per_primitive = []
+            for call in (
+                lambda e: e._eval_batch(atoms, rows),
+                lambda e: e._flat(points, w, xs),
+                lambda e: e._grad(points, w, xs),
+            ):
+                counts = {}
+                call(_counting(build(), counts))
+                assert counts
+                per_primitive.append(counts)
+            return per_primitive
+
+        assert calls(1) == calls(50)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_quadratic_parametrized_returns_no_view_of_its_input(self, d):
+        e = quadratic_as_parametrized(0.5)
+        rng = np.random.default_rng(91 + d)
+        points = rng.normal(size=(7, d))
+        w = _unit_weights(rng, 7)
+        configs = rng.normal(size=(3, 7, d))
+        xs = rng.normal(size=(5, d))
+        for p, q in ((points, xs), (points, points), (configs, configs)):
+            for got in (e.base._grad(p, w, q), e._grad(p, w, q), e._flat(points, w, xs)):
+                assert not np.shares_memory(got, p) and not np.shares_memory(got, q)

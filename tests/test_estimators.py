@@ -23,9 +23,9 @@ from mfgibbs.spectral1d import gaussian_exact
 
 def ou_system(kappa=1.0, N=1):
     energy = LinearPotentialEnergy(
-        v=lambda x: 0.5 * kappa * float(x @ x),
+        v=lambda x: 0.5 * kappa * np.sum(x * x, axis=-1),
         v_grad=lambda x: kappa * x,
-        v_hess=lambda x: kappa * np.eye(len(x)),
+        v_hess=lambda x: kappa * np.eye(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1)),
     )
     return ParticleSystem(energy, N, 1)
 
@@ -261,9 +261,9 @@ class TestConditionalGapMc:
         # V(x) = x^2/2 + cos(100 x): the auto-window's 1201 nodes, about 0.013
         # apart, alias the ripple, so the gap moves when the grid is refined
         energy = LinearPotentialEnergy(
-            v=lambda x: 0.5 * float(x @ x) + float(np.cos(100.0 * x[0])),
+            v=lambda x: 0.5 * np.sum(x * x, axis=-1) + np.cos(100.0 * x[..., 0]),
             v_grad=lambda x: x - 100.0 * np.sin(100.0 * x),
-            v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[0]) * np.eye(1),
+            v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[..., None]) * np.eye(1),
         )
         system = ParticleSystem(energy, 3, 1)
         cfg = SimConfig(step=1e-4, n_steps=200, burn_in=50, thin=10, seed=12)
