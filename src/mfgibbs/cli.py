@@ -76,31 +76,34 @@ def _wrap(cfg: ExperimentConfig, body: dict) -> dict:
     return {"version": __version__, "config": cfg.resolved(), **body}
 
 
-def _stationary_variance(cfg: ExperimentConfig) -> float:
+def _stationary_variance(cfg: ExperimentConfig) -> tuple[float, dict]:
     """Var(phi) under the proximal-Gibbs fixed point of the built energy on the
-    analysis grid; TheoremInvalidError when that fixed point cannot be trusted."""
+    analysis grid, with the fixed point's diagnostics; TheoremInvalidError
+    when that fixed point cannot be trusted."""
     an = cfg.analysis
     fp = proximal_gibbs_fixed_point(cfg.build_energy(), an["grid_lo"], an["grid_hi"], an["grid_n"])
     ends_ok = boundary_negligible(fp.density)
-    if not (fp.converged and ends_ok):
+    if not (fp.converged and fp.grid_converged and ends_ok):
         raise TheoremInvalidError(
             f"fixed-point-untrusted: converged={fp.converged} (residual {fp.residual:.3g}, "
-            f"{fp.iterations} iterations), negligible density at the grid ends={ends_ok}"
+            f"{fp.iterations} iterations), relative change of Var(phi) under grid "
+            f"refinement {fp.refinement_change:.3g}, negligible density at the grid ends={ends_ok}"
         )
-    return fp.variance()
+    diagnostics = ("residual", "iterations", "refinement_change")
+    return fp.variance(), {key: getattr(fp, key) for key in diagnostics}
 
 
 def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
     try:
         reported = cfg.reported_energy()  # exit 3 before the fixed point
-        var_phi = _stationary_variance(cfg)
+        var_phi, fixed_point = _stationary_variance(cfg)
         eps = cfg.analysis["epsilon"]
         report, extras = bounds.corollary_report(reported, cfg.N, cfg.d, var_phi, eps)
     except (GibbsUndefinedError, TheoremInvalidError) as exc:
         _emit({"version": __version__, "error": str(exc)}, out_path)
         return EXIT_INAPPLICABLE
-    payload = _wrap(cfg, {"report": report.to_dict(), "example": extras})
-    _emit(payload, out_path)
+    body = {"report": report.to_dict(), "example": extras, "fixed_point": fixed_point}
+    _emit(_wrap(cfg, body), out_path)
     if not report.flags.get("corollary_valid", False):
         return EXIT_INAPPLICABLE
     return EXIT_OK

@@ -29,8 +29,10 @@ class ConfigError(ValueError):
     pass
 
 
-#: Largest [analysis] grid_n: the proximal-Gibbs fixed point costs up to
-#: 200 iterations over the grid, each O(grid_n^2) for the kernel energy.
+#: Largest [analysis] grid_n. The proximal-Gibbs fixed point runs up to 200
+#: iterations on the grid and on its 2 grid_n - 1 refinement, each O(grid_n)
+#: or, for the kernel energy's FFT pair sum, O(grid_n log grid_n): about 0.1 s
+#: in all for the kernel at the cap. The cap dates from an O(grid_n^2) sum.
 GRID_N_MAX = 10001
 
 #: The most float64 entries numpy can size in one array.

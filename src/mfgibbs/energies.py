@@ -99,6 +99,11 @@ class MeanFieldEnergy(abc.ABC):
             return self._eval(points, weights), self._grad(points, weights, points)
         return self._eval_batch(points, weights), self._grad(points, weights, points)
 
+    def _flat_on_grid(self, x, weights) -> np.ndarray:
+        """dF/dm of the grid measure sum_k w_k delta_{x_k} at its own uniform
+        nodes x (n,): `_flat` there, unless the energy has a faster sum."""
+        return self._flat(x[:, None], weights, x[:, None])
+
     def _hess_mm_matrix(self, points, weights) -> np.ndarray:
         """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
         N, d = points.shape
@@ -319,14 +324,25 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         _, c, ew = self._pair_sums(points, weights, points)
         return self._value(points, weights, c, ew[..., 0])
 
-    def _flat(self, points, weights, xs):
-        mean, c, ew = self._pair_sums(points, weights, xs)
-        cx = xs - mean
-        flat = 0.5 * self.eta * np.sum(xs * xs, axis=1) + self.L * ew[:, 0]
+    def _flat_from_sum(self, points, weights, xs, gauss_w):
+        """dF/dm at xs from the Gaussian sums gauss_w_i = sum_j w_j exp(-|xs_i - p_j|^2)."""
+        mean = weights @ points
+        cx, c = xs - mean, points - mean
+        flat = 0.5 * self.eta * np.sum(xs * xs, axis=1) + self.L * gauss_w
         flat += self.alpha * (np.sum(cx * cx, axis=1) + float(weights @ np.sum(c * c, axis=1)))
         if self.v1 is not _zero:
             flat += self.v1(xs)
         return flat
+
+    def _flat(self, points, weights, xs):
+        gauss_w = _gauss_product(xs, points, weights[:, None])[:, 0]
+        return self._flat_from_sum(points, weights, xs, gauss_w)
+
+    def _flat_on_grid(self, x, weights):
+        """`_flat` at the grid's own nodes, its Gaussian sum by `_gauss_toeplitz`."""
+        nodes = x[:, None]
+        spacing = (x[-1] - x[0]) / (len(x) - 1)  # linspace's step; x[1] - x[0] cancels digits
+        return self._flat_from_sum(nodes, weights, nodes, _gauss_toeplitz(spacing, weights))
 
     def _grad(self, points, weights, xs):
         mean, _, ew = self._pair_sums(points, weights, xs)
@@ -367,14 +383,14 @@ def _gauss_product(xs, points, rhs):
     """exp(-|xs_i - p_j|^2) @ rhs, shape (..., m, k): the query rows xs
     (..., m, d) and the atoms points (..., n, d) share their leading axes,
     which broadcast to those of rhs (..., n, k). Every Gaussian pair sum of
-    the kernel energy is this product, in blocks of at most _BLOCK_ENTRIES
-    matrix entries. One set of atoms is built once for all its rhs, in row
-    blocks: one block, with no copy, up to 256 x 256. More are split along
-    the first axis into blocks of whole sets, each block's matrices built
-    once for the rhs that share them (one block, with no copy, when all
-    sets fit the budget), or taken one set at a time when one
-    set alone is over the budget. Each set's product is the one it has on
-    its own."""
+    the kernel energy off a grid's own nodes is this product, in blocks of
+    at most _BLOCK_ENTRIES matrix entries. One set of atoms is built once
+    for all its rhs, in row blocks: one block, with no copy, up to
+    256 x 256. More are split along the first axis into blocks of whole
+    sets, each block's matrices built once for the rhs that share them (one
+    block, with no copy, when all sets fit the budget), or taken one set at
+    a time when one set alone is over the budget. Each set's product is the
+    one it has on its own."""
     m, n = xs.shape[-2], points.shape[-2]
     if math.prod(points.shape[:-2]) == 1:
         xs, points = xs.reshape(m, -1), points.reshape(n, -1)
@@ -396,6 +412,19 @@ def _gauss_product(xs, points, rhs):
         return _gauss_rows(xs, points) @ rhs
     blocks = [slice(s, s + per) for s in range(0, len(points), per)]
     return np.concatenate([_gauss_rows(xs[b], points[b]) @ rhs[b] for b in blocks])
+
+
+def _gauss_toeplitz(h, weights):
+    """exp(-(x_i - x_j)^2) @ weights over n uniform nodes of spacing h, (n,):
+    a symmetric Toeplitz product, taken by FFT over a circulant embedding of
+    power-of-two length (Golub & Van Loan, Matrix Computations, 4.7), exact
+    up to round-off."""
+    n = len(weights)
+    size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1
+    column = np.zeros(size)
+    column[:n] = np.exp(-np.square(np.arange(n) * h))
+    column[size - n + 1 :] = column[n - 1 : 0 : -1]
+    return np.fft.irfft(np.fft.rfft(column) * np.fft.rfft(weights, size), size)[:n]
 
 
 @dataclass(frozen=True)

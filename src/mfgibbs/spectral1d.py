@@ -10,7 +10,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .energies import MeanFieldEnergy, ParticleSystem, QuadraticMeanEnergy
 from .errors import GibbsUndefinedError
-from .measures import DiscreteMeasure
 
 __all__ = [
     "Grid1D",
@@ -27,6 +26,9 @@ __all__ = [
 
 #: Damped fixed-point iteration: step cap, sup-norm tolerance, old-density share.
 _FP_MAX_ITER, _FP_TOL, _FP_DAMPING = 200, 1e-8, 0.5
+#: Largest relative change under refinement to 2n - 1 nodes that counts as
+#: converged: of `grid_poincare`'s gap, and of a fixed point's variance.
+REFINE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ def grid_poincare(grid: Grid1D) -> SpectralResult:
     gap, ground_mass = _gap_on_grid(grid)
     fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
     gap_fine, _ = _gap_on_grid(fine)
-    converged = abs(gap_fine - gap) <= 1e-3 * max(abs(gap), 1e-300)
+    converged = abs(gap_fine - gap) <= REFINE_TOL * max(abs(gap), 1e-300)
     return SpectralResult(gap=gap, ground_mass=ground_mass, converged=converged)
 
 
@@ -153,12 +155,18 @@ def conditional_potential(
 class FixedPointResult:
     grid_x: np.ndarray
     density: np.ndarray
-    residual: float  # sup-norm self-consistency defect
-    iterations: int
-    converged: bool
+    residual: float  # sup-norm self-consistency defect, the larger of the two grids'
+    iterations: int  # on the grid itself
+    converged: bool  # residual within _FP_TOL on both grids
+    refinement_change: float  # relative change of the variance on the 2n - 1 grid
 
     def variance(self) -> float:
         return trapezoid_moments(self.grid_x, self.density, self.grid_x[1] - self.grid_x[0])[1]
+
+    @property
+    def grid_converged(self) -> bool:
+        """The variance stable under grid refinement, within REFINE_TOL."""
+        return self.refinement_change <= REFINE_TOL
 
 
 def trapezoid_moments(x: np.ndarray, density: np.ndarray, dx: float) -> tuple[float, float]:
@@ -168,27 +176,17 @@ def trapezoid_moments(x: np.ndarray, density: np.ndarray, dx: float) -> tuple[fl
     return mean, float(np.trapezoid((x - mean) ** 2 * density, dx=dx))
 
 
-def proximal_gibbs_fixed_point(
-    energy: MeanFieldEnergy, lo: float, hi: float, n: int
-) -> FixedPointResult:
-    """Damped iteration of m -> normalize(exp(-dF/dm(m, .))) on a 1-D grid.
-
-    The fixed point is the stationary mean-field measure m_inf. Densities
-    are carried as trapezoid-rule discrete measures when evaluating the
-    flat derivative.
-    """
-    x = np.linspace(lo, hi, n)
-    h = x[1] - x[0]
-    dens = np.full(n, 1.0 / (hi - lo))
+def _iterate_fixed_point(energy: MeanFieldEnergy, x: np.ndarray):
+    """(density, its variance, residual, iterations) of the damped iteration on the nodes x."""
+    n, h = len(x), x[1] - x[0]
+    dens = np.full(n, 1.0 / (x[-1] - x[0]))
     trap = np.ones(n)
     trap[0] = trap[-1] = 0.5
-    points = x[:, None]
     residual = np.inf
     for it in range(1, _FP_MAX_ITER + 1):
         w = dens * trap * h
         w = w / w.sum()
-        mu = DiscreteMeasure(points, w)
-        flat = energy._flat(mu.points, mu.weights, points)
+        flat = energy._flat_on_grid(x, w)
         flat -= flat.min()
         target = np.exp(-flat)
         target /= np.trapezoid(target, dx=h)
@@ -197,9 +195,25 @@ def proximal_gibbs_fixed_point(
             dens = target
             break
         dens = _FP_DAMPING * dens + (1.0 - _FP_DAMPING) * target
-    return FixedPointResult(
-        grid_x=x, density=dens, residual=residual, iterations=it, converged=residual <= _FP_TOL
-    )
+    return dens, trapezoid_moments(x, dens, h)[1], residual, it
+
+
+def proximal_gibbs_fixed_point(
+    energy: MeanFieldEnergy, lo: float, hi: float, n: int
+) -> FixedPointResult:
+    """Damped iteration of m -> normalize(exp(-dF/dm(m, .))) on a 1-D grid.
+
+    The fixed point is the stationary mean-field measure m_inf. Densities
+    are carried as trapezoid-rule discrete measures when evaluating the
+    flat derivative by `_flat_on_grid`. The iteration runs again on the
+    2n - 1 refinement, as `grid_poincare` does, to see the variance move.
+    """
+    x = np.linspace(lo, hi, n)
+    dens, var, residual, iterations = _iterate_fixed_point(energy, x)
+    _, fine_var, fine_residual, _ = _iterate_fixed_point(energy, np.linspace(lo, hi, 2 * n - 1))
+    change = abs(fine_var - var) / max(abs(var), 1e-300)
+    residual = max(residual, fine_residual)
+    return FixedPointResult(x, dens, residual, iterations, residual <= _FP_TOL, change)
 
 
 @dataclass(frozen=True)

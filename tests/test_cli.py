@@ -195,6 +195,31 @@ class TestConstants:
         assert payload["error"].startswith("fixed-point-untrusted")
 
 
+    def test_coarse_grid_fixed_point_exit_3(self, tmp_path):
+        # on 9 nodes the fixed point converges, but its Var(phi) reads 0.860
+        # against 1.0 and moves by 16 % on the 17-node refinement
+        text = QUADRATIC.replace("a = 0.5", "a = 0.2").replace("n = 20", "n = 50")
+        cfg = write(tmp_path, text.replace("[analysis]\n", "[analysis]\ngrid_n = 9\n"))
+        out = tmp_path / "r.json"
+        assert main(["constants", "--config", cfg, "--out", str(out)]) == 3
+        payload = json.loads(out.read_text())
+        assert "report" not in payload
+        assert payload["error"].startswith("fixed-point-untrusted")
+        assert "relative change of Var(phi) under grid refinement 0.163" in payload["error"]
+
+    def test_fixed_point_diagnostics_beside_the_report(self, tmp_path):
+        cfg = write(tmp_path, QUADRATIC)
+        out = tmp_path / "report.json"
+        main(["constants", "--config", cfg, "--out", str(out)])
+        payload = json.loads(out.read_text())
+        fixed_point = payload["fixed_point"]
+        assert set(fixed_point) == {"residual", "iterations", "refinement_change"}
+        assert 0 <= fixed_point["residual"] <= 1e-8
+        assert 1 <= fixed_point["iterations"] <= 200
+        assert 0 <= fixed_point["refinement_change"] <= 1e-3
+        assert "fixed_point" not in payload["report"]
+
+
 class TestVerify:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -14,7 +14,7 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
-from mfgibbs.energies import _gauss_product, quadratic_as_parametrized
+from mfgibbs.energies import _gauss_product, _gauss_toeplitz, quadratic_as_parametrized
 
 
 def random_measure(rng, d=1, max_atoms=5):
@@ -750,6 +750,50 @@ class TestBlockBudget:
         x = np.random.default_rng(4).normal(size=(2000, 20, 2)) * 2.0
         w = np.full(20, 1.0 / 20)
         assert self._peak_mb(lambda: e._value_and_grad(x, w)) < 8.0
+
+
+def _grid_weights(kind, x):
+    """Weights summing to one on the uniform nodes x: a point mass, uniform
+    weights, or the trapezoid weights of a Gaussian density a quarter of the
+    span wide, as the proximal-Gibbs fixed point carries."""
+    if kind == "point-mass":
+        w = np.zeros(len(x))
+        w[len(x) // 3] = 1.0
+    elif kind == "uniform":
+        w = np.ones(len(x))
+    else:
+        w = np.exp(-0.5 * (8.0 * x / (x[-1] - x[0])) ** 2)
+        w[[0, -1]] *= 0.5
+    return w / w.sum()
+
+
+class TestFlatOnGrid:
+    """`_flat_on_grid`, the flat derivative of a grid measure at its own
+    nodes, against the exact `_flat` there."""
+
+    # on [-400, 400] the Gaussian pair kernel underflows between most nodes
+    @pytest.mark.parametrize("span", [8.0, 400.0], ids=["span=16", "span=800"])
+    @pytest.mark.parametrize("kind", ["point-mass", "uniform", "fixed-point"])
+    @pytest.mark.parametrize("n", [3, 4, 401, 1201])
+    def test_kernel_fft_sum_matches_the_exact_product(self, n, kind, span):
+        e = _cos_perturbed_kernel()
+        x = np.linspace(-span, span, n)
+        w = _grid_weights(kind, x)
+        exact = e._flat(x[:, None], w, x[:, None])
+        assert np.max(np.abs(e._flat_on_grid(x, w) - exact)) <= 1e-13 * np.max(np.abs(exact))
+        # the Gaussian sums alone, each at most one
+        gauss = _gauss_product(x[:, None], x[:, None], w[:, None])[:, 0]
+        assert np.max(np.abs(_gauss_toeplitz(2.0 * span / (n - 1), w) - gauss)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "build", [lambda: QuadraticMeanEnergy(0.5), lambda: quadratic_as_parametrized(0.5)],
+        ids=["quadratic", "parametrized"],
+    )
+    def test_other_energies_take_the_exact_flat(self, build):
+        e = build()
+        x = np.linspace(-8.0, 8.0, 401)
+        w = _grid_weights("fixed-point", x)
+        np.testing.assert_array_equal(e._flat_on_grid(x, w), e._flat(x[:, None], w, x[:, None]))
 
 
 def _counting(energy, counts):

@@ -1,10 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
+from mfgibbs.config import GRID_N_MAX
 from mfgibbs.dynamics import SimConfig, run_chain
 from mfgibbs.energies import ParticleSystem, QuadraticMeanEnergy, PairwiseKernelEnergy
 from mfgibbs.errors import GibbsUndefinedError
 from mfgibbs.spectral1d import (
+    REFINE_TOL,
     Grid1D,
     conditional_potential,
     gaussian_exact,
@@ -149,6 +153,46 @@ class TestFixedPoint:
         ref = np.exp(-0.5 * res.grid_x**2) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(res.density - ref)) < 1e-10
         assert abs(res.variance() - 1.0) < 1e-6
+        assert res.grid_converged and res.refinement_change < 1e-12
+
+    def test_coarse_grid_fails_the_refinement_check(self):
+        # 9 nodes on [-8, 8]: the trapezoid variance of the unit-variance law
+        # reads 0.86 and moves by 16 % on 17 nodes, although the iteration converges
+        res = proximal_gibbs_fixed_point(QuadraticMeanEnergy(0.2), -8.0, 8.0, 9)
+        assert res.converged
+        assert abs(res.variance() - 0.860) < 1e-3
+        assert res.refinement_change > 0.1 > REFINE_TOL
+        assert not res.grid_converged
+
+    def test_kernel_variance_matches_a_replay_on_the_exact_flat(self):
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        res = proximal_gibbs_fixed_point(kern, -8.0, 8.0, 1201)
+        x = np.linspace(-8.0, 8.0, 1201)
+        h = x[1] - x[0]
+        trap = np.full(len(x), h)
+        trap[[0, -1]] *= 0.5
+        dens = np.full(len(x), 1.0 / 16.0)
+        for it in range(1, 201):
+            w = dens * trap / np.sum(dens * trap)
+            flat = kern._flat(x[:, None], w, x[:, None])
+            target = np.exp(-(flat - flat.min()))
+            target /= np.trapezoid(target, dx=h)
+            done = np.max(np.abs(target - dens)) <= 1e-8
+            dens = target if done else 0.5 * (dens + target)
+            if done:
+                break
+        assert res.converged and res.grid_converged and res.iterations == it
+        mean = np.trapezoid(x * dens, dx=h)
+        var = np.trapezoid((x - mean) ** 2 * dens, dx=h)
+        assert abs(res.variance() - var) <= 1e-12 * var
+
+    def test_kernel_at_the_grid_cap_is_fast(self):
+        # the exact O(n^2) sum took about 6 s for the first fixed point alone
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        start = time.perf_counter()
+        res = proximal_gibbs_fixed_point(kern, -8.0, 8.0, GRID_N_MAX)
+        assert time.perf_counter() - start < 2.0
+        assert res.converged and res.grid_converged
 
     def test_kernel_fixed_point(self):
         kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
