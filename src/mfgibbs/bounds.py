@@ -34,6 +34,10 @@ __all__ = [
     "check_semi_convexity",
     "semi_convexity_deficits",
     "cost_convexity_deficits",
+    "semi_convexity_lambda",
+    "stack_deficits",
+    "w2_penalty",
+    "feature_cost_penalty",
     "hessian_block_bound",
     "DEFAULT_T_GRID",
 ]
@@ -287,16 +291,46 @@ def corollary_report(
     return report, {**example, "var_phi": var_phi}
 
 
-def _mixture_deficits(energy, mu, nu, penalty) -> np.ndarray:
-    """Worst deficit over `DEFAULT_T_GRID` of each pair of the stacks mu and
-    nu against its penalty (P,): one batched value pass for all the
-    mixtures and one for each endpoint stack."""
+def _mixture_gaps(energy, mu, nu) -> np.ndarray:
+    """F(t mu + (1-t) nu) - t F(mu) - (1-t) F(nu) at each t of `DEFAULT_T_GRID`
+    for each pair of the stacks mu and nu (P, K): one batched value pass for
+    all the mixtures and one for each endpoint stack."""
     t = np.asarray(DEFAULT_T_GRID)
     lhs = energy._eval_batch(*mixture_atoms(mu, nu, t))
     f_mu = energy._eval_batch(*mu)[:, None]
     f_nu = energy._eval_batch(*nu)[:, None]
-    deficit = lhs - t * f_mu - (1.0 - t) * f_nu - t * (1.0 - t) * penalty[:, None]
-    return np.max(deficit, axis=1)
+    return lhs - t * f_mu - (1.0 - t) * f_nu
+
+
+def stack_deficits(energy: MeanFieldEnergy, stacks, penalty) -> np.ndarray:
+    """Worst mixture-convexity deficit over `DEFAULT_T_GRID` of each pair,
+    in pair-index order. `stacks` are (pair indices, mu stack, nu stack)
+    groups, as `measures.stack_pairs` builds them, whose atoms the caller
+    has checked; penalty(index, mu, nu) is the penalty (P,) of a group's
+    pairs, `w2_penalty` or `feature_cost_penalty`.
+
+    Nonpositive (up to 1e-9) means the convexity holds on that pair.
+    """
+    t = np.asarray(DEFAULT_T_GRID)
+    worst = np.empty(sum(len(index) for index, _, _ in stacks))
+    for index, mu, nu in stacks:
+        gaps = _mixture_gaps(energy, mu, nu)
+        worst[index] = np.max(gaps - t * (1.0 - t) * penalty(index, mu, nu)[:, None], axis=1)
+    return worst
+
+
+def w2_penalty(lam: float):
+    """The semi-convexity penalty lambda/2 W2^2(mu, nu) of a group's pairs,
+    for `stack_deficits`."""
+    return lambda index, mu, nu: 0.5 * lam * w2_squared_pairs(nu, mu)
+
+
+def feature_cost_penalty(energy: ParametrizedEnergy):
+    """The parametrized cost alpha_r |int phi d(nu - mu)|^2 of a group's
+    pairs, from the batched feature means, for `stack_deficits`."""
+    if not isinstance(energy, ParametrizedEnergy):
+        raise TypeError("cost functional required for non-parametrized energies")
+    return lambda index, mu, nu: energy._cost(*mu, *nu)
 
 
 def semi_convexity_deficits(
@@ -311,10 +345,7 @@ def semi_convexity_deficits(
     """
     if lam is None:
         lam = energy.declared_lambda
-    worst = np.empty(len(mus))
-    for index, mu, nu in stack_pairs(mus, nus):
-        worst[index] = _mixture_deficits(energy, mu, nu, 0.5 * lam * w2_squared_pairs(nu, mu))
-    return worst
+    return stack_deficits(energy, stack_pairs(mus, nus), w2_penalty(lam))
 
 
 def cost_convexity_deficits(energy: MeanFieldEnergy, mus, nus, cost=None) -> np.ndarray:
@@ -324,16 +355,12 @@ def cost_convexity_deficits(energy: MeanFieldEnergy, mus, nus, cost=None) -> np.
 
     Defaults to the parametrized energy's alpha_r |int phi d(nu - mu)|^2.
     """
-    if cost is None and not isinstance(energy, ParametrizedEnergy):
-        raise TypeError("cost functional required for non-parametrized energies")
-    worst = np.empty(len(mus))
-    for index, mu, nu in stack_pairs(mus, nus):
-        if cost is None:
-            penalty = energy._cost(*mu, *nu)
-        else:
-            penalty = np.array([cost(mus[i], nus[i]) for i in index], dtype=float)
-        worst[index] = _mixture_deficits(energy, mu, nu, penalty)
-    return worst
+    if cost is None:
+        penalty = feature_cost_penalty(energy)
+    else:
+        def penalty(index, mu, nu):
+            return np.array([cost(mus[i], nus[i]) for i in index], dtype=float)
+    return stack_deficits(energy, stack_pairs(mus, nus), penalty)
 
 
 def check_semi_convexity(
@@ -344,6 +371,19 @@ def check_semi_convexity(
 ) -> float:
     """The one-pair case of `semi_convexity_deficits`."""
     return float(semi_convexity_deficits(energy, [mu], [nu], lam)[0])
+
+
+def semi_convexity_lambda(
+    energy: MeanFieldEnergy, mu: DiscreteMeasure, nu: DiscreteMeasure
+) -> float:
+    """The least lambda at which the pair (mu, nu) of distinct measures
+    passes the semi-convexity check: the max over t of `DEFAULT_T_GRID` of
+    2 (F(t mu + (1-t) nu) - t F(mu) - (1-t) F(nu)) / (t (1-t) W2^2(mu, nu)).
+    A declared lambda below it fails on this pair."""
+    ((_, mu, nu),) = stack_pairs([mu], [nu])
+    t = np.asarray(DEFAULT_T_GRID)
+    scale = t * (1.0 - t) * w2_squared_pairs(nu, mu)[:, None]
+    return float(np.max(2.0 * _mixture_gaps(energy, mu, nu) / scale))
 
 
 def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:

@@ -3,6 +3,7 @@ Gaussian target of a quadratic-mean system (exact constants, exact OU flow, KL).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,9 +220,13 @@ def proximal_gibbs_fixed_point(
 @dataclass(frozen=True)
 class GaussianExact:
     precision: np.ndarray
-    covariance: np.ndarray
     poincare: float
     lsi: float
+
+    @functools.cached_property
+    def covariance(self) -> np.ndarray:
+        """The inverse of the precision, computed on first use."""
+        return np.linalg.inv(self.precision)
 
 
 def _gaussian_precision(system: ParticleSystem) -> np.ndarray:
@@ -242,7 +247,7 @@ def gaussian_exact(system: ParticleSystem) -> GaussianExact:
     """
     A = _gaussian_precision(system)
     lam_min = float(np.linalg.eigvalsh(A)[0])
-    return GaussianExact(precision=A, covariance=np.linalg.inv(A), poincare=lam_min, lsi=lam_min)
+    return GaussianExact(precision=A, poincare=lam_min, lsi=lam_min)
 
 
 def ou_exact_flow(system: ParticleSystem, mean0, cov0, times):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bounds, spectral1d
+from . import bounds, measures, spectral1d
 from .dynamics import SimConfig
 from .energies import (
     PairwiseKernelEnergy,
@@ -25,11 +25,29 @@ SHARPNESS_A = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 SHARPNESS_N = (10, 50, 200)
 
 
-def _random_atoms(rng) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms (n, 1) and weights (n,) of a random measure on the line, n in 1..6."""
-    n = int(rng.integers(1, 7))
-    w = rng.random(n) + 0.05
-    return rng.normal(size=(n, 1)) * 2.0, w / w.sum()
+def _random_stack(rng, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms (count, n, 1) and weights (count, n) of `count` random
+    measures of n atoms on the line, each checked by `check_atoms`."""
+    w = rng.random((count, n)) + 0.05
+    stack = rng.normal(size=(count, n, 1)) * 2.0, w / w.sum(axis=1, keepdims=True)
+    measures.check_atoms(*stack)
+    return stack
+
+
+def _random_stacks(rng, count: int) -> list:
+    """`count` random pairs (mu, nu), 1..6 atoms each, as the (pair indices,
+    mu stack, nu stack) groups of `bounds.stack_deficits`. The atom counts
+    of all pairs come first, mu's then nu's; then, group by group in
+    increasing (n_mu, n_nu), mu's weights and atoms, then nu's."""
+    n_mu, n_nu = rng.integers(1, 7, size=count), rng.integers(1, 7, size=count)
+    key = 7 * n_mu + n_nu
+    stacks = []
+    for k in np.unique(key):
+        index = np.flatnonzero(key == k)
+        mu = _random_stack(rng, len(index), int(k) // 7)
+        nu = _random_stack(rng, len(index), int(k) % 7)
+        stacks.append((index, mu, nu))
+    return stacks
 
 
 def suite_sharpness():
@@ -58,23 +76,28 @@ def _concrete_energies():
     ]
 
 
-def _random_pairs(rng, count):
-    """`count` pairs (mu, nu) of random measures as atoms, mu drawn before nu."""
-    pairs = [(_random_atoms(rng), _random_atoms(rng)) for _ in range(count)]
-    return [mu for mu, _ in pairs], [nu for _, nu in pairs]
-
-
 def _random_deficits():
-    """(check name, deficit of each pair in draw order) of the mixture
+    """(check name, deficit of each pair in index order) of the mixture
     checks on random pairs."""
     rng = np.random.default_rng(0)
     checks = []
     for name, energy in _concrete_energies():
-        deficits = bounds.semi_convexity_deficits(energy, *_random_pairs(rng, 1000))
+        penalty = bounds.w2_penalty(energy.declared_lambda)
+        deficits = bounds.stack_deficits(energy, _random_stacks(rng, 1000), penalty)
         checks.append((f"semi-convexity {name}", deficits))
     par = quadratic_as_parametrized(0.5)  # cost-convexity for the parametrized route
-    deficits = bounds.cost_convexity_deficits(par, *_random_pairs(rng, 200))
+    penalty = bounds.feature_cost_penalty(par)
+    deficits = bounds.stack_deficits(par, _random_stacks(rng, 200), penalty)
     return checks + [("cost-convexity parametrized", deficits)]
+
+
+def _kernel_witness():
+    """A pair on which the kernel energy's declared lambda = 2 alpha is
+    nearly sharp: mu of 100 equal atoms evenly spaced on [-50, 50], where
+    the Gaussian kernel barely couples neighbours, and nu = mu shifted by
+    0.5. The random pairs of a few N(0, 4) atoms still pass at 0.8 lambda."""
+    x = np.linspace(-50.0, 50.0, 100)[:, None]
+    return empirical(x), empirical(x + 0.5)
 
 
 def suite_curvature():
@@ -92,6 +115,15 @@ def suite_curvature():
     for name, deficits in _random_deficits():
         worst = float(np.max(deficits))
         results.append((name, worst <= 1e-9, f"worst={worst:.2e}"))
+    kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+    mu, nu = _kernel_witness()
+    deficit = bounds.check_semi_convexity(kern, mu, nu)
+    found = bounds.semi_convexity_lambda(kern, mu, nu)
+    results.append((
+        "semi-convexity kernel witness",
+        deficit <= 1e-9,
+        f"lambda found={found:.6f} <= declared {kern.declared_lambda}",
+    ))
     return results
 
 

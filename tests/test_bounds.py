@@ -520,6 +520,23 @@ class TestBatchedCheckers:
         with pytest.raises(TypeError, match="cost functional required"):
             bounds.cost_convexity_deficits(self.ENERGIES["kernel"](), mus, nus)
 
+    @pytest.mark.parametrize("name", list(ENERGIES))
+    def test_semi_convexity_lambda_is_where_the_deficit_vanishes(self, name):
+        energy = self.ENERGIES[name]()
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            mu, nu = random_measure(rng), random_measure(rng)
+            found = bounds.semi_convexity_lambda(energy, mu, nu)
+            assert found <= energy.declared_lambda + 1e-9
+            assert abs(bounds.check_semi_convexity(energy, mu, nu, lam=found)) <= 1e-12
+
+    def test_semi_convexity_lambda_dirac_equality(self):
+        # the quadratic energy's modulus is attained on any two distinct Diracs
+        found = bounds.semi_convexity_lambda(
+            self.ENERGIES["quadratic"](), empirical([[0.0]]), empirical([[2.0]])
+        )
+        assert abs(found - 0.5) <= 1e-12
+
     def test_unequal_pair_lists_rejected(self):
         quad = self.ENERGIES["quadratic"]()
         mu = empirical([[0.0]])

@@ -1,26 +1,45 @@
 import numpy as np
 from test_measures import merge_loop_w2
 
-from mfgibbs import bounds, verify
+from mfgibbs import bounds, measures, verify
 from mfgibbs.cli import main
-from mfgibbs.energies import QuadraticMeanEnergy, quadratic_as_parametrized
+from mfgibbs.energies import (
+    PairwiseKernelEnergy,
+    QuadraticMeanEnergy,
+    quadratic_as_parametrized,
+)
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
 
-# The reference below builds every measure as a DiscreteMeasure and takes one
-# pair and one mixture at a time, with the merge loop as its W2^2 and the
-# parametrized cost from the feature map atom by atom: it shares neither the
-# stacks, nor the array W2^2, nor the batched deficits with the suite.
+# The reference below draws the suite's random numbers but builds every
+# measure as a DiscreteMeasure and takes one pair and one mixture at a time,
+# with the merge loop as its W2^2 and the parametrized cost from the feature
+# map atom by atom: it shares neither the stacks, nor the array W2^2, nor the
+# batched deficits with the suite.
 
 
-def random_measure(rng):
-    """A random measure on the line, drawn as the curvature suite draws its atoms."""
-    n = int(rng.integers(1, 7))
-    w = rng.random(n) + 0.05
-    return DiscreteMeasure(rng.normal(size=(n, 1)) * 2.0, w / w.sum())
+def random_measures(rng, count, n):
+    """`count` random measures of n atoms on the line, drawn as the curvature
+    suite draws one stack: the weights of all of them, then their atoms."""
+    w = rng.random((count, n)) + 0.05
+    points = rng.normal(size=(count, n, 1)) * 2.0
+    return [DiscreteMeasure(x, v / v.sum()) for x, v in zip(points, w)]
 
 
 def draw_pairs(rng, count):
-    return [(random_measure(rng), random_measure(rng)) for _ in range(count)]
+    """`count` pairs in the suite's draw order: the atom counts of all mu,
+    then of all nu; then, for each (n_mu, n_nu) in increasing order, the
+    measures mu of its pairs, then their nu."""
+    n_mu, n_nu = rng.integers(1, 7, size=count), rng.integers(1, 7, size=count)
+    pairs = [None] * count
+    for a in range(1, 7):
+        for b in range(1, 7):
+            index = [i for i in range(count) if n_mu[i] == a and n_nu[i] == b]
+            if not index:
+                continue
+            mus, nus = random_measures(rng, len(index), a), random_measures(rng, len(index), b)
+            for i, mu, nu in zip(index, mus, nus):
+                pairs[i] = (mu, nu)
+    return pairs
 
 
 def per_pair_deficits(energy, pairs, penalty_of):
@@ -63,6 +82,21 @@ def reference_random_deficits():
     return checks + [("cost-convexity parametrized", deficits)]
 
 
+def witness_pair():
+    x = np.linspace(-50.0, 50.0, 100)[:, None]
+    return empirical(x), empirical(x + 0.5)
+
+
+def reference_lambda(energy, mu, nu):
+    """The least lambda the pair passes at, one mixture at a time."""
+    w2 = merge_loop_w2(nu, mu)
+    f_mu, f_nu = energy.eval(mu), energy.eval(nu)
+    return max(
+        2.0 * (energy.eval(mix(mu, nu, t)) - t * f_mu - (1.0 - t) * f_nu) / (t * (1.0 - t) * w2)
+        for t in bounds.DEFAULT_T_GRID
+    )
+
+
 def test_curvature_suite_is_the_per_pair_loop():
     quad = QuadraticMeanEnergy(0.5)
     ends = [(0.0, 2.0), (-1.0, 3.0), (0.5, 0.5)]
@@ -75,6 +109,14 @@ def test_curvature_suite_is_the_per_pair_loop():
     for name, deficits in reference:
         worst = max(deficits)
         expected.append((name, worst <= 1e-9, f"worst={worst:.2e}"))
+    kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+    witness = witness_pair()
+    (deficit,) = per_pair_deficits(kern, [witness], semi(0.1))
+    found = reference_lambda(kern, *witness)
+    expected.append((
+        "semi-convexity kernel witness", deficit <= 1e-9,
+        f"lambda found={found:.6f} <= declared 0.1",
+    ))
     assert all(ok for _, ok, _ in expected)
 
     assert verify.SUITES["curvature"]() == expected
@@ -108,3 +150,56 @@ def test_a_nan_deficit_fails_the_curvature_suite(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "semi-convexity nan-prone FAIL worst=nan".split() in [line.split() for line in lines]
     assert lines[-1] == "suite curvature: FAIL"
+
+
+def test_the_stack_entry_is_the_list_form():
+    # the suite's stacks, unstacked into one (points, weights) item per pair
+    rng = np.random.default_rng(40)
+    checks = [(energy, bounds.w2_penalty(energy.declared_lambda), bounds.semi_convexity_deficits)
+              for _, energy in verify._concrete_energies()]
+    par = quadratic_as_parametrized(0.5)
+    checks.append((par, bounds.feature_cost_penalty(par), bounds.cost_convexity_deficits))
+    for energy, penalty, list_form in checks:
+        stacks = verify._random_stacks(rng, 300)
+        items = [None] * 300
+        for index, (mu_p, mu_w), (nu_p, nu_w) in stacks:
+            for k, i in enumerate(index):
+                items[i] = ((mu_p[k], mu_w[k]), (nu_p[k], nu_w[k]))
+        mus, nus = zip(*items)
+        np.testing.assert_array_equal(
+            bounds.stack_deficits(energy, stacks, penalty), list_form(energy, mus, nus)
+        )
+
+
+def test_the_kernel_witness_is_sharp():
+    kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+    mu, nu = verify._kernel_witness()
+    assert bounds.check_semi_convexity(kern, mu, nu) <= 1e-9
+    found = bounds.semi_convexity_lambda(kern, mu, nu)
+    assert found <= kern.declared_lambda
+    assert bounds.check_semi_convexity(kern, mu, nu, lam=0.99 * found) > 1e-9
+    # the suite's random kernel pairs miss an understatement by a tenth; the witness does not
+    lam = 0.9 * kern.declared_lambda
+    rng = np.random.default_rng(0)
+    verify._random_stacks(rng, 1000)  # the quadratic check's pairs
+    stacks = verify._random_stacks(rng, 1000)
+    assert np.max(bounds.stack_deficits(kern, stacks, bounds.w2_penalty(lam))) <= 1e-9
+    assert bounds.check_semi_convexity(kern, mu, nu, lam=lam) > 1e-9
+
+
+def test_the_random_checks_build_no_measure(monkeypatch):
+    calls = {"check_atoms": 0, "DiscreteMeasure": 0}
+    check_atoms, post_init = measures.check_atoms, DiscreteMeasure.__post_init__
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(measures, "check_atoms", counted("check_atoms", check_atoms))
+    monkeypatch.setattr(DiscreteMeasure, "__post_init__", counted("DiscreteMeasure", post_init))
+    checks = verify._random_deficits()
+    assert calls["DiscreteMeasure"] == 0
+    # at most one call per side of each of the 6 x 6 atom-count groups
+    assert 0 < calls["check_atoms"] <= 2 * 36 * len(checks)
