@@ -15,7 +15,7 @@ import numpy as np
 
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy
 from .energies import ParametrizedEnergy, QuadraticMeanEnergy
-from .errors import GibbsUndefinedError, TheoremInvalidError
+from .errors import TheoremInvalidError
 from .measures import DiscreteMeasure, mixture_atoms, stack_pairs, w2_squared_pairs
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "quadratic_example_constants",
     "kernel_example_constants",
     "parametrized_cost_bound",
-    "example_inputs",
     "corollary_report",
     "check_semi_convexity",
     "semi_convexity_deficits",
@@ -39,6 +38,7 @@ __all__ = [
     "w2_penalty",
     "feature_cost_penalty",
     "hessian_block_bound",
+    "hessian_block_norm",
     "DEFAULT_T_GRID",
 ]
 
@@ -180,16 +180,12 @@ class QuadraticExampleConstants:
 
 
 def quadratic_example_constants(a: float, N: int) -> QuadraticExampleConstants:
-    """rho_N = 1 - a/N, lambda and Mmm as QuadraticMeanEnergy(a) declares
-    them (it checks a > 0); exact optimal constant 1 - a."""
-    if a >= 1.0:
-        raise GibbsUndefinedError("gibbs-undefined: quadratic-mean energy needs a < 1")
-    energy = QuadraticMeanEnergy(a)
-    if N <= a:
+    """rho_N, lambda and Mmm as QuadraticMeanEnergy(a) declares them (it
+    checks a > 0, and a < 1 for a Gibbs measure); exact optimal constant 1 - a."""
+    quad = QuadraticMeanEnergy(a)
+    if N <= a < 1.0:  # a >= 1 is no Gibbs measure, which declared_rho_N raises
         raise ValueError("need N > a")
-    inputs = PoincareInputs(
-        rho_N=1.0 - a / N, lam=energy.declared_lambda, Mmm=energy.declared_Mmm, N=N
-    )
+    inputs = PoincareInputs(quad.declared_rho_N(N), quad.declared_lambda, quad.declared_Mmm, N)
     # algebraically equal to poincare_constant(inputs); this grouping keeps
     # the round-off of the two a/N terms from polluting the closed form
     bound = (1.0 - a) - 2.0 * a / N
@@ -216,9 +212,9 @@ def kernel_example_constants(
     L: float, alpha: float, eta: float, v1_sup: float = 0.0
 ) -> KernelExampleConstants:
     """Closed forms of the kernel example; PairwiseKernelEnergy checks the
-    parameters and declares Mmm."""
-    Mmm = PairwiseKernelEnergy(eta=eta, L=L, alpha=alpha, v1_sup=v1_sup).declared_Mmm
-    rho = eta * math.exp(-v1_sup - L)
+    parameters and declares Mmm, rho and rho_N."""
+    energy = PairwiseKernelEnergy(eta=eta, L=L, alpha=alpha, v1_sup=v1_sup)
+    rho = energy.declared_rho
     if alpha == 0.0:
         beta_max = math.inf
     elif 4.0 * alpha >= eta:
@@ -229,7 +225,7 @@ def kernel_example_constants(
     else:
         beta_max = (math.log(eta) - math.log(4.0 * alpha)) / (v1_sup + L)
     return KernelExampleConstants(
-        Mmm=Mmm,
+        Mmm=energy.declared_Mmm,
         rho=rho,
         rho_N=rho,
         condition_holds=4.0 * alpha < rho,
@@ -237,58 +233,39 @@ def kernel_example_constants(
     )
 
 
-def _cost_bound(alpha_r: float, phi_lip: float, var_phi: float, epsilon: float):
-    """(lambda', alpha_N) = (alpha_r (1 + eps) Lip(phi)^2, alpha_r (1 + 1/eps) Var(phi))."""
+def parametrized_cost_bound(energy: MeanFieldEnergy, var_phi: float, epsilon: float) -> tuple:
+    """(lambda', alpha_N) from the energy's declared cost (alpha_r, Lip(phi)):
+    lambda' = alpha_r (1 + eps) Lip(phi)^2, alpha_N = alpha_r (1 + 1/eps) Var(phi)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if var_phi < 0:
         raise ValueError("variance must be nonnegative")
-    lam_p = alpha_r * (1.0 + epsilon) * phi_lip**2
-    alpha_N = alpha_r * (1.0 + 1.0 / epsilon) * var_phi
-    return lam_p, alpha_N
+    alpha_r, phi_lip = energy.declared_cost
+    return alpha_r * (1.0 + epsilon) * phi_lip**2, alpha_r * (1.0 + 1.0 / epsilon) * var_phi
 
 
-def parametrized_cost_bound(
-    energy: ParametrizedEnergy, var_phi: float, epsilon: float
-) -> tuple[float, float]:
-    """(lambda', alpha_N) for a parametrized energy:
-    lambda' = alpha_r (1 + eps) Lip(phi)^2, alpha_N = alpha_r (1 + 1/eps) Var(phi)."""
-    return _cost_bound(energy.alpha_r, energy.phi_lip, var_phi, epsilon)
-
-
-def example_inputs(energy: MeanFieldEnergy, N: int) -> tuple[float, float, dict]:
-    """(rho, rho_N, example block) from the closed forms of a worked example:
-    GibbsUndefinedError when it has no Gibbs measure, TypeError for an energy
-    that is not one."""
+def _example(energy: MeanFieldEnergy, N: int) -> dict:
+    """A worked example's closed forms, for information: no report number reads them."""
     if isinstance(energy, QuadraticMeanEnergy):
         q = quadratic_example_constants(energy.a, N)
-        # its proximal Gibbs measure is N(0, I) for every input measure: LSI constant 1
-        return 1.0, q.inputs.rho_N, {"exact_poincare": q.exact_poincare, "gap_to_exact": q.gap}
+        return {"exact_poincare": q.exact_poincare, "gap_to_exact": q.gap}
     if isinstance(energy, PairwiseKernelEnergy):
         k = kernel_example_constants(energy.L, energy.alpha, energy.eta, energy.v1_sup)
-        return k.rho, k.rho_N, {
-            "rho": k.rho, "Mmm": k.Mmm, "beta_max": k.beta_max,
-            "condition_holds": k.condition_holds,
-        }
-    raise TypeError(f"no closed-form theorem inputs for {type(energy).__name__}")
+        return {key: getattr(k, key) for key in ("rho", "Mmm", "beta_max", "condition_holds")}
+    return {}
 
 
 def corollary_report(
     energy: MeanFieldEnergy, N: int, d: int, var_phi: float, epsilon: float
 ) -> tuple[ConstantsReport, dict]:
-    """Full report and example block of a worked example, given Var(phi) of
-    the stationary mean-field measure, with the energy's declared lambda and
-    Mmm. Both examples are parametrized with identity features (Lip 1) and
-    alpha_r = lambda/2: the quadratic-mean outer function is -(a/2) m^2, and
-    the kernel's attraction 1/2 iint alpha |x - y|^2 is alpha int |x|^2 - alpha |int x|^2."""
-    rho, rho_N, example = example_inputs(energy, N)
-    lam, Mmm = energy.declared_lambda, energy.declared_Mmm
-    lam_p, alpha_N = _cost_bound(lam / 2.0, 1.0, var_phi, epsilon)
-    lsi = LsiInputs(
-        rho=rho, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=Mmm, epsilon=epsilon, N=N, d=d
-    )
-    report = full_report(lsi, PoincareInputs(rho_N=rho_N, lam=lam, Mmm=Mmm, N=N))
-    return report, {**example, "var_phi": var_phi}
+    """Full report of any energy from its declarations (rho_N(N), rho,
+    lambda, Mmm and the cost (alpha_r, Lip(phi))), given Var(phi) of the
+    stationary mean-field measure, and the example block of a worked example."""
+    rho_N, Mmm = energy.declared_rho_N(N), energy.declared_Mmm
+    lam_p, alpha_N = parametrized_cost_bound(energy, var_phi, epsilon)
+    lsi = LsiInputs(energy.declared_rho, lam_p, alpha_N, Mmm, epsilon, N, d)
+    report = full_report(lsi, PoincareInputs(rho_N, energy.declared_lambda, Mmm, N))
+    return report, {**_example(energy, N), "var_phi": var_phi}
 
 
 def _mixture_gaps(energy, mu, nu) -> np.ndarray:
@@ -398,3 +375,17 @@ def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:
         K = energy._hess_mm_matrix(x, np.full(N, 1.0 / N))
         worst = min(worst, float(np.linalg.eigvalsh(K)[0]) / N)
     return worst
+
+
+def hessian_block_norm(energy: MeanFieldEnergy, configs) -> float:
+    """max over configs and atom pairs (i, j) of the operator norm of the
+    block D_m^2 F(mu_x, x_i, x_j), which the declared Mmm bounds."""
+    norms = []
+    for x in configs:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        blocks = energy._hess_mm(x, np.full(len(x), 1.0 / len(x)), x, x)
+        # on the line a block's norm is its modulus, without an SVD per block
+        if x.shape[1] > 1:
+            blocks = np.linalg.norm(blocks, ord=2, axis=(-2, -1))
+        norms.append(np.max(np.abs(blocks)))
+    return float(np.max(norms))

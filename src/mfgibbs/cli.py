@@ -76,12 +76,17 @@ def _wrap(cfg: ExperimentConfig, body: dict) -> dict:
     return {"version": __version__, "config": cfg.resolved(), **body}
 
 
-def _stationary_variance(cfg: ExperimentConfig) -> tuple[float, dict]:
-    """Var(phi) under the proximal-Gibbs fixed point of the built energy on the
+def _stationary_variance(cfg: ExperimentConfig, energy) -> tuple[float, dict]:
+    """Var(phi) under the proximal-Gibbs fixed point of the energy on the
     analysis grid, with the fixed point's diagnostics; TheoremInvalidError
-    when that fixed point cannot be trusted."""
+    when that fixed point cannot be trusted, as at d >= 2 on its 1-D grid."""
+    if cfg.d != 1:
+        raise TheoremInvalidError(
+            f"fixed-point-untrusted: Var(phi) comes from a fixed point on a 1-D grid, "
+            f"but [system] d = {cfg.d}"
+        )
     an = cfg.analysis
-    fp = proximal_gibbs_fixed_point(cfg.build_energy(), an["grid_lo"], an["grid_hi"], an["grid_n"])
+    fp = proximal_gibbs_fixed_point(energy, an["grid_lo"], an["grid_hi"], an["grid_n"])
     ends_ok = boundary_negligible(fp.density)
     if not (fp.converged and fp.grid_converged and ends_ok):
         raise TheoremInvalidError(
@@ -94,11 +99,12 @@ def _stationary_variance(cfg: ExperimentConfig) -> tuple[float, dict]:
 
 
 def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:
+    energy = cfg.build_energy()
     try:
-        reported = cfg.reported_energy()  # exit 3 before the fixed point
-        var_phi, fixed_point = _stationary_variance(cfg)
+        energy.declared_rho_N(cfg.N)  # no Gibbs measure: exit 3 before the fixed point
+        var_phi, fixed_point = _stationary_variance(cfg, energy)
         eps = cfg.analysis["epsilon"]
-        report, extras = bounds.corollary_report(reported, cfg.N, cfg.d, var_phi, eps)
+        report, extras = bounds.corollary_report(energy, cfg.N, cfg.d, var_phi, eps)
     except (GibbsUndefinedError, TheoremInvalidError) as exc:
         _emit({"version": __version__, "error": str(exc)}, out_path)
         return EXIT_INAPPLICABLE
@@ -130,7 +136,7 @@ def cmd_simulate(cfg: ExperimentConfig, path: str | None) -> int:
     if not path:
         raise ConfigError("simulate needs an output path (--out or [output] path)")
     system = cfg.build_system()
-    cfg.reported_energy()  # no Gibbs measure: exit 3 before the chain
+    system.energy.declared_rho_N(cfg.N)  # no Gibbs measure: exit 3 before the chain
     with _atomic_path(path) as tmp:  # opened first: an unwritable path fails before the chain
         traj = run_chain(system, cfg.sim)
         traj.to_csv(tmp)
@@ -144,7 +150,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_path: str | None) -> int:
     max_lag = cfg.analysis["max_lag"]
     if len(cfg.sim.record_steps()) <= max_lag:
         raise ConfigError("trajectory too short for the requested max_lag")
-    cfg.reported_energy()  # no Gibbs measure: exit 3 before the chain
+    system.energy.declared_rho_N(cfg.N)  # no Gibbs measure: exit 3 before the chain
     if out_path:  # an unwritable path fails before the chain; a frozen one writes nothing
         os.unlink(_temp_beside(out_path))
     observable = cfg.analysis["observable"]
@@ -203,7 +209,7 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"config error: the run does not fit in memory: {detail}", file=sys.stderr)
         return EXIT_CONFIG
-    except GibbsUndefinedError as exc:
+    except (GibbsUndefinedError, TheoremInvalidError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INAPPLICABLE
     except (BlowUpError, FloatingPointError) as exc:

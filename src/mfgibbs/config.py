@@ -17,7 +17,6 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-from .bounds import example_inputs
 from .dynamics import SimConfig, default_observables
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy, ParticleSystem
 from .energies import QuadraticMeanEnergy, quadratic_as_parametrized
@@ -79,16 +78,10 @@ _KNOWN = {
 
 
 class _EnergyType(NamedTuple):
-    """An [energy] type: its builder, the builder of the energy the theorems
-    read, and its keys, each mapped to None (a number) or the one name it takes."""
+    """An [energy] type: its builder and its keys, each None (a number) or the one name it takes."""
 
     build: Callable
-    reported: Callable
     keys: dict
-
-
-def _quadratic(p: dict) -> QuadraticMeanEnergy:
-    return QuadraticMeanEnergy(p["a"])
 
 
 def _kernel(p: dict) -> PairwiseKernelEnergy:
@@ -98,11 +91,11 @@ def _kernel(p: dict) -> PairwiseKernelEnergy:
 
 
 #: The one owner of each [energy] type. `parametrized` is the quadratic-mean
-#: energy in parametrized form, and the theorems read it as that energy.
+#: energy in parametrized form.
 _ENERGY_TYPES = {
-    "quadratic": _EnergyType(_quadratic, _quadratic, {"a": None}),
-    "kernel": _EnergyType(_kernel, _kernel, dict.fromkeys(("eta", "l", "alpha", "v1_sup"))),
-    "parametrized": _EnergyType(lambda p: quadratic_as_parametrized(p["a"]), _quadratic,
+    "quadratic": _EnergyType(lambda p: QuadraticMeanEnergy(p["a"]), {"a": None}),
+    "kernel": _EnergyType(_kernel, dict.fromkeys(("eta", "l", "alpha", "v1_sup"))),
+    "parametrized": _EnergyType(lambda p: quadratic_as_parametrized(p["a"]),
                                 {"a": None, "feature_map": "identity"}),
 }
 
@@ -119,13 +112,6 @@ class ExperimentConfig:
 
     def build_energy(self) -> MeanFieldEnergy:
         return _ENERGY_TYPES[self.energy_type].build(self.energy_params)
-
-    def reported_energy(self) -> MeanFieldEnergy:
-        """The energy the theorem constants read, after its closed forms
-        checked that a Gibbs measure exists (GibbsUndefinedError otherwise)."""
-        energy = _ENERGY_TYPES[self.energy_type].reported(self.energy_params)
-        example_inputs(energy, self.N)
-        return energy
 
     def build_system(self) -> ParticleSystem:
         return ParticleSystem(self.build_energy(), self.N, self.d)

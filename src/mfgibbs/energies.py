@@ -44,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import GibbsUndefinedError, TheoremInvalidError
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -64,6 +65,15 @@ class MeanFieldEnergy(abc.ABC):
     declared_lambda: float
     #: uniform operator-norm bound on D_m^2 F
     declared_Mmm: float
+    #: LSI constant of every proximal Gibbs measure
+    declared_rho: float
+    #: (alpha_r, Lip phi) of the cost alpha_r |int phi d(nu - mu)|^2 in the defective LSI
+    declared_cost: tuple[float, float]
+
+    def declared_rho_N(self, N: int) -> float:
+        """LSI constant of one particle's law given the other N - 1, by default
+        the proximal one; GibbsUndefinedError when U_N has no Gibbs measure."""
+        return self.declared_rho
 
     # Array-level primitives: atoms points (n, d) with weights (n,) summing
     # to one, query rows xs (m, d) and ys (m', d).
@@ -160,6 +170,7 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
     """
 
     a: float
+    declared_rho = 1.0  # every proximal Gibbs measure is N(0, I)
 
     def __post_init__(self):
         if not self.a > 0:  # NaN fails too
@@ -172,6 +183,15 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
     @property
     def declared_Mmm(self) -> float:
         return self.a
+
+    def declared_rho_N(self, N: int) -> float:
+        if self.a >= 1.0:
+            raise GibbsUndefinedError("gibbs-undefined: quadratic-mean energy needs a < 1")
+        return 1.0 - self.a / N
+
+    @property
+    def declared_cost(self) -> tuple[float, float]:  # outer R(m) = -(a/2) m^2
+        return self.a / 2.0, 1.0
 
     def _value(self, points, weights, mean):
         """F from the mean, for one measure or a batch."""
@@ -211,6 +231,7 @@ class LinearPotentialEnergy(MeanFieldEnergy):
     v: Callable  # rows (..., d) -> (...)
     v_grad: Callable  # (..., d) -> (..., d)
     v_hess: Callable  # (..., d) -> (..., d, d)
+    kappa: float | None = None  # declared convexity modulus: V - kappa |x|^2 / 2 convex
 
     declared_lambda = 0.0
     declared_Mmm = 0.0
@@ -270,6 +291,14 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     @property
     def declared_Mmm(self) -> float:
         return 2.0 * self.L * (1.0 + 2.0 * math.exp(-1.0)) + 2.0 * self.alpha
+
+    @property
+    def declared_rho(self) -> float:  # Holley-Stroock: eta |x|^2 / 2 perturbed by V1 and L
+        return self.eta * math.exp(-self.v1_sup - self.L)
+
+    @property
+    def declared_cost(self) -> tuple[float, float]:  # attraction alpha int|x|^2 - alpha |int x|^2
+        return self.alpha, 1.0
 
     def _w_hess(self, z):
         """W''(z) for displacements z of shape (..., d): shape (..., d, d)."""
@@ -463,6 +492,24 @@ class ParametrizedEnergy(MeanFieldEnergy):
     def declared_Mmm(self) -> float:
         return self.base.declared_Mmm + self.r_hess_bound * self.phi_lip**2
 
+    @property
+    def declared_rho(self) -> float:  # Bakry-Emery: affine phi adds no Hessian to V + grad R . phi
+        kappa = getattr(self.base, "kappa", None)
+        if self.phi_hess is not None or kappa is None:
+            raise TheoremInvalidError("theorem inputs need affine phi over a V of declared kappa")
+        return kappa
+
+    def declared_rho_N(self, N: int) -> float:
+        kappa, curvature = self.declared_rho, self.r_hess_bound * self.phi_lip**2
+        if kappa <= curvature:
+            raise GibbsUndefinedError(f"gibbs-undefined: parametrized energy needs "
+                                      f"kappa = {kappa} > r_hess_bound Lip(phi)^2 = {curvature}")
+        return kappa - curvature / N
+
+    @property
+    def declared_cost(self) -> tuple[float, float]:
+        return self.alpha_r, self.phi_lip
+
     def _feature_mean(self, points, weights):
         """int phi dmu, for one measure or a batch."""
         return _wmean(weights, self.phi(points))
@@ -513,10 +560,10 @@ def _eye(xs):  # the identity matrix broadcast over the rows
 
 
 def quadratic_as_parametrized(a: float) -> ParametrizedEnergy:
-    """The quadratic-mean energy in parametrized form: F0 = 1/2 int |x|^2,
-    identity features, outer R(m) = -(a/2) |m|^2 (so alpha_r = a/2)."""
+    """The quadratic-mean energy in parametrized form: F0 = 1/2 int |x|^2
+    (kappa = 1), identity features, outer R(m) = -(a/2) |m|^2 (so alpha_r = a/2)."""
     return ParametrizedEnergy(
-        base=LinearPotentialEnergy(lambda x: 0.5 * np.sum(x * x, axis=-1), _identity, _eye),
+        base=LinearPotentialEnergy(lambda x: 0.5 * np.sum(x * x, axis=-1), _identity, _eye, 1.0),
         phi=_identity,
         phi_jac=_eye,
         phi_lip=1.0,

@@ -91,12 +91,17 @@ def _random_deficits():
     return checks + [("cost-convexity parametrized", deficits)]
 
 
+def _spread():
+    """100 points evenly spaced on [-50, 50], where the Gaussian kernel
+    barely couples neighbours: the atoms of both kernel witnesses."""
+    return np.linspace(-50.0, 50.0, 100)[:, None]
+
+
 def _kernel_witness():
     """A pair on which the kernel energy's declared lambda = 2 alpha is
-    nearly sharp: mu of 100 equal atoms evenly spaced on [-50, 50], where
-    the Gaussian kernel barely couples neighbours, and nu = mu shifted by
+    nearly sharp: mu of equal atoms at `_spread()` and nu = mu shifted by
     0.5. The random pairs of a few N(0, 4) atoms still pass at 0.8 lambda."""
-    x = np.linspace(-50.0, 50.0, 100)[:, None]
+    x = _spread()
     return empirical(x), empirical(x + 0.5)
 
 
@@ -131,7 +136,8 @@ def suite_hessian():
     rng = np.random.default_rng(1)
     results = []
     quad = QuadraticMeanEnergy(0.5)
-    ratio = bounds.hessian_block_bound(quad, [rng.normal(size=(4, 1))])
+    quad_config = rng.normal(size=(4, 1))
+    ratio = bounds.hessian_block_bound(quad, [quad_config])
     results.append(
         ("quadratic block bound sharp", abs(ratio + 0.5) <= 1e-9, f"min ratio={ratio:.6f}")
     )
@@ -145,6 +151,22 @@ def suite_hessian():
             f"min ratio={ratio:.6f} >= {-kern.declared_lambda}",
         )
     )
+    # the particles at `_spread()` nearly reach -lambda, which the random
+    # configurations of 8 N(0, 1) particles miss by a factor of 30
+    witness = _spread()
+    ratio = bounds.hessian_block_bound(kern, [witness])
+    results.append((
+        "kernel block bound witness",
+        ratio >= -kern.declared_lambda - 1e-9,
+        f"lambda found={-ratio:.6f} <= declared {kern.declared_lambda}",
+    ))
+    for name, energy, own in (("quadratic", quad, [quad_config]), ("kernel", kern, configs)):
+        norm, Mmm = bounds.hessian_block_norm(energy, [*own, witness]), energy.declared_Mmm
+        results.append((
+            f"{name} Mmm",
+            norm <= Mmm + 1e-9,
+            f"max block norm={norm:.6f} <= declared {Mmm:.6f} (slack {Mmm - norm:.6f})",
+        ))
     return results
 
 
@@ -152,7 +174,7 @@ def suite_conditional():
     results = []
     a, N = 0.5, 20
     system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
-    _, rho_N, _ = bounds.example_inputs(system.energy, N)
+    rho_N = system.energy.declared_rho_N(N)
     cfg = SimConfig(step=0.1, n_steps=400, burn_in=100, thin=10, seed=7, sampler="MALA")
     res = conditional_gap_mc(system, cfg, n_frozen=8, claimed_rho_N=rho_N)
     results.append(
@@ -165,7 +187,7 @@ def suite_conditional():
     kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
     ksys = ParticleSystem(kern, 8, 1)
     kcfg = SimConfig(step=0.05, n_steps=400, burn_in=100, thin=10, seed=8, sampler="MALA")
-    _, krho_N, _ = bounds.example_inputs(kern, ksys.N)
+    krho_N = kern.declared_rho_N(ksys.N)
     kres = conditional_gap_mc(ksys, kcfg, n_frozen=8, claimed_rho_N=krho_N)
     results.append(
         (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -255,11 +256,93 @@ class TestCorollaryReport:
         with pytest.raises(GibbsUndefinedError):
             bounds.corollary_report(QuadraticMeanEnergy(1.5), 10, 1, 1.0, 0.5)
 
-    def test_other_energies_rejected(self):
-        with pytest.raises(TypeError):
-            bounds.corollary_report(quadratic_as_parametrized(0.5), 10, 1, 1.0, 0.5)
-        with pytest.raises(TypeError):
-            bounds.example_inputs(quadratic_as_parametrized(0.5), 10)
+    @pytest.mark.parametrize("a", [0.2, 0.5])
+    def test_parametrized_report_is_its_own(self, a):
+        # the parametrized energy's own declarations give the quadratic's numbers
+        N, var_phi, eps = 50, 0.9, 0.4
+        quad, _ = bounds.corollary_report(QuadraticMeanEnergy(a), N, 1, var_phi, eps)
+        par, example = bounds.corollary_report(quadratic_as_parametrized(a), N, 1, var_phi, eps)
+        assert par.to_dict() == quad.to_dict()
+        assert example == {"var_phi": var_phi}  # no closed form beside the report
+
+    def test_doubled_r_hess_bound_moves_rho_N_and_the_poincare_bound(self):
+        par = quadratic_as_parametrized(0.2)
+        doubled = dataclasses.replace(par, r_hess_bound=0.4)
+        assert par.declared_rho_N(50) == 1.0 - 0.2 / 50
+        assert doubled.declared_rho_N(50) == 1.0 - 0.4 / 50
+        report, _ = bounds.corollary_report(par, 50, 1, 1.0, 0.5)
+        moved, _ = bounds.corollary_report(doubled, 50, 1, 1.0, 0.5)
+        # rho_N - lambda - Mmm/N with rho_N and Mmm = r_hess_bound both moved
+        assert abs(report.poincare_bound - (1.0 - 0.2 / 50 - 0.2 - 0.2 / 50)) < 1e-15
+        assert abs(moved.poincare_bound - (1.0 - 0.4 / 50 - 0.2 - 0.4 / 50)) < 1e-15
+
+    def test_report_reads_the_declared_cost(self):
+        # Lip(phi) = 2: lambda = 2 alpha_r Lip^2 no longer gives the cost (lambda/2, 1)
+        par = dataclasses.replace(quadratic_as_parametrized(0.2), phi_lip=2.0)
+        N, var_phi, eps = 50, 0.9, 0.4
+        report, _ = bounds.corollary_report(par, N, 1, var_phi, eps)
+        Mmm, rho_N = 0.2 * 4.0, 1.0 - 0.2 * 4.0 / N
+        lam_p, alpha_N = 0.1 * (1.0 + eps) * 4.0, 0.1 * (1.0 + 1.0 / eps) * var_phi
+        lsi = bounds.LsiInputs(
+            rho=1.0, lambda_prime=lam_p, alpha_N=alpha_N, Mmm=Mmm, epsilon=eps, N=N, d=1
+        )
+        poincare = bounds.PoincareInputs(rho_N=rho_N, lam=2.0 * 0.1 * 4.0, Mmm=Mmm, N=N)
+        ref = bounds.full_report(lsi, poincare).to_dict()
+        for key, value in report.to_dict().items():
+            if isinstance(value, float):
+                assert value == pytest.approx(ref[key], rel=1e-14, abs=0.0), key
+            else:
+                assert value == ref[key], key
+
+    def test_non_affine_features_rejected(self):
+        par = dataclasses.replace(quadratic_as_parametrized(0.5), phi_hess=_zero_phi_hess)
+        with pytest.raises(TheoremInvalidError, match="affine"):
+            bounds.corollary_report(par, 10, 1, 1.0, 0.5)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    def test_undeclared_kappa_is_no_theorem_not_no_gibbs_measure(self, a):
+        par = quadratic_as_parametrized(a)
+        base = dataclasses.replace(par.base, kappa=None)
+        for energy in (
+            dataclasses.replace(par, base=base),
+            # a flat-convex base that declares no kappa at all
+            dataclasses.replace(par, base=PairwiseKernelEnergy(eta=1.0, L=1.0)),
+        ):
+            with pytest.raises(TheoremInvalidError, match="declared kappa") as info:
+                bounds.corollary_report(energy, 10, 1, 1.0, 0.5)
+            assert not isinstance(info.value, GibbsUndefinedError)
+
+    def test_parametrized_gibbs_undefined(self):
+        # kappa = 1 against r_hess_bound Lip(phi)^2 = a: a Gibbs measure exactly when a < 1
+        quadratic_as_parametrized(0.999).declared_rho_N(10)
+        for a in (1.0, 1.5):
+            with pytest.raises(GibbsUndefinedError, match="kappa = 1.0 > r_hess_bound"):
+                bounds.corollary_report(quadratic_as_parametrized(a), 10, 1, 1.0, 0.5)
+
+
+def _zero_phi_hess(xs):  # a declared, if vanishing, curvature of the features
+    return np.zeros(xs.shape[:-1] + (xs.shape[-1],) * 3)
+
+
+class TestDeclarations:
+    def test_each_energy_declares_its_theorem_inputs(self):
+        quad, par = QuadraticMeanEnergy(0.3), quadratic_as_parametrized(0.3)
+        kern = PairwiseKernelEnergy(eta=2.0, L=0.5, alpha=0.1, v1_sup=0.3)
+        assert (quad.declared_rho, quad.declared_rho_N(20), quad.declared_cost) == (
+            1.0, 1.0 - 0.3 / 20, (0.15, 1.0)
+        )
+        assert (par.declared_rho, par.declared_rho_N(20), par.declared_cost) == (
+            1.0, 1.0 - 0.3 / 20, (0.15, 1.0)
+        )
+        rho = 2.0 * math.exp(-0.8)
+        assert (kern.declared_rho, kern.declared_rho_N(20), kern.declared_cost) == (
+            rho, rho, (0.1, 1.0)
+        )
+
+    def test_cost_bound_reads_the_declared_cost(self):
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        lam_p, alpha_N = bounds.parametrized_cost_bound(kern, var_phi=0.8, epsilon=0.5)
+        assert (lam_p, alpha_N) == (0.05 * 1.5, 0.05 * 3.0 * 0.8)
 
 
 class TestParametrizedCostBound:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfgibbs
-from mfgibbs import __version__, cli, verify
+from mfgibbs import __version__, cli, config, verify
 from mfgibbs.cli import main
 from mfgibbs.config import GRID_N_MAX, ConfigError, load_config
+from mfgibbs.energies import quadratic_as_parametrized
 
 QUADRATIC = """
 [energy]
@@ -285,17 +288,99 @@ def no_chain(*args, **kwargs):
     raise AssertionError("run_chain called")
 
 
-@pytest.mark.parametrize("energy_type", ["quadratic", "parametrized"])
+@pytest.mark.parametrize(
+    "energy_type, message",
+    [
+        ("quadratic", "quadratic-mean energy needs a < 1"),
+        ("parametrized", "parametrized energy needs kappa = 1.0 > r_hess_bound Lip(phi)^2 = 1.5"),
+    ],
+)
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
 def test_no_gibbs_measure_exit_3_before_the_chain(
-    tmp_path, monkeypatch, capsys, command, energy_type
+    tmp_path, monkeypatch, capsys, command, energy_type, message
 ):
     monkeypatch.setattr(cli, "run_chain", no_chain)
     text = QUADRATIC.replace("a = 0.5", "a = 1.5").replace("quadratic", energy_type)
     cfg = write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == "gibbs-undefined: quadratic-mean energy needs a < 1\n"
+    assert capsys.readouterr().err == f"gibbs-undefined: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("a", ["0.2", "0.5"])
+def test_parametrized_report_equals_the_quadratic_one(tmp_path, a):
+    # two derivations, one from each energy's own declarations
+    reports = {}
+    for energy_type in ("quadratic", "parametrized"):
+        text = QUADRATIC.replace("a = 0.5", f"a = {a}").replace("quadratic", energy_type)
+        out = tmp_path / f"{energy_type}.json"
+        main(["constants", "--config", write(tmp_path, text), "--out", str(out)])
+        reports[energy_type] = json.loads(out.read_text())["report"]
+    quad, par = reports["quadratic"], reports["parametrized"]
+    assert sorted(par) == sorted(quad)
+    for key in quad:
+        assert par[key] == quad[key], key
+
+
+def _zero_phi_hess(xs):
+    return np.zeros(xs.shape[:-1] + (xs.shape[-1],) * 3)
+
+
+def _non_affine(p):
+    """The parametrized energy, with a declared (vanishing) curvature of its features."""
+    return dataclasses.replace(quadratic_as_parametrized(p["a"]), phi_hess=_zero_phi_hess)
+
+
+def test_non_affine_features_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(
+        config._ENERGY_TYPES, "parametrized",
+        config._ENERGY_TYPES["parametrized"]._replace(build=_non_affine),
+    )
+    cfg = write(tmp_path, QUADRATIC.replace("quadratic", "parametrized"))
+    out = tmp_path / "r.json"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 3
+    payload = json.loads(out.read_text())
+    assert sorted(payload) == ["error", "version"]
+    assert payload["error"].startswith("theorem inputs need affine phi")
+    monkeypatch.setattr(cli, "run_chain", no_chain)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err.startswith("theorem inputs need affine phi")
+
+
+def test_vanishing_lsi_constant_still_simulates(tmp_path):
+    # rho = eta exp(-v1_sup - L) underflows to 0: no theorem, but a Gibbs measure
+    cfg = write(tmp_path, KERNEL.replace("eta = 1.0", "eta = 1.0\nv1_sup = 1000"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+
+
+class TestDimension:
+    """Var(phi) comes from a fixed point on a 1-D grid: `constants` trusts it at d = 1 only."""
+
+    def test_constants_at_d_2_exit_3_before_the_fixed_point(self, tmp_path, monkeypatch):
+        def no_fixed_point(*args, **kwargs):
+            raise AssertionError("fixed point computed")
+
+        monkeypatch.setattr(cli, "proximal_gibbs_fixed_point", no_fixed_point)
+        text = QUADRATIC.replace("a = 0.5", "a = 0.2").replace("n = 20\nd = 1", "n = 50\nd = 2")
+        out = tmp_path / "r.json"
+        assert main(["constants", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+        payload = json.loads(out.read_text())
+        assert sorted(payload) == ["error", "version"]
+        assert payload["error"].startswith("fixed-point-untrusted")
+        assert "1-D grid" in payload["error"] and "d = 2" in payload["error"]
+
+    def test_constants_at_d_1_unchanged(self, tmp_path):
+        text = QUADRATIC.replace("a = 0.5", "a = 0.2").replace("n = 20", "n = 50")
+        out = tmp_path / "r.json"
+        assert main(["constants", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert abs(payload["example"]["var_phi"] - 1.0) < 1e-5
+        assert payload["report"]["flags"]["corollary_valid"]
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_chains_at_d_2_unchanged(self, tmp_path, command):
+        cfg = write(tmp_path, QUADRATIC.replace("n = 20\nd = 1", "n = 20\nd = 2"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestEstimate:

@@ -3,11 +3,12 @@ measures -> energies -> {bounds, spectral1d, dynamics} -> estimators
 -> {verify, config} -> cli, with `errors` importable from anywhere.
 
 A module may import only modules of a strictly lower layer. The package
-`__init__` re-exports the public API and sits outside the layering. Two
+`__init__` re-exports the public API and sits outside the layering. Three
 facts have one owner each: `config` turns an energy type into an energy, so
-`cli` imports no energy, and `ParticleSystem` lifts F to U_N, so `dynamics`
-calls no energy primitive. The tests' replay of a replica shares no code
-with the chain loop it checks.
+`cli` imports no energy; each energy declares its theorem inputs, so
+`config` imports nothing from `bounds`; and `ParticleSystem` lifts F to
+U_N, so `dynamics` calls no energy primitive. The tests' replay of a
+replica shares no code with the chain loop it checks.
 """
 
 import ast
@@ -79,6 +80,10 @@ def _names(tree):
 
 def test_cli_imports_no_energy():
     assert "energies" not in set(_relative_imports(SRC / "cli.py"))
+
+
+def test_config_imports_nothing_from_bounds():
+    assert "bounds" not in set(_relative_imports(SRC / "config.py"))
 
 
 def test_dynamics_calls_no_energy_primitive():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from test_measures import merge_loop_w2
 
 from mfgibbs import bounds, measures, verify
@@ -203,3 +204,70 @@ def test_the_random_checks_build_no_measure(monkeypatch):
     assert calls["DiscreteMeasure"] == 0
     # at most one call per side of each of the 6 x 6 atom-count groups
     assert 0 < calls["check_atoms"] <= 2 * 36 * len(checks)
+
+
+def declaring(cls, **declared):
+    """cls with the given declared constants in place of its own."""
+    return type(cls.__name__, (cls,), declared)
+
+
+def hessian_lines(monkeypatch, cls=None, **declared):
+    """{check name: (passed, detail)} of the Hessian suite, its energy of
+    type cls declaring the given constants."""
+    if cls is not None:
+        monkeypatch.setattr(verify, cls.__name__, declaring(cls, **declared))
+    return {name: (ok, detail) for name, ok, detail in verify.suite_hessian()}
+
+
+def kernel_blocks(x, L=1.0, alpha=0.05):
+    """The blocks -W''(x_i - x_j) of the kernel energy on the line, (N, N)."""
+    z = x[:, None, 0] - x[None, :, 0]
+    return -(L * np.exp(-z * z) * (4.0 * z * z - 2.0) + 2.0 * alpha)
+
+
+def test_hessian_witness_and_mmm_lines_match_a_dense_reference():
+    x = np.linspace(-50.0, 50.0, 100)[:, None]
+    found = -np.linalg.eigvalsh(kernel_blocks(x))[0] / 100
+    rng = np.random.default_rng(1)
+    rng.normal(size=(4, 1))  # the quadratic's configuration
+    configs = [rng.normal(size=(8, 1)) for _ in range(100)]
+    norm = max(float(np.max(np.abs(kernel_blocks(c)))) for c in configs + [x])
+    Mmm = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05).declared_Mmm
+    lines = {name: (ok, detail) for name, ok, detail in verify.suite_hessian()}
+    assert lines["kernel block bound witness"] == (
+        True, f"lambda found={found:.6f} <= declared 0.1"
+    )
+    assert lines["kernel block bound witness"][1] == "lambda found=0.099683 <= declared 0.1"
+    assert lines["kernel Mmm"] == (
+        True, f"max block norm={norm:.6f} <= declared {Mmm:.6f} (slack {Mmm - norm:.6f})"
+    )
+    assert lines["quadratic Mmm"] == (
+        True, "max block norm=0.500000 <= declared 0.500000 (slack 0.000000)"
+    )
+
+
+def test_the_hessian_witness_is_sharp(monkeypatch):
+    kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+    found = -bounds.hessian_block_bound(kern, [verify._spread()])
+    assert 0.99 * kern.declared_lambda < found <= kern.declared_lambda
+    assert all(ok for ok, _ in hessian_lines(monkeypatch).values())
+    lines = hessian_lines(monkeypatch, PairwiseKernelEnergy, declared_lambda=0.99 * found)
+    assert not lines["kernel block bound witness"][0]
+    # the random configurations miss an understatement by a tenth; the witness does not
+    lines = hessian_lines(monkeypatch, PairwiseKernelEnergy, declared_lambda=0.09)
+    assert lines["kernel block bound"][0]
+    assert not lines["kernel block bound witness"][0]
+
+
+@pytest.mark.parametrize(
+    "cls, name, norm",
+    [(QuadraticMeanEnergy, "quadratic", 0.5), (PairwiseKernelEnergy, "kernel", 1.9)],
+)
+def test_an_understated_mmm_fails(monkeypatch, capsys, cls, name, norm):
+    # the largest block: -a on every pair, and the kernel's |2 alpha - 2 L| at x_i = x_j
+    assert hessian_lines(monkeypatch)[f"{name} Mmm"][1].startswith(f"max block norm={norm:.6f}")
+    lines = hessian_lines(monkeypatch, cls, declared_Mmm=0.99 * norm)
+    assert not lines[f"{name} Mmm"][0]
+    assert [n for n, (ok, _) in lines.items() if not ok] == [f"{name} Mmm"]
+    assert main(["verify", "hessian"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "suite hessian: FAIL"
