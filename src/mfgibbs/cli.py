@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import default_observables, run_chain
 from .errors import BlowUpError, GibbsUndefinedError, TheoremInvalidError
 from .estimators import estimate_gap_autocorr
-from .spectral1d import boundary_negligible, proximal_gibbs_fixed_point
+from .spectral1d import boundary_negligible, end_density_ratio, proximal_gibbs_fixed_point
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -87,15 +87,17 @@ def _stationary_variance(cfg: ExperimentConfig, energy) -> tuple[float, dict]:
         )
     an = cfg.analysis
     fp = proximal_gibbs_fixed_point(energy, an["grid_lo"], an["grid_hi"], an["grid_n"])
-    ends_ok = boundary_negligible(fp.density)
+    ends_ok, ends = boundary_negligible(fp.density), end_density_ratio(fp.density)
     if not (fp.converged and fp.grid_converged and ends_ok):
         raise TheoremInvalidError(
             f"fixed-point-untrusted: converged={fp.converged} (residual {fp.residual:.3g}, "
             f"{fp.iterations} iterations), relative change of Var(phi) under grid "
-            f"refinement {fp.refinement_change:.3g}, negligible density at the grid ends={ends_ok}"
+            f"refinement {fp.refinement_change:.3g}, negligible density at the grid "
+            f"ends={ends_ok} (end density ratio {ends:.3g})"
         )
     diagnostics = ("residual", "iterations", "refinement_change")
-    return fp.variance(), {key: getattr(fp, key) for key in diagnostics}
+    return fp.variance(), {**{key: getattr(fp, key) for key in diagnostics},
+                           "end_density_ratio": ends}
 
 
 def cmd_constants(cfg: ExperimentConfig, out_path: str | None) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "DiscreteMeasure",
@@ -185,6 +184,8 @@ def _w2_squared_1d(x, wx, y, wy) -> np.ndarray:
 
 
 def _w2_squared_assignment(x, y) -> float:
+    from scipy.optimize import linear_sum_assignment  # local: only d >= 2 pays its import
+
     diff = x[:, None, :] - y[None, :, :]
     cost = np.sum(diff * diff, axis=-1)
     rows, cols = linear_sum_assignment(cost)

@@ -7,7 +7,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .energies import MeanFieldEnergy, ParticleSystem, QuadraticMeanEnergy
 from .errors import GibbsUndefinedError
@@ -17,6 +16,7 @@ __all__ = [
     "SpectralResult",
     "grid_poincare",
     "boundary_negligible",
+    "end_density_ratio",
     "conditional_potential",
     "proximal_gibbs_fixed_point",
     "trapezoid_moments",
@@ -76,6 +76,8 @@ class SpectralResult:
 
 
 def _gap_on_grid(grid: Grid1D) -> tuple[float, float]:
+    from scipy.linalg import eigh_tridiagonal  # local: only a grid gap pays its import
+
     # Dirichlet form sum m_{k+1/2} (f_{k+1}-f_k)^2 / h with geometric-mean
     # midpoint weights, symmetrized by sqrt of the node masses; reflecting
     # (zero-flux) boundaries come out naturally.
@@ -107,10 +109,15 @@ def _gap_on_grid(grid: Grid1D) -> tuple[float, float]:
     return float(vals[1]), ground_mass
 
 
+def end_density_ratio(density: np.ndarray) -> float:
+    """The larger density at the two end nodes of a grid, over its maximum."""
+    return float(max(density[0], density[-1]) / density.max())
+
+
 def boundary_negligible(density: np.ndarray) -> bool:
-    """True when the density at both end nodes of a grid is at most 1e-12
-    of its maximum, so that the window cuts off no mass that matters."""
-    return bool(max(density[0], density[-1]) <= 1e-12 * density.max())
+    """True when the end density ratio is at most 1e-12, so that the window
+    cuts off no mass that matters."""
+    return end_density_ratio(density) <= 1e-12
 
 
 def grid_poincare(grid: Grid1D) -> SpectralResult:

@@ -132,6 +132,7 @@ class TestConstants:
         rep = payload["report"]
         assert rep["flags"]["corollary_valid"]
         assert code == 0
+        assert 0 <= payload["fixed_point"]["end_density_ratio"] <= 1e-12
         assert 0 < rep["rho_star"] <= 0.8 + 1e-12  # never beats the exact LSI
 
     def test_quadratic_stdout(self, tmp_path, capsys):
@@ -196,6 +197,9 @@ class TestConstants:
         payload = json.loads(out.read_text())
         assert "report" not in payload
         assert payload["error"].startswith("fixed-point-untrusted")
+        # the unit-variance law at x = +-1, relative to its peak: about e^{-1/2}
+        assert payload["error"].endswith("negligible density at the grid ends=False "
+                                         "(end density ratio 0.607)")
 
 
     def test_coarse_grid_fixed_point_exit_3(self, tmp_path):
@@ -216,7 +220,9 @@ class TestConstants:
         main(["constants", "--config", cfg, "--out", str(out)])
         payload = json.loads(out.read_text())
         fixed_point = payload["fixed_point"]
-        assert set(fixed_point) == {"residual", "iterations", "refinement_change"}
+        assert set(fixed_point) == {
+            "residual", "iterations", "refinement_change", "end_density_ratio"
+        }
         assert 0 <= fixed_point["residual"] <= 1e-8
         assert 1 <= fixed_point["iterations"] <= 200
         assert 0 <= fixed_point["refinement_change"] <= 1e-3
