@@ -142,22 +142,23 @@ def _row(x) -> np.ndarray:
 
 # The weighted sums over atoms below are one vector product per measure, so
 # a batch of measures gives bit for bit what its measures give one by one.
-# One measure takes the plain product, as a Python float: the same result,
-# without the cost of broadcasting, on the path MALA takes once per proposal.
+# One measure takes the plain product by `ndarray.dot`, the same bits as `@`
+# and the batch's `np.matmul` at about half the call cost of `@`, on the paths
+# ULA and MALA take once per step.
 
 
 def _wsum(weights, values) -> np.ndarray:
     """sum_j w_j values_j per measure: weights and values (..., n), whose
     leading axes broadcast, give (...)."""
     if weights.ndim == values.ndim == 1:
-        return float(weights @ values)
+        return float(weights.dot(values))
     return np.matmul(weights[..., None, :], values[..., :, None])[..., 0, 0]
 
 
 def _wmean(weights, values) -> np.ndarray:
     """sum_j w_j values_j per measure of vector values (..., n, k): (..., k)."""
     if weights.ndim == 1 and values.ndim == 2:
-        return weights @ values
+        return weights.dot(values)
     return np.matmul(weights[..., None, :], values)[..., 0, :]
 
 
@@ -203,18 +204,22 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
 
     def _value_and_grad(self, points, weights):
         """F and D_m F at every atom, with the mean computed once."""
-        if points.ndim == 2:  # one configuration, the path MALA takes per proposal
-            mean = weights @ points
-            return float(self._value(points, weights, mean)), points - self.a * mean
+        if points.ndim == 2:  # one configuration, the path MALA takes per proposal:
+            # `_value` inline, by `.dot`; at d = 1 the row sum of one term is that term
+            mean = weights.dot(points)
+            sq = points * points
+            second = weights.dot(sq[:, 0] if sq.shape[1] == 1 else np.add.reduce(sq, axis=1))
+            value = 0.5 * float(second) - 0.5 * self.a * float(mean.dot(mean))
+            return value, points - self.a * mean
         mean = _wmean(weights, points)
         return self._value(points, weights, mean), points - self.a * mean[:, None, :]
 
     def _flat(self, points, weights, xs):
-        mean = weights @ points
+        mean = weights.dot(points)
         return 0.5 * np.sum(xs * xs, axis=1) - self.a * np.sum(xs * mean, axis=1)
 
     def _grad(self, points, weights, xs):
-        mean = weights @ points if points.ndim == 2 else _wmean(weights, points)[:, None, :]
+        mean = weights.dot(points) if points.ndim == 2 else _wmean(weights, points)[:, None, :]
         return xs - self.a * mean
 
     def _hess_mm(self, points, weights, xs, ys):

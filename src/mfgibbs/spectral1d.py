@@ -75,9 +75,9 @@ class SpectralResult:
     converged: bool  # gap stable under grid refinement
 
 
-def _gap_on_grid(grid: Grid1D) -> tuple[float, float]:
-    from scipy.linalg import eigh_tridiagonal  # local: only a grid gap pays its import
-
+def _generator(grid: Grid1D) -> tuple:
+    """(diag, off, inv_sqrt): the grid's generator as a symmetric tridiagonal
+    matrix, and inv_sqrt, which maps its eigenvectors back to functions."""
     # Dirichlet form sum m_{k+1/2} (f_{k+1}-f_k)^2 / h with geometric-mean
     # midpoint weights, symmetrized by sqrt of the node masses; reflecting
     # (zero-flux) boundaries come out naturally.
@@ -99,14 +99,7 @@ def _gap_on_grid(grid: Grid1D) -> tuple[float, float]:
     diag[1:] += s
     off = -s
     inv_sqrt = 1.0 / np.sqrt(node_w)
-    sym_diag = diag * inv_sqrt**2
-    sym_off = off * inv_sqrt[:-1] * inv_sqrt[1:]
-    vals, vecs = eigh_tridiagonal(sym_diag, sym_off, select="i", select_range=(0, 1))
-    ground = vecs[:, 0] * inv_sqrt
-    ground /= np.sign(ground.sum())
-    # ground state of the generator is the constant function
-    ground_mass = float(np.max(np.abs(ground / ground.mean() - 1.0)))
-    return float(vals[1]), ground_mass
+    return diag * inv_sqrt**2, off * inv_sqrt[:-1] * inv_sqrt[1:], inv_sqrt
 
 
 def end_density_ratio(density: np.ndarray) -> float:
@@ -128,9 +121,19 @@ def grid_poincare(grid: Grid1D) -> SpectralResult:
     """
     if not boundary_negligible(np.exp(-(grid.potential - grid.potential.min()))):
         raise ValueError("window too small: boundary density not negligible")
-    gap, ground_mass = _gap_on_grid(grid)
+    from scipy.linalg import eigh_tridiagonal  # local: only a grid gap pays its import
+
+    diag, off, inv_sqrt = _generator(grid)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+    gap, ground = float(vals[1]), vecs[:, 0] * inv_sqrt
+    ground /= np.sign(ground.sum())
+    # ground state of the generator is the constant function
+    ground_mass = float(np.max(np.abs(ground / ground.mean() - 1.0)))
+    # the 2n - 1 refinement gives its gap alone: eigenvalues, no eigenvectors
     fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
-    gap_fine, _ = _gap_on_grid(fine)
+    fine_diag, fine_off, _ = _generator(fine)
+    vals = eigh_tridiagonal(fine_diag, fine_off, eigvals_only=True, select="i", select_range=(0, 1))
+    gap_fine = float(vals[1])
     converged = abs(gap_fine - gap) <= REFINE_TOL * max(abs(gap), 1e-300)
     return SpectralResult(gap=gap, ground_mass=ground_mass, converged=converged)
 

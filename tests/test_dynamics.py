@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfgibbs import dynamics
+from mfgibbs import dynamics, energies
 from mfgibbs.dynamics import (
     _GROUP_ENTRIES,
     _RNG_CHUNK,
@@ -440,6 +440,26 @@ class TestRunChain:
             run_chain(system, cfg)
         with pytest.raises(ValueError, match=r"configuration shape \(3, 3\)"):
             _initial_configuration(system, np.zeros((3, 3)), make_rng(0))
+
+    def test_one_chain_proposal_calls_no_value_helper(self, monkeypatch):
+        # the R=1 quadratic MALA proposal takes F inline: no `_value` frame
+        # and no `_wsum` frame, on any step or for the default observables
+        calls = {"_value_and_grad": 0, "_value": 0, "_wsum": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_value_and_grad", "_value"):
+            fn = getattr(QuadraticMeanEnergy, name)
+            monkeypatch.setattr(QuadraticMeanEnergy, name, counted(name, fn))
+        monkeypatch.setattr(energies, "_wsum", counted("_wsum", energies._wsum))
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)
+        traj = run_chain(system, SimConfig(step=0.1, n_steps=50, sampler="MALA", seed=3))
+        assert traj.acceptance_rates[0] > 0
+        assert calls == {"_value_and_grad": 51, "_value": 0, "_wsum": 0}
 
 
 def _mean_square(x):

@@ -373,36 +373,40 @@ class TestEvalBatch:
 
     K, n = 7, 6
 
-    def _batches(self, d):
+    def _batches(self, d, n):
         rng = np.random.default_rng(70 + d)
-        points = rng.normal(size=(self.n, d)) * 1.5
-        weights = _unit_weights(rng, self.K, self.n)
+        points = rng.normal(size=(n, d)) * 1.5
+        weights = _unit_weights(rng, self.K, n)
         yield points, weights, [(points, w) for w in weights]
-        configs = rng.normal(size=(self.K, self.n, d)) * 1.5
-        w = _unit_weights(rng, self.n)
+        configs = rng.normal(size=(self.K, n, d)) * 1.5
+        w = _unit_weights(rng, n)
         yield configs, w, [(x, w) for x in configs]
 
-    @pytest.mark.parametrize("d", [1, 2])
+    # n = 6 lies below the 8-term unroll of the BLAS dot and of numpy's
+    # pairwise sum, 9 and 257 above it
+    @pytest.mark.parametrize("n", [6, 9, 257])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
-    def test_batch_equals_per_measure_loop(self, name, d):
+    def test_batch_equals_per_measure_loop(self, name, d, n):
         e = ARRAY_ENERGIES[name][0]()
         assert type(e)._eval_batch is not MeanFieldEnergy._eval_batch
-        for points, weights, measures in self._batches(d):
+        for points, weights, measures in self._batches(d, n):
             got = e._eval_batch(points, weights)
             assert got.shape == (self.K,)
             np.testing.assert_array_equal(got, [e._eval(p, w) for p, w in measures])
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [6, 9, 257])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
-    def test_broadcast_batch_equals_per_measure_loop(self, name, d):
+    def test_broadcast_batch_equals_per_measure_loop(self, name, d, n):
         # P pairs' atoms (P, 1, n, d) under T weight rows each (P, T, n), as
         # a group of mixtures; P atom sets each with its own weights; and P
         # atom sets under T weight rows shared by all (T, 1, n)
         e = ARRAY_ENERGIES[name][0]()
         P, T = 5, 4
         rng = np.random.default_rng(80 + d)
-        atoms = rng.normal(size=(P, self.n, d)) * 1.5
-        rows = _unit_weights(rng, P, T, self.n)
+        atoms = rng.normal(size=(P, n, d)) * 1.5
+        rows = _unit_weights(rng, P, T, n)
         got = e._eval_batch(atoms[:, None], rows)
         assert got.shape == (P, T)
         for p, t in np.ndindex(P, T):
@@ -447,7 +451,7 @@ class TestEvalBatch:
     def test_eval_is_the_one_measure_batch(self, d):
         e = _SecondMoment()
         assert "_eval" not in vars(_SecondMoment)
-        for points, weights, measures in self._batches(d):
+        for points, weights, measures in self._batches(d, self.n):
             batch = e._eval_batch(points, weights)
             for (p, w), value in zip(measures, batch):
                 one = e._eval(p, w)
@@ -656,7 +660,7 @@ class TestBatchedGradients:
     G = 4
 
     @pytest.mark.parametrize("N", [1, 7, 200, 300])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
     def test_batch_equals_per_configuration_loop(self, name, d, N):
         e = ARRAY_ENERGIES[name][0]()
