@@ -37,10 +37,6 @@ _RNG_CHUNK = 4096
 #: it sets how many replicas `run_chain` moves as one array.
 _GROUP_ENTRIES = 2**18
 
-#: Entries of that buffer squared at once for MALA's |kick|^2, 128 kB: it
-#: bounds the temporary of squares beside the buffer.
-_SQUARE_ENTRIES = 2**14
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -90,10 +86,17 @@ def _move(x, hg, kick):
 
 
 def _sq_norms(a):
-    """|a|^2 over the last two axes (N, d) of a: a scalar for one
-    configuration, one value per configuration for any leading axes. A
-    configuration's value is bit for bit the same in any batch."""
-    return np.add.reduce(a * a, axis=(-2, -1))
+    """|a|^2 over the last two axes (N, d) of a, one BLAS dot over the
+    flattened N*d entries per configuration: a Python float for one
+    configuration (`ndarray.dot`), one value per configuration for any
+    leading axes (`np.vecdot`), which is bit for bit that configuration's
+    `ndarray.dot` in any batch. Like any BLAS dot, one over more than 10^4
+    entries may change its last bit with the number of BLAS threads."""
+    if a.ndim == 2:
+        flat = a.reshape(-1)
+        return float(flat.dot(flat))
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat)
 
 
 def _mala_log_alpha(u_x, u_y, hg_x, hg_y, kick, kick_sq, h):
@@ -144,6 +147,22 @@ class Trajectory:
                     ]))
 
 
+def _by_step(rows, chunk, kicks, log_u, kick_sq):
+    """The kicks, log u and |kick|^2 of the replicas `rows` over the first
+    `chunk` steps of a chunk, step first and without a copy: kicks
+    (chunk, N, d) for a group of one (rows = 0), (chunk, G, N, d) for a
+    larger group; log u and |kick|^2 as memoryviews, whose items are Python
+    floats, for a group of one, (chunk, G) views for a larger group, and
+    None under ULA."""
+    kick_at = np.moveaxis(kicks[rows, :chunk], -3, 0)
+    if log_u is None:
+        return kick_at, None, None
+    log_u_at, kick_sq_at = log_u[rows, :chunk].T, kick_sq[rows].T
+    if rows == 0:
+        return kick_at, memoryview(log_u_at), memoryview(kick_sq_at)
+    return kick_at, log_u_at, kick_sq_at
+
+
 def _run_group(system, config, replicas, observables, record_steps, values):
     """The replicas of the range `replicas` as one chain loop: a group of one
     carries its state as (N, d), a larger group as (G, N, d). The state is
@@ -152,21 +171,22 @@ def _run_group(system, config, replicas, observables, record_steps, values):
     shape. Replica r draws from make_rng(seed, r), per chunk of _RNG_CHUNK
     steps, its noise and then its uniforms into its row of a
     (G, chunk, N, d) buffer; under MALA the chunk's |kick|^2, one value per
-    replica and step, is taken after the draws, in passes over
-    _SQUARE_ENTRIES entries of the buffer. MALA
-    carries hg = h grad U_N with the state and U_N, proposes
-    y = x - hg_x + kick and accepts each replica on its own when
-    log u < u_x - u_y + (|kick|^2 - |hg_x + hg_y - kick|^2) / (4h)
+    replica and step, is taken after the draws by one BLAS dot per kick
+    (`_sq_norms`). `_by_step` hands the loop the chunk step by step, and a
+    group of one its log u and |kick|^2 as Python floats, so that its accept
+    test is float arithmetic. MALA carries hg = h grad U_N with the state
+    and U_N, proposes y = x - hg_x + kick and accepts each replica on its
+    own when log u < u_x - u_y + (|kick|^2 - |hg_x + hg_y - kick|^2) / (4h)
     (`_mala_log_alpha`), so each replica's records and acceptance rate are
-    bit for bit those of its chain run alone. Record j of
-    a chunk waits in the noise slot of step j, already spent, and with U_N
-    under MALA in the uniform's slot; after the chunk the built-in
-    observables take the group's recorded states as one block, and any other
-    callable is called once per replica and recorded state. A replica that
-    blows up cuts the group, and the state it carries, to the replicas below
-    it, which run on; when the group ends, the lowest one that blew up is
-    raised at its own step, as its chain alone reports. Returns the
-    acceptance rates, NaN for ULA."""
+    bit for bit those of its chain run alone. Record j of a chunk waits in
+    the noise slot of step j, already spent, and with U_N under MALA in the
+    uniform's slot; after the chunk the built-in observables take the
+    group's recorded states as one block, and any other callable is called
+    once per replica and recorded state. A replica that blows up cuts the
+    group, and the state it carries, to the replicas below it, which run on;
+    when the group ends, the lowest one that blew up is raised at its own
+    step, as its chain alone reports. Returns the acceptance rates, NaN for
+    ULA."""
     h = config.step
     mala = config.sampler == "MALA"
     rngs = [make_rng(config.seed, r) for r in replicas]
@@ -184,7 +204,6 @@ def _run_group(system, config, replicas, observables, record_steps, values):
     k = 0
     kicks = np.empty((live, min(_RNG_CHUNK, config.n_steps), system.N, system.d))
     log_u = np.empty(kicks.shape[:2]) if mala else None
-    kick_sq = np.empty(kicks.shape[:2]) if mala else None
     s = 0
     while s < config.n_steps:
         chunk = min(_RNG_CHUNK, config.n_steps - s)
@@ -193,15 +212,12 @@ def _run_group(system, config, replicas, observables, record_steps, values):
             if mala:
                 log_u[i, :chunk] = np.log(rngs[i].uniform(size=chunk))
         kicks[:live, :chunk] *= math.sqrt(2.0 * h)
-        if mala:
-            width = max(1, _SQUARE_ENTRIES // kicks[:live, 0].size)  # steps per pass
-            for a in range(0, chunk, width):
-                b = min(a + width, chunk)
-                kick_sq[:live, a:b] = _sq_norms(kicks[:live, a:b])
+        kick_sq = _sq_norms(kicks[:live, :chunk]) if mala else None
+        kick_at, log_u_at, kick_sq_at = _by_step(rows, chunk, kicks, log_u, kick_sq)
         k0 = k
         for c in range(chunk):
             s += 1
-            kick = kicks[rows, c]
+            kick = kick_at[c]
             y, bad = _move(x, hg_x if mala else h * system._grad_u_n(x), kick)
             if bad is not None:
                 blown = BlowUpError(f"blow-up at step {s}", step=s, replica=replicas.start + bad)
@@ -211,11 +227,12 @@ def _run_group(system, config, replicas, observables, record_steps, values):
                 x, y, kick = x[rows], y[rows], kick[rows]
                 if mala:
                     u_x, hg_x = u_x[rows], hg_x[rows]
+                kick_at, log_u_at, kick_sq_at = _by_step(rows, chunk, kicks, log_u, kick_sq)
             if mala:
                 u_y, grad_y = system._u_n_and_grad(y)
                 hg_y = h * grad_y
-                log_alpha = _mala_log_alpha(u_x, u_y, hg_x, hg_y, kick, kick_sq[rows, c], h)
-                acc = log_u[rows, c] < log_alpha
+                log_alpha = _mala_log_alpha(u_x, u_y, hg_x, hg_y, kick, kick_sq_at[c], h)
+                acc = log_u_at[c] < log_alpha
                 if one:
                     if acc:
                         x, hg_x, u_x = y, hg_y, u_y

@@ -1,11 +1,12 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from mfgibbs import dynamics, energies
+from mfgibbs import cli, config, dynamics, energies
 from mfgibbs.dynamics import (
     _GROUP_ENTRIES,
     _RNG_CHUNK,
@@ -146,6 +147,33 @@ class TestMalaLogAlpha:
             # the comparison catches a sign error in the backward gradient term
             flipped = dynamics._mala_log_alpha(u_x, u_y, h * grad_x, -h * grad_y, kick, kick_sq, h)
             assert np.all(np.abs(flipped - ref) > 1e-6 * scale)
+
+
+class TestSqNorms:
+    """`_sq_norms` is one BLAS dot per configuration: bit for bit the
+    `ndarray.dot` of the flat configuration, alone and in any batch. N*d = 6
+    lies below the 8-term unroll of the dot, 9 and 257 leave a remainder."""
+
+    @pytest.mark.parametrize(
+        "N, d", [(1, 1), (6, 1), (3, 2), (8, 1), (4, 2), (9, 1), (3, 3), (257, 1)]
+    )
+    def test_equals_the_flat_dot_in_any_batch(self, N, d):
+        # a (G, chunk, N, d) noise buffer, as the chain loop holds it
+        buf = np.random.default_rng([N, d]).standard_normal((5, 7, N, d))
+
+        def alone(a):
+            flat = a.reshape(-1)
+            return flat.dot(flat)
+
+        ref = np.array([[alone(buf[g, c]) for c in range(7)] for g in range(5)])
+        for g in range(5):
+            got = dynamics._sq_norms(buf[g, 0])
+            assert type(got) is float and got == ref[g, 0]
+        for G in (1, 2, 5):
+            np.testing.assert_array_equal(dynamics._sq_norms(buf[:G, 3]), ref[:G, 3])
+        # the whole buffer, and the live rows of a last chunk of 3 steps
+        np.testing.assert_array_equal(dynamics._sq_norms(buf), ref)
+        np.testing.assert_array_equal(dynamics._sq_norms(buf[:4, :3]), ref[:4, :3])
 
 
 class TestRng:
@@ -651,6 +679,103 @@ class TestReplicaGroups:
         traj = run_chain(system, cfg, {name: counted(name, obs) for name, obs in builtins.items()})
         assert calls == {name: 3 for name in builtins}
         _assert_same_trajectory(traj, run_chain(system, cfg))
+
+
+def _cliff(fill, sampler):
+    """One particle in d = 1 whose gradient is `fill` beyond |x| = 20: a
+    move from there lands at |y| ~ 1e200, where y*y overflows, or at NaN.
+    Inside, ULA drifts outward (x -> 1.05 x + xi at h = 0.5) and reaches the
+    edge at a step of its own per replica; MALA contracts (y = x/2 + xi),
+    so only a replica that starts beyond the edge blows up, at step 1, and
+    no proposal reaches the edge."""
+    slope, scale = (-0.1, 1.0) if sampler == "ULA" else (1.0, 16.0)
+    beyond = {"huge": lambda x: -1e200 * x, "nan": lambda x: np.full_like(x, np.nan)}[fill]
+    energy = LinearPotentialEnergy(
+        v=lambda x: 0.5 * np.sum(x * x, axis=-1),
+        v_grad=lambda x: np.where(np.abs(x) < 20.0, slope * x, beyond(x)),
+        v_hess=lambda x: np.ones(x.shape + (1,)),
+    )
+    return ParticleSystem(energy, 1, 1), ("gaussian", scale)
+
+
+class TestBlowUpSemantics:
+    """A move whose max |y| is huge or NaN raises BlowUpError at its own
+    replica and step, with no warning, under the default error state and
+    under the CLI's, where an overflow or an invalid operation raises."""
+
+    ERRSTATES = {"default": {}, "raise": {"over": "raise", "invalid": "raise"}}
+
+    @staticmethod
+    def _config(sampler, replicas, initial):
+        # ULA seed 3: replicas 1 and 2 blow up before replica 0 does; MALA
+        # seed 3 starts replica 1 alone beyond the edge, seed 5 replica 0
+        seed = 5 if (sampler, replicas) == ("MALA", 1) else 3
+        return SimConfig(step=0.5, n_steps=300, replicas=replicas, seed=seed,
+                         sampler=sampler, initial=initial)
+
+    @pytest.mark.parametrize("errstate", list(ERRSTATES))
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    @pytest.mark.parametrize("fill", ["huge", "nan"])
+    def test_reports_its_own_replica_and_step(
+        self, fill, sampler, replicas, errstate, monkeypatch
+    ):
+        system, initial = _cliff(fill, sampler)
+        cfg = self._config(sampler, replicas, initial)
+        observables = {"x": lambda x: float(x[0, 0])}
+        serial = {}
+        for r in range(replicas):
+            try:
+                _replay(system, cfg, observables, r)
+            except BlowUpError as exc:
+                serial[r] = exc.step
+        lowest = min(serial)
+        if replicas > 1:
+            assert lowest > 0 or any(serial[r] < serial[lowest] for r in serial if r > lowest)
+        blown = []
+        move = dynamics._move
+
+        def spy(x, hg, kick):
+            y, bad = move(x, hg, kick)
+            if bad is not None:
+                blown.append(np.reshape(y, (-1, 1))[bad, 0])
+            return y, bad
+
+        monkeypatch.setattr(dynamics, "_move", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(**self.ERRSTATES[errstate]):
+                with pytest.raises(BlowUpError) as exc:
+                    run_chain(system, cfg, observables)
+        assert (exc.value.replica, exc.value.step) == (lowest, serial[lowest])
+        # each blown move is the case named: y*y overflows, or y is NaN
+        assert blown and all(
+            np.isnan(y) if fill == "nan" else 1e154 < abs(y) < math.inf for y in blown
+        )
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("sampler", ["ULA", "MALA"])
+    @pytest.mark.parametrize("fill", ["huge", "nan"])
+    def test_the_cli_exits_4(self, fill, sampler, replicas, tmp_path, monkeypatch, capsys):
+        system, initial = _cliff(fill, sampler)
+        cfg = self._config(sampler, replicas, initial)
+        with pytest.raises(BlowUpError) as exc:
+            run_chain(system, cfg)
+        path = tmp_path / "cliff.ini"
+        path.write_text(
+            "[energy]\ntype = quadratic\na = 0.5\n\n[system]\nn = 1\nd = 1\n\n"
+            f"[sim]\nstep = {cfg.step}\nn_steps = {cfg.n_steps}\nseed = {cfg.seed}\n"
+            f"sampler = {sampler}\ninitial = gaussian({initial[1]})\n"
+        )
+        monkeypatch.setattr(config.ExperimentConfig, "build_system", lambda self: system)
+        # `simulate` reads the energy's Gibbs constant before the chain
+        monkeypatch.setattr(LinearPotentialEnergy, "declared_rho", 1.0, raising=False)
+        out = tmp_path / "traj.csv"
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out),
+                         "--replicas", str(replicas)])
+        assert code == 4
+        assert capsys.readouterr().err == f"blow-up: blow-up at step {exc.value.step}\n"
+        assert not out.exists()
 
 
 class TestTrajectoryCsv:
