@@ -9,7 +9,9 @@ quadratic-mean energy, the oracle for both, is `spectral1d.ou_exact_flow`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -58,16 +60,27 @@ class SimConfig:
             raise ValueError("need 0 <= burn_in < n_steps")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
+        _check_seed(self.seed)
 
     def record_steps(self) -> np.ndarray:
         """The recorded step indices: every `thin` steps after burn-in."""
         return np.arange(self.burn_in + 1, self.n_steps + 1, self.thin)
 
 
+def _check_seed(seed):
+    """A seed is a 64-bit key word: ValueError for a non-integer or one
+    outside [0, 2^64), which the key would truncate or reduce into another
+    seed's stream."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError("seed must be an integer in [0, 2**64)")
+
+
 def make_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """Counter-based stream keyed by (seed, replica): reproducible and
-    independent across replicas regardless of scheduling."""
-    key = np.array([seed % 2**64, replica % 2**64], dtype=np.uint64)
+    independent across replicas regardless of scheduling. The seed must be
+    an integer in [0, 2^64), so that no two seeds share a stream."""
+    _check_seed(seed)
+    key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -76,10 +89,13 @@ def _move(x, hg, kick):
     MALA proposal, from hg = h grad U_N(x), of one configuration (N, d) or a
     batch (G, N, d); with the index of the first moved configuration at or
     above BLOWUP_THRESHOLD, or None. NaN compares false, so a non-finite move
-    blows up too."""
+    blows up too. One configuration reads its max |y| at `argmax`, which
+    stops at the first NaN and, like the batch's max, raises no
+    floating-point flag."""
     y = x - hg + kick
     if y.ndim == 2:
-        return y, None if np.maximum.reduce(np.abs(y), axis=None) < BLOWUP_THRESHOLD else 0
+        a = np.abs(y)
+        return y, None if a.item(a.argmax()) < BLOWUP_THRESHOLD else 0
     ok = np.maximum.reduce(np.abs(y).reshape(len(y), -1), axis=1) < BLOWUP_THRESHOLD
     first = int(np.argmin(ok))
     return y, None if ok[first] else first
@@ -129,22 +145,24 @@ class Trajectory:
 
     def to_csv(self, path):
         """Rows `replica,step,time,observable,value`, replica-major order,
-        formatted and written one block of at most _RNG_CHUNK records at a time."""
+        formatted and written one block of at most _RNG_CHUNK records at a
+        time: each column of a block by one `%` format mapped over it, its
+        rows then interleaved step by step into one join."""
         names = sorted(self.observables)
+        # a `%` in an observable's name is escaped out of its row format
+        formats = [f"%s{name.replace('%', '%%')},%.17g\n".__mod__ for name in names]
         with open(path, "w") as fh:
             fh.write("replica,step,time,observable,value\n")
             for r in range(self.acceptance_rates.shape[0]):
+                step_format = f"{r},%s,%.17g,".__mod__
                 for k in range(0, len(self.steps), _RNG_CHUNK):
                     block = slice(k, k + _RNG_CHUNK)
                     steps = self.steps[block]
                     times = (steps * self.step).tolist()
-                    prefixes = [f"{r},{s},{t:.17g}," for s, t in zip(steps.tolist(), times)]
-                    columns = [self.observables[name][r, block].tolist() for name in names]
-                    fh.write("".join([
-                        f"{p}{name},{v:.17g}\n"
-                        for p, *row in zip(prefixes, *columns)
-                        for name, v in zip(names, row)
-                    ]))
+                    prefixes = list(map(step_format, zip(steps.tolist(), times)))
+                    columns = [map(fmt, zip(prefixes, self.observables[name][r, block].tolist()))
+                               for fmt, name in zip(formats, names)]
+                    fh.write("".join(chain.from_iterable(zip(*columns))))
 
 
 def _by_step(rows, chunk, kicks, log_u, kick_sq):

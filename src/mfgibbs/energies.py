@@ -205,10 +205,16 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
     def _value_and_grad(self, points, weights):
         """F and D_m F at every atom, with the mean computed once."""
         if points.ndim == 2:  # one configuration, the path MALA takes per proposal:
-            # `_value` inline, by `.dot`; at d = 1 the row sum of one term is that term
+            # `_value` inline, by `.dot`; the squares x.x come before m.m, so an
+            # overflow raises where it does in `_value`
             mean = weights.dot(points)
             sq = points * points
-            second = weights.dot(sq[:, 0] if sq.shape[1] == 1 else np.add.reduce(sq, axis=1))
+            if sq.shape[1] == 1:  # d = 1: the row sum of one term is that term, and
+                # the mean one Python float m, so m.m = m * m with the same bits
+                m = mean.item()
+                second = weights.dot(sq[:, 0])
+                return 0.5 * float(second) - 0.5 * self.a * (m * m), points - self.a * m
+            second = weights.dot(np.add.reduce(sq, axis=1))
             value = 0.5 * float(second) - 0.5 * self.a * float(mean.dot(mean))
             return value, points - self.a * mean
         mean = _wmean(weights, points)
@@ -219,8 +225,10 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
         return 0.5 * np.sum(xs * xs, axis=1) - self.a * np.sum(xs * mean, axis=1)
 
     def _grad(self, points, weights, xs):
-        mean = weights.dot(points) if points.ndim == 2 else _wmean(weights, points)[:, None, :]
-        return xs - self.a * mean
+        if points.ndim == 3:
+            return xs - self.a * _wmean(weights, points)[:, None, :]
+        mean = weights.dot(points)  # at d = 1 one Python float, as in `_value_and_grad`
+        return xs - self.a * (mean.item() if mean.size == 1 else mean)
 
     def _hess_mm(self, points, weights, xs, ys):
         return np.tile(-self.a * np.eye(xs.shape[1]), (len(xs), len(ys), 1, 1))

@@ -268,6 +268,23 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--out", str(b), "--seed", "99"])
         assert a.read_bytes() != b.read_bytes()
 
+    # Philox takes the seed as one 64-bit key word; a seed outside it would
+    # share its stream with the seed it reduces to
+    @pytest.mark.parametrize("via", ["flag", "ini"])
+    @pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (0, 0), (2**64 - 1, 0)])
+    def test_seed_must_fit_64_bits(self, tmp_path, capsys, seed, code, via):
+        text = QUADRATIC.replace("seed = 3", f"seed = {seed}") if via == "ini" else QUADRATIC
+        flags = ["--seed", str(seed)] if via == "flag" else []
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(out), *flags]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "config error: bad [sim] values: seed must be an integer in [0, 2**64)\n")
+            assert not out.exists()
+        else:
+            meta = json.loads(Path(f"{out}.meta.json").read_text())
+            assert meta["config"]["sim"]["seed"] == seed
+
     def test_missing_output_path_exit_2(self, tmp_path):
         cfg = write(tmp_path, QUADRATIC)
         assert main(["simulate", "--config", cfg]) == 2

@@ -192,6 +192,21 @@ class TestRng:
         b = make_rng(8, 0).standard_normal(5)
         assert np.max(np.abs(a - b)) > 1e-3
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64, 1.5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # reduced modulo 2^64, -1 would share the stream of 2^64 - 1, and
+        # 5 + 2^64 that of 5; truncated into the key, 1.5 that of 1
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            make_rng(seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(step=0.1, n_steps=10, seed=seed)
+
+    def test_seed_range_ends_are_streams(self):
+        a = make_rng(0).standard_normal(5)
+        b = make_rng(2**64 - 1).standard_normal(5)
+        assert np.max(np.abs(a - b)) > 1e-3
+        assert SimConfig(step=0.1, n_steps=10, seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestRunChain:
     def test_record_schedule(self):
@@ -696,6 +711,48 @@ def _cliff(fill, sampler):
         v_hess=lambda x: np.ones(x.shape + (1,)),
     )
     return ParticleSystem(energy, 1, 1), ("gaussian", scale)
+
+
+class TestMoveVerdict:
+    """`_move`'s blow-up verdict on edge values: one configuration alone
+    blows up exactly when the batch branch names its row in a group of 3,
+    with no warning and no floating-point error raised."""
+
+    BELOW = float(np.nextafter(BLOWUP_THRESHOLD, 0.0))
+    NAN, INF = math.nan, math.inf
+    # six entries each, flattened (N, d) order; True: the move blows up
+    CASES = {
+        "at-1e8": ([0.5, -2.0, 1e8, 0.0, 1.0, 3.0], True),
+        "at-minus-1e8": ([0.5, -2.0, 1.0, -1e8, 1.0, 3.0], True),
+        "just-below": ([BELOW, -BELOW, 1.0, 0.0, -BELOW, 2.0], False),
+        "nan-first": ([NAN, 1.0, 2.0, 3.0, 4.0, 5.0], True),
+        "nan-middle": ([1.0, 2.0, NAN, 3.0, 4.0, 5.0], True),
+        "nan-last": ([1.0, 2.0, 3.0, 4.0, 5.0, NAN], True),
+        "nan-after-huge": ([1.0, 2e8, 3.0, NAN, 4.0, 5.0], True),
+        "inf": ([1.0, 2.0, INF, 3.0, 4.0, 5.0], True),
+        "minus-inf": ([-INF, 2.0, 3.0, 4.0, 5.0, 6.0], True),
+        "1e200": ([1.0, 2.0, 3.0, 4.0, 1e200, 5.0], True),
+        "minus-zero": ([-0.0] * 6, False),
+    }
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_alone_as_in_a_group(self, case, d):
+        values, blows = self.CASES[case]
+        y = np.array(values).reshape(-1, d)
+        zero = np.zeros_like(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise"):
+                moved, bad = dynamics._move(y, zero, zero)
+                assert (bad is not None) == blows
+                assert bad in (None, 0)
+                for row in range(3):
+                    group = np.full((3,) + y.shape, 0.25)
+                    group[row] = y
+                    _, first = dynamics._move(group, np.zeros_like(group), np.zeros_like(group))
+                    assert first == (row if blows else None)
+        np.testing.assert_array_equal(moved, y)
 
 
 class TestBlowUpSemantics:

@@ -688,6 +688,33 @@ class TestBatchedGradients:
             np.testing.assert_array_equal(one_grad, grad)
             np.testing.assert_array_equal(system.grad_u_n(x), grad)
 
+    # the quadratic energy's one-configuration path at d = 1 takes the mean
+    # as one Python float; off the atoms too, it equals the batch path
+    @pytest.mark.parametrize("M", [1, 5])
+    @pytest.mark.parametrize("N", [1, 7, 300])
+    def test_quadratic_d1_grad_off_the_atoms(self, N, M):
+        e = QuadraticMeanEnergy(0.7)
+        rng = np.random.default_rng([N, M])
+        points = rng.normal(size=(self.G, N, 1)) * 1.5
+        xs = rng.normal(size=(self.G, M, 1)) * 3.0
+        w = _unit_weights(rng, N)
+        batch = e._grad(points, w, xs)
+        assert batch.shape == xs.shape
+        for p, x, g in zip(points, xs, batch):
+            np.testing.assert_array_equal(e._grad(p, w, x), g)
+            np.testing.assert_array_equal(x - e.a * (w @ p), g)
+
+    # x.x is formed before m.m: squares that overflow raise alone and in a batch
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_quadratic_d1_square_overflow_raises(self, N):
+        system = ParticleSystem(QuadraticMeanEnergy(0.5), N, 1)
+        x = np.full((N, 1), 0.5)
+        x[-1, 0] = 1e200
+        with np.errstate(over="raise"):
+            for config in (x, np.stack([np.zeros_like(x), x])):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    system.u_n_and_grad(config)
+
     def test_batch_shape_checked(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 2, 1)
         for lift in (system.u_n, system.grad_u_n, system.u_n_and_grad):
