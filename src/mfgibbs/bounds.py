@@ -3,7 +3,9 @@
 Implements the Poincare constant rho_N - lambda - M/N, the defective
 log-Sobolev constants (N_0, lambda_tilde, delta_N, beta_N, rho'_{N,*}),
 the tightened constant rho_{N,*}, closed-form inputs for the worked
-examples, and the mixture-convexity / Hessian-block checkers.
+examples, and the structural checkers. The mixture-convexity checks take
+stacks of measures (`stack_deficits`); only the one-pair checks take
+`DiscreteMeasure`s. The Hessian-block checks take configurations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .energies import MeanFieldEnergy, PairwiseKernelEnergy
 from .energies import ParametrizedEnergy, QuadraticMeanEnergy
 from .errors import TheoremInvalidError
-from .measures import DiscreteMeasure, mixture_atoms, stack_pairs, w2_squared_pairs
+from .measures import DiscreteMeasure, mixture_atoms, w2_squared_pairs
 
 __all__ = [
     "PoincareInputs",
@@ -31,8 +33,6 @@ __all__ = [
     "parametrized_cost_bound",
     "corollary_report",
     "check_semi_convexity",
-    "semi_convexity_deficits",
-    "cost_convexity_deficits",
     "semi_convexity_lambda",
     "stack_deficits",
     "w2_penalty",
@@ -282,9 +282,10 @@ def _mixture_gaps(energy, mu, nu) -> np.ndarray:
 def stack_deficits(energy: MeanFieldEnergy, stacks, penalty) -> np.ndarray:
     """Worst mixture-convexity deficit over `DEFAULT_T_GRID` of each pair,
     in pair-index order. `stacks` are (pair indices, mu stack, nu stack)
-    groups, as `measures.stack_pairs` builds them, whose atoms the caller
-    has checked; penalty(index, mu, nu) is the penalty (P,) of a group's
-    pairs, `w2_penalty` or `feature_cost_penalty`.
+    groups, each stack the atoms (points (P, n, d), weights (P, n)) of P
+    measures, which the caller has checked (`measures.check_atoms`);
+    penalty(mu, nu) is the penalty (P,) of a group's pairs, `w2_penalty` or
+    `feature_cost_penalty`.
 
     Nonpositive (up to 1e-9) means the convexity holds on that pair.
     """
@@ -292,14 +293,14 @@ def stack_deficits(energy: MeanFieldEnergy, stacks, penalty) -> np.ndarray:
     worst = np.empty(sum(len(index) for index, _, _ in stacks))
     for index, mu, nu in stacks:
         gaps = _mixture_gaps(energy, mu, nu)
-        worst[index] = np.max(gaps - t * (1.0 - t) * penalty(index, mu, nu)[:, None], axis=1)
+        worst[index] = np.max(gaps - t * (1.0 - t) * penalty(mu, nu)[:, None], axis=1)
     return worst
 
 
 def w2_penalty(lam: float):
     """The semi-convexity penalty lambda/2 W2^2(mu, nu) of a group's pairs,
     for `stack_deficits`."""
-    return lambda index, mu, nu: 0.5 * lam * w2_squared_pairs(nu, mu)
+    return lambda mu, nu: 0.5 * lam * w2_squared_pairs(nu, mu)
 
 
 def feature_cost_penalty(energy: ParametrizedEnergy):
@@ -307,37 +308,7 @@ def feature_cost_penalty(energy: ParametrizedEnergy):
     pairs, from the batched feature means, for `stack_deficits`."""
     if not isinstance(energy, ParametrizedEnergy):
         raise TypeError("cost functional required for non-parametrized energies")
-    return lambda index, mu, nu: energy._cost(*mu, *nu)
-
-
-def semi_convexity_deficits(
-    energy: MeanFieldEnergy, mus, nus, lam: float | None = None
-) -> np.ndarray:
-    """Worst mixture-convexity deficit of each pair (mus[i], nus[i]) against
-    the lambda/2 W2^2 penalty, lambda the declared one unless given. An item
-    is a DiscreteMeasure or its atoms (points (n, d), weights (n,)); pairs
-    with the same atom shapes are evaluated as one stack.
-
-    Nonpositive (up to 1e-9) means the modulus holds on that pair.
-    """
-    if lam is None:
-        lam = energy.declared_lambda
-    return stack_deficits(energy, stack_pairs(mus, nus), w2_penalty(lam))
-
-
-def cost_convexity_deficits(energy: MeanFieldEnergy, mus, nus, cost=None) -> np.ndarray:
-    """Worst mixture-convexity deficit of each pair (mus[i], nus[i]) against
-    a cost functional C(mu, nu), called with the items as given. Items and
-    stacks are as for `semi_convexity_deficits`.
-
-    Defaults to the parametrized energy's alpha_r |int phi d(nu - mu)|^2.
-    """
-    if cost is None:
-        penalty = feature_cost_penalty(energy)
-    else:
-        def penalty(index, mu, nu):
-            return np.array([cost(mus[i], nus[i]) for i in index], dtype=float)
-    return stack_deficits(energy, stack_pairs(mus, nus), penalty)
+    return lambda mu, nu: energy._cost(*mu, *nu)
 
 
 def check_semi_convexity(
@@ -346,8 +317,16 @@ def check_semi_convexity(
     nu: DiscreteMeasure,
     lam: float | None = None,
 ) -> float:
-    """The one-pair case of `semi_convexity_deficits`."""
-    return float(semi_convexity_deficits(energy, [mu], [nu], lam)[0])
+    """Worst mixture-convexity deficit over `DEFAULT_T_GRID` of the pair
+    (mu, nu) against the lambda/2 W2^2 penalty, lambda the declared one
+    unless given: `stack_deficits` on the pair as a stack of one.
+
+    Nonpositive (up to 1e-9) means the modulus holds on the pair.
+    """
+    if lam is None:
+        lam = energy.declared_lambda
+    stack = ([0], (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None]))
+    return float(stack_deficits(energy, [stack], w2_penalty(lam))[0])
 
 
 def semi_convexity_lambda(
@@ -356,11 +335,14 @@ def semi_convexity_lambda(
     """The least lambda at which the pair (mu, nu) of distinct measures
     passes the semi-convexity check: the max over t of `DEFAULT_T_GRID` of
     2 (F(t mu + (1-t) nu) - t F(mu) - (1-t) F(nu)) / (t (1-t) W2^2(mu, nu)).
-    A declared lambda below it fails on this pair."""
-    ((_, mu, nu),) = stack_pairs([mu], [nu])
+    A declared lambda below it fails on this pair. ValueError when mu and
+    nu are one measure (W2 = 0), where no lambda is singled out."""
+    mu, nu = (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None])
+    w2 = w2_squared_pairs(nu, mu)
+    if w2[0] == 0.0:
+        raise ValueError("mu and nu are one measure (W2 = 0): no least lambda")
     t = np.asarray(DEFAULT_T_GRID)
-    scale = t * (1.0 - t) * w2_squared_pairs(nu, mu)[:, None]
-    return float(np.max(2.0 * _mixture_gaps(energy, mu, nu) / scale))
+    return float(np.max(2.0 * _mixture_gaps(energy, mu, nu) / (t * (1.0 - t) * w2[:, None])))
 
 
 def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:

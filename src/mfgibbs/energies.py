@@ -248,6 +248,13 @@ class LinearPotentialEnergy(MeanFieldEnergy):
 
     declared_lambda = 0.0
     declared_Mmm = 0.0
+    declared_cost = (0.0, 1.0)  # linear: no outer cost
+
+    @property
+    def declared_rho(self) -> float:  # Bakry-Emery: the Gibbs measure of V is kappa-log-concave
+        if self.kappa is None:
+            raise TheoremInvalidError("theorem inputs need a V of declared kappa")
+        return self.kappa
 
     def _eval_batch(self, points, weights):
         return _wsum(weights, self.v(points))

@@ -2,10 +2,11 @@
 
 A measure is given by its atoms `points` (n, d) and `weights` (n,). A stack
 of P measures with n atoms each is the pair (points (P, n, d), weights
-(P, n)): `stack_atoms` builds one from measures, and `stack_pairs` groups
-pairs of measures, or of their atoms, into stacks. `check_atoms` holds every
-check a measure must pass, over any leading axes; `DiscreteMeasure` calls it
-for one measure and `stack_pairs` once per stack.
+(P, n)). `check_atoms` holds every check a measure must pass, over any
+leading axes; `DiscreteMeasure` calls it for one measure, and a caller that
+builds a stack calls it once for the stack. `mixture_atoms` takes the atoms
+of one pair or two stacks, and `w2_squared_pairs` two stacks; `mix` and
+`w2_squared` are their one-pair cases on `DiscreteMeasure`s.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "empirical",
     "mix",
     "mixture_atoms",
-    "stack_atoms",
-    "stack_pairs",
     "w2_squared",
     "w2_squared_pairs",
 ]
@@ -85,52 +84,18 @@ def empirical(points) -> DiscreteMeasure:
     return DiscreteMeasure(pts, np.full(n, 1.0 / n))
 
 
-def _atoms(m) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights) of a DiscreteMeasure, or of its atoms given as such a pair."""
-    if isinstance(m, DiscreteMeasure):
-        return m.points, m.weights
-    points, weights = m
-    return np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
-
-
-def stack_atoms(measures) -> tuple[np.ndarray, np.ndarray]:
-    """The stack (points (P, n, d), weights (P, n)) of P measures of n atoms
-    each, a batch for `_eval_batch`. An item is a DiscreteMeasure or the
-    atoms (points (n, d), weights (n,)) of one."""
-    points, weights = zip(*map(_atoms, measures))
-    return np.stack(points), np.stack(weights)
-
-
-def stack_pairs(mus, nus) -> list:
-    """The pairs (mus[i], nus[i]) as stacks, one for each pair of atom
-    shapes: a list of (pair indices, mu stack, nu stack). Items are as for
-    `stack_atoms`; each stack is checked once, by `check_atoms`."""
-    groups = {}
-    for i, (mu, nu) in enumerate(zip(mus, nus, strict=True)):
-        mu, nu = _atoms(mu), _atoms(nu)
-        key = (mu[0].shape, mu[1].shape, nu[0].shape, nu[1].shape)
-        groups.setdefault(key, []).append((i, mu, nu))
-    stacks = []
-    for members in groups.values():
-        index, mu, nu = zip(*members)
-        mu, nu = stack_atoms(mu), stack_atoms(nu)
-        check_atoms(*mu)
-        check_atoms(*nu)
-        stacks.append((np.array(index), mu, nu))
-    return stacks
-
-
 def mixture_atoms(mu, nu, t_grid):
     """(points, weights) of the mixtures t*mu + (1-t)*nu for each t of
-    `t_grid`: the atoms of mu and nu stacked once (n, d), and one row of
-    weights per t (K, n), t*w_mu followed by (1-t)*w_nu and renormalised to
-    sum to one. An atom of weight zero keeps its column.
+    `t_grid`, mu and nu given by their atoms (points (n, d), weights (n,)):
+    the atoms of mu and nu stacked once, and one row of weights per t
+    (K, n), t*w_mu followed by (1-t)*w_nu and renormalised to sum to one. An
+    atom of weight zero keeps its column.
 
     mu and nu may also be stacks of P measures (points (P, n, d), weights
     (P, n)), the pairs (mu_i, nu_i), with one atom count on each side. Then
     points (P, 1, n, d) hold each pair's atoms once for its weight rows
     (P, K, n), and pair i is bit for bit its own mixture_atoms."""
-    (mu_p, mu_w), (nu_p, nu_w) = _atoms(mu), _atoms(nu)
+    (mu_p, mu_w), (nu_p, nu_w) = mu, nu
     if mu_p.shape[-1] != nu_p.shape[-1]:
         raise ValueError("dimension mismatch")
     t = np.asarray(t_grid, dtype=float)
@@ -148,7 +113,7 @@ def mixture_atoms(mu, nu, t_grid):
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     """Mixture t*mu + (1-t)*nu; zero-weight atoms are dropped."""
-    pts, (w,) = mixture_atoms(mu, nu, (t,))
+    pts, (w,) = mixture_atoms((mu.points, mu.weights), (nu.points, nu.weights), (t,))
     keep = w > 0
     return DiscreteMeasure(pts[keep], w[keep])
 

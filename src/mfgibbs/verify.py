@@ -108,10 +108,12 @@ def _kernel_witness():
 def suite_curvature():
     results = []
     quad = QuadraticMeanEnergy(0.5)
-    # equality case on Dirac pairs
-    diracs = [(0.0, 2.0), (-1.0, 3.0), (0.5, 0.5)]
-    mus, nus = [empirical([[x]]) for x, _ in diracs], [empirical([[y]]) for _, y in diracs]
-    worst = float(np.max(np.abs(bounds.semi_convexity_deficits(quad, mus, nus))))
+    # equality case on the Dirac pairs (0, 2), (-1, 3) and (0.5, 0.5), one stack
+    ones = np.ones((3, 1))
+    diracs = ([0, 1, 2], (np.array([0.0, -1.0, 0.5])[:, None, None], ones),
+              (np.array([2.0, 3.0, 0.5])[:, None, None], ones))
+    deficits = bounds.stack_deficits(quad, [diracs], bounds.w2_penalty(quad.declared_lambda))
+    worst = float(np.max(np.abs(deficits)))
     results.append(("quadratic Dirac equality", worst <= 1e-12, f"|deficit|={worst:.2e}"))
     # sensitivity: an understated modulus must be caught
     deficit = bounds.check_semi_convexity(quad, empirical([[0.0]]), empirical([[2.0]]), lam=0.25)

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mfgibbs import bounds
-from mfgibbs.energies import PairwiseKernelEnergy, QuadraticMeanEnergy
+from mfgibbs import bounds, verify
+from mfgibbs.energies import LinearPotentialEnergy, PairwiseKernelEnergy, QuadraticMeanEnergy
 from mfgibbs.errors import GibbsUndefinedError, TheoremInvalidError
 from mfgibbs.measures import DiscreteMeasure, empirical, mix, w2_squared
 from mfgibbs.energies import quadratic_as_parametrized
@@ -312,6 +313,17 @@ class TestCorollaryReport:
                 bounds.corollary_report(energy, 10, 1, 1.0, 0.5)
             assert not isinstance(info.value, GibbsUndefinedError)
 
+    def test_linear_potential_reports_from_its_kappa(self):
+        # V = |x|^2 / 2, kappa = 1: U_N's Gibbs measure is N(0, I), of gap 1
+        energy = quadratic_as_parametrized(0.5).base
+        assert isinstance(energy, LinearPotentialEnergy)
+        assert (energy.declared_rho, energy.declared_cost) == (1.0, (0.0, 1.0))
+        report, _ = bounds.corollary_report(energy, 10, 1, 1.0, 0.5)
+        assert report.poincare_bound == 1.0
+        with pytest.raises(TheoremInvalidError, match="declared kappa") as info:
+            bounds.corollary_report(dataclasses.replace(energy, kappa=None), 10, 1, 1.0, 0.5)
+        assert not isinstance(info.value, GibbsUndefinedError)
+
     def test_parametrized_gibbs_undefined(self):
         # kappa = 1 against r_hess_bound Lip(phi)^2 = a: a Gibbs measure exactly when a < 1
         quadratic_as_parametrized(0.999).declared_rho_N(10)
@@ -423,33 +435,49 @@ class TestCheckers:
 
     def test_cost_convexity_dirac_equality(self):
         par = quadratic_as_parametrized(0.5)
-        (deficit,) = bounds.cost_convexity_deficits(
-            par, [empirical([[0.0]])], [empirical([[2.0]])]
-        )
+        stacks = one_pair(empirical([[0.0]]), empirical([[2.0]]))
+        (deficit,) = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
         assert abs(deficit) < 1e-12
 
     def test_cost_convexity_random(self):
-        rng = np.random.default_rng(21)
         par = quadratic_as_parametrized(0.5)
-        for _ in range(200):
-            (deficit,) = bounds.cost_convexity_deficits(
-                par, [random_measure(rng)], [random_measure(rng)]
-            )
-            assert deficit <= 1e-9
+        stacks = verify._random_stacks(np.random.default_rng(21), 200)
+        deficits = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
+        assert deficits.shape == (200,) and np.max(deficits) <= 1e-9
 
-    def test_cost_convexity_explicit_cost(self):
+    def test_cost_convexity_exact_identity(self):
+        # the cost (a/2) |int x d(nu - mu)|^2 is the quadratic outer R's whole
+        # concavity: the deficit vanishes on every pair, in any dimension
+        par = quadratic_as_parametrized(0.5)
         rng = np.random.default_rng(22)
-        quad = QuadraticMeanEnergy(0.5)
+        for stacks in (verify._random_stacks(rng, 100), [two_dimensional_stack(rng, 40, 3)]):
+            deficits = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
+            assert np.max(np.abs(deficits)) <= 1e-9
 
-        def cost(mu, nu):
-            diff = nu.weights @ nu.points - mu.weights @ mu.points
-            return 0.25 * float(diff @ diff)  # (a/2) (int x d(nu-mu))^2
+    def test_hessian_block_norm_is_the_largest_block_norm(self):
+        rng = np.random.default_rng(26)
+        for energy in (PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), QuadraticMeanEnergy(0.5)):
+            for d in (1, 2):  # the modulus branch, then the SVD branch
+                configs = [rng.normal(size=(n, d)) for n in (1, 3, 6)]
+                want = max(
+                    np.linalg.norm(block, 2)
+                    for x in configs
+                    for row in energy._hess_mm(x, np.full(len(x), 1.0 / len(x)), x, x)
+                    for block in row
+                )
+                assert bounds.hessian_block_norm(energy, configs) == want
 
-        for _ in range(100):
-            (deficit,) = bounds.cost_convexity_deficits(
-                quad, [random_measure(rng)], [random_measure(rng)], cost=cost
-            )
-            assert abs(deficit) <= 1e-9  # exact algebraic identity
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_hessian_block_norm_quadratic(self, d):
+        configs = [np.random.default_rng(27).normal(size=(5, d))]
+        norm = bounds.hessian_block_norm(QuadraticMeanEnergy(0.5), configs)
+        assert abs(norm - 0.5) <= 1e-15
+        assert bounds.hessian_block_norm(quadratic_as_parametrized(0.5), configs) == norm
+
+    def test_hessian_block_norm_kernel_witness(self):
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        norm = bounds.hessian_block_norm(kern, [verify._spread()])
+        assert abs(norm - abs(2.0 * 0.05 - 2.0 * 1.0)) <= 1e-12  # |2 alpha - 2 L| at x_i = x_j
 
     def test_hessian_block_quadratic_sharp(self):
         quad = QuadraticMeanEnergy(0.5)
@@ -508,14 +536,34 @@ def feature_cost(par, mu, nu):
     return par.alpha_r * float(diff @ diff)
 
 
-def uniform_measure(rng, n, d):
-    return empirical(rng.normal(size=(n, d)) * 1.5)
+def one_pair(mu, nu):
+    """The pair (mu, nu) as the stacks of one pair of `bounds.stack_deficits`."""
+    return [([0], (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None]))]
+
+
+def two_dimensional_stack(rng, count, n):
+    """`count` pairs of uniform measures of n atoms in the plane as one
+    (pair indices, mu stack, nu stack) group: d=2 takes the assignment W2,
+    which needs equal uniform supports."""
+    weights = np.full((count, n), 1.0 / n)
+    mu, nu = (rng.normal(size=(count, n, 2)) * 1.5 for _ in range(2))
+    return np.arange(count), (mu, weights), (nu, weights)
+
+
+def unstacked(stacks):
+    """The pairs of (pair indices, mu stack, nu stack) groups as
+    DiscreteMeasures, in pair-index order."""
+    pairs = [None] * sum(len(index) for index, _, _ in stacks)
+    for index, (mu_p, mu_w), (nu_p, nu_w) in stacks:
+        for k, i in enumerate(index):
+            pairs[i] = DiscreteMeasure(mu_p[k], mu_w[k]), DiscreteMeasure(nu_p[k], nu_w[k])
+    return pairs
 
 
 class TestBatchedCheckers:
-    """The batch checkers give each pair, whatever group it falls in, the
-    deficit of the per-pair loop bit for bit, and the one-pair checkers are
-    their one-pair case."""
+    """`stack_deficits` gives each pair of a stack, whatever group it falls
+    in, the deficit of the per-pair loop bit for bit, and the one-pair
+    checker on DiscreteMeasures is its stack of one."""
 
     ENERGIES = {
         "quadratic": lambda: QuadraticMeanEnergy(0.5),
@@ -524,24 +572,22 @@ class TestBatchedCheckers:
     }
 
     @staticmethod
-    def _semi_reference(energy, mus, nus, lam):
+    def _semi_reference(energy, pairs, lam):
         return [
-            per_pair_deficit(energy, mu, nu, 0.5 * lam * w2_squared(nu, mu))
-            for mu, nu in zip(mus, nus)
+            per_pair_deficit(energy, mu, nu, 0.5 * lam * w2_squared(nu, mu)) for mu, nu in pairs
         ]
 
     @pytest.mark.parametrize("name", list(ENERGIES))
     def test_mixed_atom_counts(self, name):
         energy = self.ENERGIES[name]()
-        rng = np.random.default_rng(30)
-        mus = [random_measure(rng) for _ in range(80)]
-        nus = [random_measure(rng) for _ in range(80)]
-        assert len({(mu.points.shape[0], nu.points.shape[0]) for mu, nu in zip(mus, nus)}) > 10
-        got = bounds.semi_convexity_deficits(energy, mus, nus)
+        stacks = verify._random_stacks(np.random.default_rng(30), 80)
+        assert len(stacks) > 10
+        got = bounds.stack_deficits(energy, stacks, bounds.w2_penalty(energy.declared_lambda))
         assert got.shape == (80,)
-        ref = self._semi_reference(energy, mus, nus, energy.declared_lambda)
+        pairs = unstacked(stacks)
+        ref = self._semi_reference(energy, pairs, energy.declared_lambda)
         np.testing.assert_array_equal(got, ref)
-        for mu, nu, deficit in zip(mus[:10], nus[:10], got):
+        for (mu, nu), deficit in zip(pairs[:10], got):
             assert bounds.check_semi_convexity(energy, mu, nu) == deficit
 
     @pytest.mark.parametrize("name", list(ENERGIES))
@@ -549,59 +595,41 @@ class TestBatchedCheckers:
         energy = self.ENERGIES[name]()
         rng = np.random.default_rng(31)
         mu, nu = random_measure(rng), random_measure(rng)
-        (got,) = bounds.semi_convexity_deficits(energy, [mu], [nu])
-        assert got == self._semi_reference(energy, [mu], [nu], energy.declared_lambda)[0]
+        penalty = bounds.w2_penalty(energy.declared_lambda)
+        (got,) = bounds.stack_deficits(energy, one_pair(mu, nu), penalty)
+        assert got == self._semi_reference(energy, [(mu, nu)], energy.declared_lambda)[0]
         assert bounds.check_semi_convexity(energy, mu, nu) == got
 
     @pytest.mark.parametrize("name", list(ENERGIES))
     def test_two_dimensional_uniform_pairs(self, name):
-        # d=2 takes the assignment W2, which needs equal uniform supports
         energy = self.ENERGIES[name]()
-        rng = np.random.default_rng(32)
-        sizes = [int(n) for n in rng.integers(1, 5, size=40)]
-        mus = [uniform_measure(rng, n, 2) for n in sizes]
-        nus = [uniform_measure(rng, n, 2) for n in sizes]
-        got = bounds.semi_convexity_deficits(energy, mus, nus)
-        ref = self._semi_reference(energy, mus, nus, energy.declared_lambda)
+        stacks = [two_dimensional_stack(np.random.default_rng(32), 40, 3)]
+        got = bounds.stack_deficits(energy, stacks, bounds.w2_penalty(energy.declared_lambda))
+        pairs = unstacked(stacks)
+        ref = self._semi_reference(energy, pairs, energy.declared_lambda)
         np.testing.assert_array_equal(got, ref)
+        for (mu, nu), deficit in zip(pairs[:5], got):
+            assert bounds.check_semi_convexity(energy, mu, nu) == deficit
 
     def test_lam_override(self):
         kern = self.ENERGIES["kernel"]()
-        rng = np.random.default_rng(33)
-        mus = [random_measure(rng) for _ in range(40)]
-        nus = [random_measure(rng) for _ in range(40)]
-        got = bounds.semi_convexity_deficits(kern, mus, nus, lam=0.7)
-        np.testing.assert_array_equal(got, self._semi_reference(kern, mus, nus, 0.7))
-        assert bounds.check_semi_convexity(kern, mus[0], nus[0], lam=0.7) == got[0]
+        stacks = verify._random_stacks(np.random.default_rng(33), 40)
+        got = bounds.stack_deficits(kern, stacks, bounds.w2_penalty(0.7))
+        pairs = unstacked(stacks)
+        np.testing.assert_array_equal(got, self._semi_reference(kern, pairs, 0.7))
+        assert bounds.check_semi_convexity(kern, *pairs[0], lam=0.7) == got[0]
 
-    def test_cost_callable(self):
-        quad = self.ENERGIES["quadratic"]()
-        rng = np.random.default_rng(34)
-        mus = [random_measure(rng) for _ in range(40)]
-        nus = [random_measure(rng) for _ in range(40)]
-
-        def cost(mu, nu):
-            diff = nu.weights @ nu.points - mu.weights @ mu.points
-            return 0.25 * float(diff @ diff)
-
-        got = bounds.cost_convexity_deficits(quad, mus, nus, cost=cost)
-        ref = [per_pair_deficit(quad, mu, nu, cost(mu, nu)) for mu, nu in zip(mus, nus)]
-        np.testing.assert_array_equal(got, ref)
-        assert bounds.cost_convexity_deficits(quad, [mus[0]], [nus[0]], cost=cost)[0] == got[0]
-
-    def test_default_cost_is_the_parametrized_one(self):
+    def test_feature_cost_penalty_is_the_parametrized_cost(self):
         par = self.ENERGIES["parametrized"]()
-        rng = np.random.default_rng(35)
-        mus = [random_measure(rng) for _ in range(40)]
-        nus = [random_measure(rng) for _ in range(40)]
-        got = bounds.cost_convexity_deficits(par, mus, nus)
+        stacks = verify._random_stacks(np.random.default_rng(35), 40)
+        got = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
         ref = [
             per_pair_deficit(par, mu, nu, feature_cost(par, mu, nu))
-            for mu, nu in zip(mus, nus)
+            for mu, nu in unstacked(stacks)
         ]
         np.testing.assert_array_equal(got, ref)
         with pytest.raises(TypeError, match="cost functional required"):
-            bounds.cost_convexity_deficits(self.ENERGIES["kernel"](), mus, nus)
+            bounds.feature_cost_penalty(self.ENERGIES["kernel"]())
 
     @pytest.mark.parametrize("name", list(ENERGIES))
     def test_semi_convexity_lambda_is_where_the_deficit_vanishes(self, name):
@@ -620,8 +648,12 @@ class TestBatchedCheckers:
         )
         assert abs(found - 0.5) <= 1e-12
 
-    def test_unequal_pair_lists_rejected(self):
-        quad = self.ENERGIES["quadratic"]()
-        mu = empirical([[0.0]])
-        with pytest.raises(ValueError):
-            bounds.semi_convexity_deficits(quad, [mu, mu], [mu])
+    @pytest.mark.parametrize("name", list(ENERGIES))
+    @pytest.mark.parametrize("order", ["same", "permuted"])
+    def test_semi_convexity_lambda_of_one_measure_raises(self, name, order):
+        mu = DiscreteMeasure([[0.3], [1.2], [-0.4]], [0.2, 0.5, 0.3])
+        nu = mu if order == "same" else DiscreteMeasure(mu.points[::-1], mu.weights[::-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="one measure"):
+                bounds.semi_convexity_lambda(self.ENERGIES[name](), mu, nu)

@@ -11,11 +11,19 @@ from mfgibbs.measures import (
     empirical,
     mix,
     mixture_atoms,
-    stack_atoms,
-    stack_pairs,
     w2_squared,
     w2_squared_pairs,
 )
+
+
+def stack(measures):
+    """The stack (points (P, n, d), weights (P, n)) of P measures of n atoms each."""
+    return np.stack([m.points for m in measures]), np.stack([m.weights for m in measures])
+
+
+def atoms_of(m):
+    """The atoms (points, weights) of one measure."""
+    return m.points, m.weights
 
 
 def brute_force_w2_uniform(xs, ys):
@@ -163,7 +171,7 @@ class TestMix:
         mu = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
         nu = empirical([[2.0]])
         t = (0.0, 0.5, 1.0)
-        points, weights = mixture_atoms(mu, nu, t)
+        points, weights = mixture_atoms(atoms_of(mu), atoms_of(nu), t)
         np.testing.assert_array_equal(points, [[0.0], [1.0], [2.0]])
         assert weights.shape == (3, 3)  # an atom of weight zero keeps its column
         np.testing.assert_allclose(weights, [[0, 0, 1], [0.125, 0.375, 0.5], [0.25, 0.75, 0]])
@@ -171,7 +179,7 @@ class TestMix:
             out = mix(mu, nu, ti)
             np.testing.assert_array_equal(out.weights, row[row > 0])
         with pytest.raises(ValueError):
-            mixture_atoms(mu, nu, (0.5, float("nan")))
+            mixture_atoms(atoms_of(mu), atoms_of(nu), (0.5, float("nan")))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_mixture_atoms_of_pairs_are_each_pairs_own(self, d):
@@ -183,15 +191,14 @@ class TestMix:
 
         mus, nus = [draw(2) for _ in range(4)], [draw(3) for _ in range(4)]
         t = (0.0, 0.3, 1.0)
-        points, weights = mixture_atoms(stack_atoms(mus), stack_atoms(nus), t)
+        points, weights = mixture_atoms(stack(mus), stack(nus), t)
         assert points.shape == (4, 1, 5, d) and weights.shape == (4, 3, 5)
         for i, (mu, nu) in enumerate(zip(mus, nus)):
-            one_points, one_weights = mixture_atoms(mu, nu, t)
+            one_points, one_weights = mixture_atoms(atoms_of(mu), atoms_of(nu), t)
             np.testing.assert_array_equal(points[i, 0], one_points)
             np.testing.assert_array_equal(weights[i], one_weights)
-        assert stack_atoms(mus)[0].shape == (4, 2, d)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            mixture_atoms(stack_atoms(mus), stack_atoms([empirical(np.zeros((3, d + 1)))] * 4), t)
+            mixture_atoms(stack(mus), stack([empirical(np.zeros((3, d + 1)))] * 4), t)
 
 
 class TestW2:
@@ -287,7 +294,7 @@ class TestW2Pairs:
     @staticmethod
     def check(mus, nus):
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # as under the CLI
-            got = w2_squared_pairs(stack_atoms(mus), stack_atoms(nus))
+            got = w2_squared_pairs(stack(mus), stack(nus))
         assert got.shape == (len(mus),) and np.all(np.isfinite(got))
         want = [merge_loop_w2(mu, nu) for mu, nu in zip(mus, nus)]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
@@ -306,7 +313,7 @@ class TestW2Pairs:
         nus = [empirical(rng.normal(size=(m, 1))) for _ in range(30)]
         self.check(mus, nus)
         self.check(mus, mus)  # identical pairs: zero
-        np.testing.assert_array_equal(w2_squared_pairs(*[stack_atoms(mus)] * 2), 0.0)
+        np.testing.assert_array_equal(w2_squared_pairs(*[stack(mus)] * 2), 0.0)
 
     def test_duplicate_atoms(self):
         rng = np.random.default_rng(41)
@@ -343,9 +350,9 @@ class TestW2Pairs:
             np.testing.assert_array_equal(alone, stacked)  # bit for bit
 
     def test_dimension_mismatch(self):
-        mus = stack_atoms([empirical([[0.0]])])
+        mus = stack([empirical([[0.0]])])
         with pytest.raises(UnsupportedTransportError, match="dimension mismatch"):
-            w2_squared_pairs(mus, stack_atoms([empirical([[0.0, 1.0]])]))
+            w2_squared_pairs(mus, stack([empirical([[0.0, 1.0]])]))
 
 
 def corrupt(points, weights, fault):
@@ -377,12 +384,6 @@ class TestCheckAtoms:
         with pytest.raises(ValueError) as stacked:
             check_atoms(points, weights)
         assert str(stacked.value) == str(alone.value)
-        # and through the stacks the batch checkers build, the pair's other side good
-        good = [(m.points, m.weights) for m in (weighted(rng, 2) for _ in range(7))]
-        for mus, nus in [(atoms, good), (good, atoms)]:
-            with pytest.raises(ValueError) as paired:
-                stack_pairs(mus, nus)
-            assert str(paired.value) == str(alone.value)
 
     def test_leading_axes(self):
         rng = np.random.default_rng(51)
@@ -397,16 +398,3 @@ class TestCheckAtoms:
             check_atoms(points, weights[..., :3])
         with pytest.raises(ValueError, match="at least one atom"):
             check_atoms(points[..., :0, :], weights[..., :0])
-
-    def test_stack_pairs_groups_by_atom_counts(self):
-        rng = np.random.default_rng(52)
-        mus = [weighted(rng, n) for n in (1, 2, 1, 3, 2)]
-        nus = [weighted(rng, n) for n in (2, 2, 2, 1, 2)]
-        groups = stack_pairs(mus, [(nu.points, nu.weights) for nu in nus])
-        assert sorted(map(list, (index for index, _, _ in groups))) == [[0, 2], [1, 4], [3]]
-        for index, (mu_p, mu_w), (nu_p, nu_w) in groups:
-            for k, i in enumerate(index):
-                np.testing.assert_array_equal(mu_p[k], mus[i].points)
-                np.testing.assert_array_equal(nu_w[k], nus[i].weights)
-        with pytest.raises(ValueError):
-            stack_pairs(mus, nus[:4])

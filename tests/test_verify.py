@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_bounds import unstacked
 from test_measures import merge_loop_w2
 
 from mfgibbs import bounds, measures, verify
@@ -153,23 +154,19 @@ def test_a_nan_deficit_fails_the_curvature_suite(monkeypatch, capsys):
     assert lines[-1] == "suite curvature: FAIL"
 
 
-def test_the_stack_entry_is_the_list_form():
-    # the suite's stacks, unstacked into one (points, weights) item per pair
+def test_the_stack_entry_is_the_one_pair_check():
+    # the suite's stacks against each of their pairs alone, as DiscreteMeasures
     rng = np.random.default_rng(40)
-    checks = [(energy, bounds.w2_penalty(energy.declared_lambda), bounds.semi_convexity_deficits)
-              for _, energy in verify._concrete_energies()]
-    par = quadratic_as_parametrized(0.5)
-    checks.append((par, bounds.feature_cost_penalty(par), bounds.cost_convexity_deficits))
-    for energy, penalty, list_form in checks:
+    for _, energy in verify._concrete_energies():
         stacks = verify._random_stacks(rng, 300)
-        items = [None] * 300
-        for index, (mu_p, mu_w), (nu_p, nu_w) in stacks:
-            for k, i in enumerate(index):
-                items[i] = ((mu_p[k], mu_w[k]), (nu_p[k], nu_w[k]))
-        mus, nus = zip(*items)
-        np.testing.assert_array_equal(
-            bounds.stack_deficits(energy, stacks, penalty), list_form(energy, mus, nus)
-        )
+        got = bounds.stack_deficits(energy, stacks, bounds.w2_penalty(energy.declared_lambda))
+        want = [bounds.check_semi_convexity(energy, mu, nu) for mu, nu in unstacked(stacks)]
+        np.testing.assert_array_equal(got, want)
+    par = quadratic_as_parametrized(0.5)
+    stacks = verify._random_stacks(rng, 300)
+    got = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
+    want = per_pair_deficits(par, unstacked(stacks), feature_cost(par))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_the_kernel_witness_is_sharp():
