@@ -5,7 +5,8 @@ log-Sobolev constants (N_0, lambda_tilde, delta_N, beta_N, rho'_{N,*}),
 the tightened constant rho_{N,*}, closed-form inputs for the worked
 examples, and the structural checkers. The mixture-convexity checks take
 stacks of measures (`stack_deficits`); only the one-pair checks take
-`DiscreteMeasure`s. The Hessian-block checks take configurations.
+`DiscreteMeasure`s. The Hessian-block checks take one stack of
+configurations (K, N, d) and make one energy call for it.
 """
 
 from __future__ import annotations
@@ -345,29 +346,37 @@ def semi_convexity_lambda(
     return float(np.max(2.0 * _mixture_gaps(energy, mu, nu) / (t * (1.0 - t) * w2[:, None])))
 
 
-def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:
-    """min over configs of lambda_min(K)/N for the D_m^2 F block matrix K.
+def _stack(configs) -> np.ndarray:
+    """configs as a float stack of configurations (K, N, d), K >= 1."""
+    expected = "expected a stack (K, N, d) of configurations, K >= 1"
+    try:
+        x = np.asarray(configs, dtype=float)
+    except ValueError as err:  # configurations of mixed sizes, say
+        raise ValueError(f"{expected}: {err}") from None
+    if x.ndim != 3 or not x.size:
+        raise ValueError(f"configurations of shape {x.shape}, {expected}")
+    return x
 
-    The Hessian lemma asserts this is >= -declared_lambda.
+
+def hessian_block_bound(energy: MeanFieldEnergy, configs) -> float:
+    """min over a stack of configurations (K, N, d) of lambda_min(K_x)/N for
+    the D_m^2 F block matrix K_x of each: one `_hess_mm_matrix` call and
+    one batched eigvalsh. The Hessian lemma asserts this is >= -declared_lambda.
     """
-    worst = math.inf
-    for x in configs:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        N = x.shape[0]
-        K = energy._hess_mm_matrix(x, np.full(N, 1.0 / N))
-        worst = min(worst, float(np.linalg.eigvalsh(K)[0]) / N)
-    return worst
+    x = _stack(configs)
+    N = x.shape[1]
+    eig = np.linalg.eigvalsh(energy._hess_mm_matrix(x, np.full(N, 1.0 / N)))
+    return float(np.min(eig[:, 0])) / N
 
 
 def hessian_block_norm(energy: MeanFieldEnergy, configs) -> float:
-    """max over configs and atom pairs (i, j) of the operator norm of the
-    block D_m^2 F(mu_x, x_i, x_j), which the declared Mmm bounds."""
-    norms = []
-    for x in configs:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        blocks = energy._hess_mm(x, np.full(len(x), 1.0 / len(x)), x, x)
-        # on the line a block's norm is its modulus, without an SVD per block
-        if x.shape[1] > 1:
-            blocks = np.linalg.norm(blocks, ord=2, axis=(-2, -1))
-        norms.append(np.max(np.abs(blocks)))
-    return float(np.max(norms))
+    """max over a stack of configurations (K, N, d) and atom pairs (i, j) of
+    the operator norm of the block D_m^2 F(mu_x, x_i, x_j), which the
+    declared Mmm bounds: one `_hess_mm` call."""
+    x = _stack(configs)
+    N = x.shape[1]
+    blocks = energy._hess_mm(x, np.full(N, 1.0 / N), x, x)
+    # on the line a block's norm is its modulus, without an SVD per block
+    if x.shape[2] > 1:
+        blocks = np.linalg.norm(blocks, ord=2, axis=(-2, -1))
+    return float(np.max(np.abs(blocks)))

@@ -24,7 +24,8 @@ once in the base class.
 
 `_value_and_grad` and `_grad` at the atoms take the same leading axis of
 configurations: points (G, n, d) with shared weights (n,) give values (G,)
-and D_m F at every atom (G, n, d), each configuration's result bit for bit
+and D_m F at every atom (G, n, d), and `_hess_mm` with xs and ys (G, n, d)
+gives the blocks (G, n, n, d, d), each configuration's result bit for bit
 the one it has alone. `ParticleSystem`'s `u_n`, `grad_u_n` and
 `u_n_and_grad` lift them to one configuration (N, d) or a batch (K, N, d).
 
@@ -91,8 +92,9 @@ class MeanFieldEnergy(abc.ABC):
     @abc.abstractmethod
     def _grad(self, points, weights, xs) -> np.ndarray: ...
 
+    # D_m^2 F(mu, xs_i, ys_j): (m, m', d, d); for G configurations, (G, n, n, d, d)
     @abc.abstractmethod
-    def _hess_mm(self, points, weights, xs, ys) -> np.ndarray: ...  # D_m^2 F: (m, m', d, d)
+    def _hess_mm(self, points, weights, xs, ys) -> np.ndarray: ...
 
     @abc.abstractmethod
     def _grad_x_of_Dm(self, points, weights, xs) -> np.ndarray: ...  # grad_x D_m F: (m, d, d)
@@ -115,10 +117,11 @@ class MeanFieldEnergy(abc.ABC):
         return self._flat(x[:, None], weights, x[:, None])
 
     def _hess_mm_matrix(self, points, weights) -> np.ndarray:
-        """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the atoms."""
-        N, d = points.shape
+        """The Nd x Nd matrix K of the blocks D_m^2 F(mu, x_i, x_j) over the
+        atoms of one configuration (N, d), or of each of a stack (K, N, d)."""
+        *lead, N, d = points.shape
         blocks = self._hess_mm(points, weights, points, points)
-        return blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
+        return np.swapaxes(blocks, -3, -2).reshape(*lead, N * d, N * d)
 
     # DiscreteMeasure-facing API: one query point x (and xp).
 
@@ -231,7 +234,7 @@ class QuadraticMeanEnergy(MeanFieldEnergy):
         return xs - self.a * (mean.item() if mean.size == 1 else mean)
 
     def _hess_mm(self, points, weights, xs, ys):
-        return np.tile(-self.a * np.eye(xs.shape[1]), (len(xs), len(ys), 1, 1))
+        return np.tile(-self.a * np.eye(xs.shape[-1]), xs.shape[:-1] + (ys.shape[-2], 1, 1))
 
     def _grad_x_of_Dm(self, points, weights, xs):
         return np.tile(np.eye(xs.shape[1]), (len(xs), 1, 1))
@@ -266,7 +269,7 @@ class LinearPotentialEnergy(MeanFieldEnergy):
         return self.v_grad(xs)
 
     def _hess_mm(self, points, weights, xs, ys):
-        return np.zeros((len(xs), len(ys)) + 2 * xs.shape[1:])
+        return np.zeros(xs.shape[:-1] + (ys.shape[-2],) + 2 * xs.shape[-1:])
 
     def _grad_x_of_Dm(self, points, weights, xs):
         return self.v_hess(xs)
@@ -398,7 +401,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         return self._grad_from_sums(xs, xs - mean[..., None, :], ew)
 
     def _hess_mm(self, points, weights, xs, ys):
-        return -self._w_hess(xs[:, None, :] - ys[None, :, :])
+        return -self._w_hess(xs[..., :, None, :] - ys[..., None, :, :])
 
     def _grad_x_of_Dm(self, points, weights, xs):
         pair = np.tensordot(weights, self._w_hess(xs[:, None, :] - points), axes=(0, 1))
@@ -554,7 +557,7 @@ class ParametrizedEnergy(MeanFieldEnergy):
     def _hess_mm(self, points, weights, xs, ys):
         h = self.r_hess(self._feature_mean(points, weights))
         jx, jy = self.phi_jac(xs), self.phi_jac(ys)
-        pair = np.einsum("ika,kl,jlb->ijab", jx, h, jy)
+        pair = np.einsum("...ika,...kl,...jlb->...ijab", jx, h, jy)
         return self.base._hess_mm(points, weights, xs, ys) + pair
 
     def _grad_x_of_Dm(self, points, weights, xs):

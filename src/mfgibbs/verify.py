@@ -134,17 +134,29 @@ def suite_curvature():
     return results
 
 
+def _mmm_line(name, energy, stacks):
+    """The M_mm check of an energy: the largest block norm over its stacks
+    of configurations against the declared M_mm."""
+    norm = float(np.max([bounds.hessian_block_norm(energy, x) for x in stacks]))
+    Mmm = energy.declared_Mmm
+    return (
+        f"{name} Mmm",
+        norm <= Mmm + 1e-9,
+        f"max block norm={norm:.6f} <= declared {Mmm:.6f} (slack {Mmm - norm:.6f})",
+    )
+
+
 def suite_hessian():
     rng = np.random.default_rng(1)
     results = []
     quad = QuadraticMeanEnergy(0.5)
-    quad_config = rng.normal(size=(4, 1))
-    ratio = bounds.hessian_block_bound(quad, [quad_config])
+    quad_configs = rng.normal(size=(1, 4, 1))
+    ratio = bounds.hessian_block_bound(quad, quad_configs)
     results.append(
         ("quadratic block bound sharp", abs(ratio + 0.5) <= 1e-9, f"min ratio={ratio:.6f}")
     )
     kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
-    configs = [rng.normal(size=(8, 1)) for _ in range(100)]
+    configs = rng.normal(size=(100, 8, 1))
     ratio = bounds.hessian_block_bound(kern, configs)
     results.append(
         (
@@ -155,20 +167,25 @@ def suite_hessian():
     )
     # the particles at `_spread()` nearly reach -lambda, which the random
     # configurations of 8 N(0, 1) particles miss by a factor of 30
-    witness = _spread()
-    ratio = bounds.hessian_block_bound(kern, [witness])
+    witness = _spread()[None]
+    ratio = bounds.hessian_block_bound(kern, witness)
     results.append((
         "kernel block bound witness",
         ratio >= -kern.declared_lambda - 1e-9,
         f"lambda found={-ratio:.6f} <= declared {kern.declared_lambda}",
     ))
-    for name, energy, own in (("quadratic", quad, [quad_config]), ("kernel", kern, configs)):
-        norm, Mmm = bounds.hessian_block_norm(energy, [*own, witness]), energy.declared_Mmm
-        results.append((
-            f"{name} Mmm",
-            norm <= Mmm + 1e-9,
-            f"max block norm={norm:.6f} <= declared {Mmm:.6f} (slack {Mmm - norm:.6f})",
-        ))
+    results.append(_mmm_line("quadratic", quad, (quad_configs, witness)))
+    results.append(_mmm_line("kernel", kern, (configs, witness)))
+    # every block of the parametrized quadratic is -a I, so both of its
+    # lines are sharp on the kernel's configurations, with no witness
+    par = quadratic_as_parametrized(0.5)
+    ratio = bounds.hessian_block_bound(par, configs)
+    results.append((
+        "parametrized block bound",
+        ratio >= -par.declared_lambda - 1e-9,
+        f"min ratio={ratio:.6f} >= {-par.declared_lambda}",
+    ))
+    results.append(_mmm_line("parametrized", par, (configs,)))
     return results
 
 

@@ -458,44 +458,87 @@ class TestCheckers:
         rng = np.random.default_rng(26)
         for energy in (PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), QuadraticMeanEnergy(0.5)):
             for d in (1, 2):  # the modulus branch, then the SVD branch
-                configs = [rng.normal(size=(n, d)) for n in (1, 3, 6)]
-                want = max(
-                    np.linalg.norm(block, 2)
-                    for x in configs
-                    for row in energy._hess_mm(x, np.full(len(x), 1.0 / len(x)), x, x)
-                    for block in row
-                )
-                assert bounds.hessian_block_norm(energy, configs) == want
+                for n in (1, 3, 6):  # one stack per size
+                    x = rng.normal(size=(4, n, d))
+                    want = max(
+                        np.linalg.norm(block, 2)
+                        for c in x
+                        for row in energy._hess_mm(c, np.full(n, 1.0 / n), c, c)
+                        for block in row
+                    )
+                    assert bounds.hessian_block_norm(energy, x) == want
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_hessian_block_norm_quadratic(self, d):
-        configs = [np.random.default_rng(27).normal(size=(5, d))]
-        norm = bounds.hessian_block_norm(QuadraticMeanEnergy(0.5), configs)
+        x = np.random.default_rng(27).normal(size=(1, 5, d))
+        norm = bounds.hessian_block_norm(QuadraticMeanEnergy(0.5), x)
         assert abs(norm - 0.5) <= 1e-15
-        assert bounds.hessian_block_norm(quadratic_as_parametrized(0.5), configs) == norm
+        assert bounds.hessian_block_norm(quadratic_as_parametrized(0.5), x) == norm
 
     def test_hessian_block_norm_kernel_witness(self):
         kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
-        norm = bounds.hessian_block_norm(kern, [verify._spread()])
+        norm = bounds.hessian_block_norm(kern, verify._spread()[None])
         assert abs(norm - abs(2.0 * 0.05 - 2.0 * 1.0)) <= 1e-12  # |2 alpha - 2 L| at x_i = x_j
 
     def test_hessian_block_quadratic_sharp(self):
         quad = QuadraticMeanEnergy(0.5)
-        x = np.random.default_rng(23).normal(size=(4, 1))
-        ratio = bounds.hessian_block_bound(quad, [x])
+        x = np.random.default_rng(23).normal(size=(1, 4, 1))
+        ratio = bounds.hessian_block_bound(quad, x)
         assert abs(ratio + 0.5) < 1e-12
 
     def test_hessian_block_kernel(self):
-        rng = np.random.default_rng(24)
         kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
-        configs = [rng.normal(size=(8, 1)) for _ in range(50)]
+        configs = np.random.default_rng(24).normal(size=(50, 8, 1))
         ratio = bounds.hessian_block_bound(kern, configs)
         assert ratio >= -0.1 - 1e-9
 
     def test_hessian_block_trivial(self):
         kern = PairwiseKernelEnergy(eta=1.0, L=0.0, alpha=0.0)
-        ratio = bounds.hessian_block_bound(kern, [np.zeros((3, 1))])
+        ratio = bounds.hessian_block_bound(kern, np.zeros((1, 3, 1)))
         assert abs(ratio) < 1e-12
+
+
+HESSIAN_CHECKS = (bounds.hessian_block_bound, bounds.hessian_block_norm)
+HESSIAN_ENERGIES = {
+    "quadratic": QuadraticMeanEnergy(0.5),
+    "kernel": PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05),
+    "parametrized": quadratic_as_parametrized(0.5),
+}
+
+
+class TestHessianStacks:
+    """Both Hessian-block checks take one stack of configurations (K, N, d)."""
+
+    @pytest.mark.parametrize("check", HESSIAN_CHECKS)
+    @pytest.mark.parametrize("name", list(HESSIAN_ENERGIES))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_stack_is_its_configurations(self, check, name, d):
+        # the bound is the least, the norm the largest, of its one-configuration stacks
+        energy = HESSIAN_ENERGIES[name]
+        x = np.random.default_rng(28 + d).normal(size=(7, 5, d)) * 1.5
+        alone = [check(energy, c[None]) for c in x]
+        pick = min if check is bounds.hessian_block_bound else max
+        assert check(energy, x) == pick(alone)
+
+    @pytest.mark.parametrize("check", HESSIAN_CHECKS)
+    @pytest.mark.parametrize("form", ["one configuration", "1-D row", "4-D array", "mixed sizes"])
+    def test_no_stack_raises(self, check, form):
+        # read as rows of one-particle configurations, or as one particle in
+        # d = 8, a configuration of the kernel passes any lambda
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        x = np.random.default_rng(31).normal(size=(8, 1))
+        bad = {"one configuration": x, "1-D row": x[:, 0], "4-D array": x[None, None],
+               "mixed sizes": [x, x[:3]]}
+        with pytest.raises(ValueError, match=r"expected a stack \(K, N, d\)"):
+            check(kern, bad[form])
+
+    @pytest.mark.parametrize("check", HESSIAN_CHECKS)
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 8, 1))], ids=["list", "stack"])
+    def test_an_empty_battery_raises(self, check, empty):
+        # an empty battery checks nothing: it must not pass as a bound of inf
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        with pytest.raises(ValueError, match=r"expected a stack \(K, N, d\) .*K >= 1"):
+            check(kern, empty)
 
 
 class TestReportSerialization:

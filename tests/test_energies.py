@@ -309,6 +309,21 @@ class TestArrayConvention:
         self._compare(exact, got, ref)
 
     @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(ARRAY_ENERGIES))
+    def test_hess_mm_of_a_stack_is_each_configuration_alone(self, name, d):
+        # configurations (K, n, d) with shared weights, as the Hessian-block checks take them
+        e = ARRAY_ENERGIES[name][0]()
+        rng = np.random.default_rng(70 + d)
+        x = rng.normal(size=(7, 5, d)) * 1.5
+        w = rng.random(5) + 0.1
+        w /= w.sum()
+        blocks, matrices = e._hess_mm(x, w, x, x), e._hess_mm_matrix(x, w)
+        assert blocks.shape == (7, 5, 5, d, d) and matrices.shape == (7, 5 * d, 5 * d)
+        for c, got_blocks, got_matrix in zip(x, blocks, matrices):
+            np.testing.assert_array_equal(got_blocks, e._hess_mm(c, w, c, c))
+            np.testing.assert_array_equal(got_matrix, e._hess_mm_matrix(c, w))
+
+    @pytest.mark.parametrize("d", [1, 2])
     def test_kernel_row_blocks_match_unblocked(self, d):
         n = m = 400
         assert _BLOCK_ENTRIES // n < m / 2  # at least two row blocks

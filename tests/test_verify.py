@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from test_bounds import unstacked
@@ -227,7 +229,8 @@ def test_hessian_witness_and_mmm_lines_match_a_dense_reference():
     found = -np.linalg.eigvalsh(kernel_blocks(x))[0] / 100
     rng = np.random.default_rng(1)
     rng.normal(size=(4, 1))  # the quadratic's configuration
-    configs = [rng.normal(size=(8, 1)) for _ in range(100)]
+    configs = [rng.normal(size=(8, 1)) for _ in range(100)]  # the suite's one (100, 8, 1) draw
+    ratio = min(np.linalg.eigvalsh(kernel_blocks(c))[0] for c in configs) / 8
     norm = max(float(np.max(np.abs(kernel_blocks(c)))) for c in configs + [x])
     Mmm = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05).declared_Mmm
     lines = {name: (ok, detail) for name, ok, detail in verify.suite_hessian()}
@@ -235,6 +238,7 @@ def test_hessian_witness_and_mmm_lines_match_a_dense_reference():
         True, f"lambda found={found:.6f} <= declared 0.1"
     )
     assert lines["kernel block bound witness"][1] == "lambda found=0.099683 <= declared 0.1"
+    assert lines["kernel block bound"] == (True, f"min ratio={ratio:.6f} >= -0.1")
     assert lines["kernel Mmm"] == (
         True, f"max block norm={norm:.6f} <= declared {Mmm:.6f} (slack {Mmm - norm:.6f})"
     )
@@ -245,7 +249,7 @@ def test_hessian_witness_and_mmm_lines_match_a_dense_reference():
 
 def test_the_hessian_witness_is_sharp(monkeypatch):
     kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
-    found = -bounds.hessian_block_bound(kern, [verify._spread()])
+    found = -bounds.hessian_block_bound(kern, verify._spread()[None])
     assert 0.99 * kern.declared_lambda < found <= kern.declared_lambda
     assert all(ok for ok, _ in hessian_lines(monkeypatch).values())
     lines = hessian_lines(monkeypatch, PairwiseKernelEnergy, declared_lambda=0.99 * found)
@@ -268,3 +272,25 @@ def test_an_understated_mmm_fails(monkeypatch, capsys, cls, name, norm):
     assert [n for n, (ok, _) in lines.items() if not ok] == [f"{name} Mmm"]
     assert main(["verify", "hessian"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "suite hessian: FAIL"
+
+
+@pytest.mark.parametrize(
+    "changed, failing",
+    [
+        ({}, []),
+        ({"alpha_r": 0.2475}, ["parametrized block bound"]),  # lambda 0.495
+        ({"r_hess_bound": 0.495}, ["parametrized Mmm"]),
+    ],
+)
+def test_the_parametrized_lines_are_sharp(monkeypatch, changed, failing):
+    # every block is -a I: the ratio is -a = -lambda and the block norm a = Mmm
+    par = dataclasses.replace(quadratic_as_parametrized(0.5), **changed)
+    monkeypatch.setattr(verify, "quadratic_as_parametrized", lambda a: par)
+    lines = hessian_lines(monkeypatch)
+    assert list(lines)[-2:] == ["parametrized block bound", "parametrized Mmm"]
+    assert [n for n, (ok, _) in lines.items() if not ok] == failing
+    assert lines["parametrized block bound"][1] == f"min ratio=-0.500000 >= {-par.declared_lambda}"
+    assert lines["parametrized Mmm"][1] == (
+        f"max block norm=0.500000 <= declared {par.declared_Mmm:.6f} "
+        f"(slack {par.declared_Mmm - 0.5:.6f})"
+    )
