@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import SimConfig, Trajectory, run_chain
 from .energies import ParticleSystem
 from .spectral1d import Grid1D, conditional_potential, gaussian_exact, gaussian_kl, grid_poincare
-from .spectral1d import ou_exact_flow, trapezoid_moments
+from .spectral1d import ou_exact_flow_stacks, trapezoid_moments
 
 __all__ = [
     "GapEstimate",
@@ -226,8 +226,8 @@ def entropy_decay_gaussian(
     times = np.asarray(times, dtype=float)
     exact = gaussian_exact(system)
     target_mean = np.zeros(system.N * system.d)
-    flow = ou_exact_flow(system, mean0, cov0, times)
-    ents = np.array([gaussian_kl(m, c, target_mean, exact.covariance) for m, c in flow])
+    means, covs = ou_exact_flow_stacks(system, mean0, cov0, times)
+    ents = gaussian_kl(means, covs, target_mean, exact.covariance)
     flags = {}
     if np.max(ents) <= 1e-15:
         return EntropyDecayCurve(times, ents, math.nan, 0.0, {"identically_zero": True})

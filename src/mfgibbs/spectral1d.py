@@ -22,6 +22,7 @@ __all__ = [
     "trapezoid_moments",
     "gaussian_exact",
     "ou_exact_flow",
+    "ou_exact_flow_stacks",
     "gaussian_kl",
 ]
 
@@ -71,13 +72,13 @@ class Grid1D:
 @dataclass(frozen=True)
 class SpectralResult:
     gap: float
-    ground_mass: float  # deviation of the ground state from the constant mode
     converged: bool  # gap stable under grid refinement
 
 
 def _generator(grid: Grid1D) -> tuple:
-    """(diag, off, inv_sqrt): the grid's generator as a symmetric tridiagonal
-    matrix, and inv_sqrt, which maps its eigenvectors back to functions."""
+    """(diag, off): the grid's generator as a symmetric tridiagonal matrix.
+    Its rows annihilate the square roots of the node masses, so its least
+    eigenvalue is 0 and the next one is the gap."""
     # Dirichlet form sum m_{k+1/2} (f_{k+1}-f_k)^2 / h with geometric-mean
     # midpoint weights, symmetrized by sqrt of the node masses; reflecting
     # (zero-flux) boundaries come out naturally.
@@ -87,8 +88,7 @@ def _generator(grid: Grid1D) -> tuple:
     # there is <= e^{-600} so the low spectrum is unchanged
     inside = np.nonzero(u <= 600.0)[0]
     u = u[inside[0] : inside[-1] + 1]
-    node = np.exp(-u)
-    node_w = node.copy()
+    node_w = np.exp(-u)
     node_w[0] *= 0.5
     node_w[-1] *= 0.5
     mid = np.exp(-0.5 * (u[:-1] + u[1:]))
@@ -97,9 +97,8 @@ def _generator(grid: Grid1D) -> tuple:
     diag = np.zeros(len(u))
     diag[:-1] += s
     diag[1:] += s
-    off = -s
     inv_sqrt = 1.0 / np.sqrt(node_w)
-    return diag * inv_sqrt**2, off * inv_sqrt[:-1] * inv_sqrt[1:], inv_sqrt
+    return diag * inv_sqrt**2, -s * inv_sqrt[:-1] * inv_sqrt[1:]
 
 
 def end_density_ratio(density: np.ndarray) -> float:
@@ -121,21 +120,20 @@ def grid_poincare(grid: Grid1D) -> SpectralResult:
     """
     if not boundary_negligible(np.exp(-(grid.potential - grid.potential.min()))):
         raise ValueError("window too small: boundary density not negligible")
+    fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
+    gap, gap_fine = _gap(grid), _gap(fine)
+    converged = abs(gap_fine - gap) <= REFINE_TOL * max(abs(gap), 1e-300)
+    return SpectralResult(gap=gap, converged=converged)
+
+
+def _gap(grid: Grid1D) -> float:
+    """The index-1 eigenvalue of the grid's generator by bisection, alone:
+    no eigenvector and no other eigenvalue."""
     from scipy.linalg import eigh_tridiagonal  # local: only a grid gap pays its import
 
-    diag, off, inv_sqrt = _generator(grid)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-    gap, ground = float(vals[1]), vecs[:, 0] * inv_sqrt
-    ground /= np.sign(ground.sum())
-    # ground state of the generator is the constant function
-    ground_mass = float(np.max(np.abs(ground / ground.mean() - 1.0)))
-    # the 2n - 1 refinement gives its gap alone: eigenvalues, no eigenvectors
-    fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
-    fine_diag, fine_off, _ = _generator(fine)
-    vals = eigh_tridiagonal(fine_diag, fine_off, eigvals_only=True, select="i", select_range=(0, 1))
-    gap_fine = float(vals[1])
-    converged = abs(gap_fine - gap) <= REFINE_TOL * max(abs(gap), 1e-300)
-    return SpectralResult(gap=gap, ground_mass=ground_mass, converged=converged)
+    diag, off = _generator(grid)
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(1, 1))
+    return float(vals[0])
 
 
 def _refine_potential(values: np.ndarray) -> np.ndarray:
@@ -264,8 +262,16 @@ def ou_exact_flow(system: ParticleSystem, mean0, cov0, times):
     """Exact Gaussian law of the Langevin dynamics for quadratic-mean energies.
 
     mean_t = exp(-A t) mean0; cov_t = exp(-A t) cov0 exp(-A t)
-    + A^{-1} (I - exp(-2 A t)), with A = grad^2 U_N constant.
+    + A^{-1} (I - exp(-2 A t)), with A = grad^2 U_N constant. A list of
+    (mean_t, cov_t), one pair per time.
     """
+    return list(zip(*ou_exact_flow_stacks(system, mean0, cov0, times)))
+
+
+def ou_exact_flow_stacks(system: ParticleSystem, mean0, cov0, times) -> tuple:
+    """`ou_exact_flow` as two stacks, the means (T, n) and the covariances
+    (T, n, n) at the T times: one buffer each, where a list of pairs holds
+    2T arrays."""
     A = _gaussian_precision(system)
     n = system.N * system.d
     mean0 = np.asarray(mean0, dtype=float).reshape(n)
@@ -274,32 +280,46 @@ def ou_exact_flow(system: ParticleSystem, mean0, cov0, times):
     if evals[0] <= 0:
         raise GibbsUndefinedError("gibbs-undefined: precision not positive definite")
     inv_evals = 1.0 / evals
-    out = []
-    for t in np.asarray(times, dtype=float):
+    times = np.asarray(times, dtype=float)
+    means, covs = np.empty((len(times), n)), np.empty((len(times), n, n))
+    for mean, cov, t in zip(means, covs, times):
         decay = np.exp(-evals * t)
-        E = evecs @ np.diag(decay) @ evecs.T
-        stat = evecs @ np.diag(inv_evals * (1.0 - decay**2)) @ evecs.T
-        out.append((E @ mean0, E @ cov0 @ E + stat))
-    return out
+        E = (evecs * decay) @ evecs.T
+        stat = (evecs * (inv_evals * (1.0 - decay**2))) @ evecs.T
+        mean[:] = E @ mean0
+        np.add(E @ cov0 @ E, stat, out=cov)
+    return means, covs
 
 
-def gaussian_kl(mean_a, cov_a, mean_b, cov_b) -> float:
-    """KL divergence KL(N(mean_a, cov_a) || N(mean_b, cov_b))."""
+def gaussian_kl(mean_a, cov_a, mean_b, cov_b):
+    """KL divergence KL(N(mean_a, cov_a) || N(mean_b, cov_b)): a float, or an
+    array for a stack of first laws, means (..., k) and covariances
+    (..., k, k), whose items equal their one-law calls bit for bit."""
     mean_a = np.atleast_1d(np.asarray(mean_a, dtype=float))
     mean_b = np.atleast_1d(np.asarray(mean_b, dtype=float))
     cov_a = np.atleast_2d(np.asarray(cov_a, dtype=float))
     cov_b = np.atleast_2d(np.asarray(cov_b, dtype=float))
-    k = len(mean_a)
-    try:
-        chol_b = np.linalg.cholesky(cov_b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("second covariance must be positive definite") from exc
+    k = mean_b.shape[-1]
+    shapes = (mean_a.shape[-1:], mean_b.shape, cov_b.shape, cov_a.shape)
+    if shapes != ((k,), (k,), (k, k), mean_a.shape + (k,)):
+        raise ValueError("need means (..., k), (k,) and covariances (..., k, k), (k, k)")
+    # one Cholesky factor at a time: a stack of factors would be a second
+    # array the size of cov_a
+    logdet_a = np.array([_logdet(c, "first") for c in cov_a.reshape(-1, k, k)])
+    logdet_b = _logdet(cov_b, "second")
     solve_b = np.linalg.inv(cov_b)
-    diff = mean_b - mean_a
-    sign_a, logdet_a = np.linalg.slogdet(cov_a)
-    if sign_a <= 0:
-        raise ValueError("first covariance must be positive definite")
-    logdet_b = 2.0 * float(np.sum(np.log(np.diag(chol_b))))
-    return 0.5 * float(
-        np.trace(solve_b @ cov_a) - k + diff @ solve_b @ diff + logdet_b - logdet_a
-    )
+    # one gemv and one dot per item, as for one law
+    diff = (mean_b - mean_a)[..., None, :]
+    quad = (diff @ solve_b @ np.swapaxes(diff, -1, -2))[..., 0, 0]
+    trace = np.einsum("ij,...ji->...", solve_b, cov_a)
+    kl = 0.5 * (trace - k + quad + logdet_b - logdet_a.reshape(trace.shape))
+    return float(kl) if kl.ndim == 0 else kl
+
+
+def _logdet(cov: np.ndarray, which: str) -> float:
+    """log det of a positive-definite covariance, from its Cholesky factor."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{which} covariance must be positive definite") from exc
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))

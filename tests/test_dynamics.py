@@ -942,6 +942,21 @@ class TestExactFlow:
         np.testing.assert_allclose(m, [1.0, 2.0], atol=1e-14)
         np.testing.assert_allclose(S, cov0, atol=1e-14)
 
+    def test_matches_diag_form(self):
+        # scaling V's columns is the product with np.diag(decay), bit for bit
+        system = ParticleSystem(QuadraticMeanEnergy(0.3), 5, 1)
+        rng = np.random.default_rng(4)
+        mean0, B = rng.normal(size=5), rng.normal(size=(5, 5))
+        cov0 = B @ B.T + 0.1 * np.eye(5)
+        times = [0.0, 0.35, 2.0]
+        evals, V = np.linalg.eigh(system.hess_u_n(np.zeros((5, 1))))
+        for t, (m, S) in zip(times, ou_exact_flow(system, mean0, cov0, times)):
+            decay = np.exp(-evals * t)
+            E = V @ np.diag(decay) @ V.T
+            stat = V @ np.diag((1.0 / evals) * (1.0 - decay**2)) @ V.T
+            assert np.array_equal(m, E @ mean0)
+            assert np.array_equal(S, E @ cov0 @ E + stat)
+
     def test_undefined_gibbs(self):
         system = ParticleSystem(QuadraticMeanEnergy(1.5), 2, 1)
         with pytest.raises(GibbsUndefinedError):

@@ -18,7 +18,7 @@ from mfgibbs.estimators import (
     estimate_gap_autocorr,
     estimate_gap_variance_decay,
 )
-from mfgibbs.spectral1d import gaussian_exact
+from mfgibbs.spectral1d import gaussian_exact, gaussian_kl, ou_exact_flow
 
 
 def ou_system(kappa=1.0, N=1):
@@ -229,6 +229,17 @@ class TestEntropyDecay:
             system, np.zeros(3), cov_inf, np.linspace(0.0, 1.0, 10)
         )
         assert curve.flags.get("identically_zero")
+
+    def test_entropies_are_the_one_law_kls(self):
+        # the curve's one stacked KL call, bit for bit the KL of each law alone
+        system = ParticleSystem(QuadraticMeanEnergy(0.2), 50, 1)
+        times = np.linspace(0.0, 4.0, 60)
+        curve = entropy_decay_gaussian(system, np.ones(50), np.eye(50), times)
+        target = gaussian_exact(system).covariance
+        one = [gaussian_kl(m, c, np.zeros(50), target) for m, c in ou_exact_flow(
+            system, np.ones(50), np.eye(50), times
+        )]
+        np.testing.assert_array_equal(curve.entropies, one)
 
     def test_mixed_modes_dominated_by_slowest(self):
         # generic start: late-time rate approaches 2 lambda_min

@@ -16,6 +16,7 @@ from mfgibbs.spectral1d import (
     grid_poincare,
     proximal_gibbs_fixed_point,
 )
+from mfgibbs.spectral1d import _generator
 
 
 def ou_grid(kappa=1.0, lo=-10.0, hi=10.0, n=2001):
@@ -54,7 +55,6 @@ class TestGridPoincare:
         res = grid_poincare(ou_grid(1.0))
         assert abs(res.gap - 1.0) < 1e-3
         assert res.converged
-        assert res.ground_mass < 1e-8
 
     def test_ou_scaling(self):
         # gap of U = kappa x^2 / 2 is exactly kappa
@@ -95,6 +95,67 @@ class TestGridPoincare:
         # second-order scheme: coarse error should dominate and both are close
         assert abs(fine - 1.0) < abs(coarse - 1.0) + 1e-9
         assert abs(coarse - fine) < 1e-3
+
+
+def _grid(potential, lo, hi, n=301):
+    return Grid1D(lo, hi, n, potential(np.linspace(lo, hi, n)))
+
+
+def _dense_generator(grid):
+    diag, off = _generator(grid)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestGapAgainstDense:
+    """`grid_poincare`'s bisection gap against a dense eigensolve of the same
+    symmetric tridiagonal: its least eigenvalue is the constant mode's 0, the
+    next one the gap."""
+
+    GRIDS = {
+        "ou": (lambda x: 0.5 * x * x, -10.0, 10.0),
+        "tilted-well": (lambda x: x**4 / 4 - x * x + 0.3 * x, -4.5, 4.5),
+        "deep-well": (lambda x: 2.0 * (x * x - 1.0) ** 2 + 0.5 * x, -3.0, 3.0),
+        # u exceeds 600 beyond |x| ~ 34.6: those nodes are dropped
+        "steep-tail": (lambda x: 0.5 * x * x, -40.0, 40.0),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_gap_is_second_dense_eigenvalue(self, name):
+        grid = _grid(*self.GRIDS[name])
+        vals = np.linalg.eigvalsh(_dense_generator(grid))
+        gap = grid_poincare(grid).gap
+        assert abs(gap - vals[1]) <= 1e-9 * vals[1]
+        assert abs(vals[0]) <= 1e-9 * gap
+
+    def test_steep_tail_drops_nodes(self):
+        grid = _grid(*self.GRIDS["steep-tail"])
+        kept = np.nonzero(grid.potential - grid.potential.min() <= 600.0)[0]
+        diag, off = _generator(grid)
+        assert len(diag) == len(kept) < grid.n
+        assert len(off) == len(kept) - 1
+        # the gap of the grid cut to the kept nodes, up to the rounding of
+        # the cut grid's spacing
+        x = grid.x[kept]
+        cut = Grid1D(x[0], x[-1], len(kept), grid.potential[kept])
+        gap = grid_poincare(grid).gap
+        assert abs(gap - grid_poincare(cut).gap) <= 1e-12 * gap
+        assert abs(gap - 1.0) < 1e-2
+
+    def test_one_eigenvalue_per_grid(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def spy(diag, off, **kwargs):
+            calls.append((len(diag), kwargs))
+            return solve(diag, off, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        grid_poincare(ou_grid(n=301))
+        assert [n for n, _ in calls] == [301, 601]
+        for _, kwargs in calls:
+            assert kwargs == {"eigvals_only": True, "select": "i", "select_range": (1, 1)}
 
 
 def _conditional_by_node(system, frozen, lo, hi, n):
@@ -279,6 +340,56 @@ class TestGaussianKL:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             gaussian_kl([0.0], [[1.0]], [0.0], [[0.0]])
+
+
+class TestGaussianKLStack:
+    @staticmethod
+    def laws(rng, count, k):
+        B = rng.normal(size=(count, k, k))
+        return rng.normal(size=(count, k)), B @ np.swapaxes(B, -1, -2) + 0.3 * np.eye(k)
+
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_stack_equals_one_law_calls(self, k):
+        rng = np.random.default_rng(k)
+        means, covs = self.laws(rng, 7, k)
+        (mean_b,), (cov_b,) = self.laws(rng, 1, k)
+        stacked = gaussian_kl(means, covs, mean_b, cov_b)
+        assert stacked.shape == (7,)
+        one = np.array([gaussian_kl(m, c, mean_b, cov_b) for m, c in zip(means, covs)])
+        assert np.all(np.abs(stacked - one) <= 1e-14 * np.abs(one))
+
+    def test_stack_shape_kept(self):
+        means, covs = self.laws(np.random.default_rng(2), 6, 2)
+        kl = gaussian_kl(means.reshape(2, 3, 2), covs.reshape(2, 3, 2, 2), np.zeros(2), np.eye(2))
+        assert kl.shape == (2, 3)
+        np.testing.assert_array_equal(kl.ravel(), gaussian_kl(means, covs, np.zeros(2), np.eye(2)))
+
+    def test_one_law_is_float(self):
+        assert isinstance(gaussian_kl([1.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2)), float)
+
+    @pytest.mark.parametrize("cov", [-np.eye(2), np.diag([-1.0, -2.0])], ids=["-I2", "diag(-1,-2)"])
+    def test_indefinite_first_covariance_rejected(self, cov):
+        # slogdet's sign of either is +1: its log-determinant alone would pass
+        with pytest.raises(ValueError, match="first covariance"):
+            gaussian_kl([0.0, 0.0], cov, [0.0, 0.0], np.eye(2))
+        stack = np.stack([np.eye(2), cov, 2.0 * np.eye(2)])
+        with pytest.raises(ValueError, match="first covariance"):
+            gaussian_kl(np.zeros((3, 2)), stack, [0.0, 0.0], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "mean_a, cov_a, mean_b, cov_b",
+        [
+            (np.zeros((3, 2)), np.tile(np.eye(2), (4, 1, 1)), np.zeros(2), np.eye(2)),
+            (np.zeros(3), np.eye(2), np.zeros(2), np.eye(2)),
+            (np.zeros(2), np.zeros((2, 3)), np.zeros(2), np.eye(2)),
+            (np.zeros(2), np.eye(2), np.zeros((2, 2)), np.eye(2)),
+            (np.zeros(2), np.eye(2), np.zeros(2), np.eye(3)),
+        ],
+        ids=["stack-sizes", "first-mean", "first-cov", "second-mean", "second-cov"],
+    )
+    def test_mismatched_shapes_rejected(self, mean_a, cov_a, mean_b, cov_b):
+        with pytest.raises(ValueError, match="need means"):
+            gaussian_kl(mean_a, cov_a, mean_b, cov_b)
 
 
 class TestLsiFisherProperty:
