@@ -4,9 +4,9 @@ Implements the Poincare constant rho_N - lambda - M/N, the defective
 log-Sobolev constants (N_0, lambda_tilde, delta_N, beta_N, rho'_{N,*}),
 the tightened constant rho_{N,*}, closed-form inputs for the worked
 examples, and the structural checkers. The mixture-convexity checks take
-stacks of measures (`stack_deficits`); only the one-pair checks take
-`DiscreteMeasure`s. The Hessian-block checks take one stack of
-configurations (K, N, d) and make one energy call for it.
+two zero-padded stacks of measures (`stack_deficits`), in blocks of pairs;
+only the one-pair checks take `DiscreteMeasure`s. The Hessian-block checks
+take one stack of configurations (K, N, d) and make one energy call for it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ __all__ = [
 #: the mixture weights t of both convexity checkers; includes t = 1/2, the
 #: value used in the Hessian lemma
 DEFAULT_T_GRID = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))
+
+#: Pairs per block of `stack_deficits`, which keeps a block's arrays small.
+_BLOCK_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -280,33 +283,36 @@ def _mixture_gaps(energy, mu, nu) -> np.ndarray:
     return lhs - t * f_mu - (1.0 - t) * f_nu
 
 
-def stack_deficits(energy: MeanFieldEnergy, stacks, penalty) -> np.ndarray:
-    """Worst mixture-convexity deficit over `DEFAULT_T_GRID` of each pair,
-    in pair-index order. `stacks` are (pair indices, mu stack, nu stack)
-    groups, each stack the atoms (points (P, n, d), weights (P, n)) of P
-    measures, which the caller has checked (`measures.check_atoms`);
-    penalty(mu, nu) is the penalty (P,) of a group's pairs, `w2_penalty` or
-    `feature_cost_penalty`.
+def stack_deficits(energy: MeanFieldEnergy, mu, nu, penalty) -> np.ndarray:
+    """Worst mixture-convexity deficit over `DEFAULT_T_GRID` of each pair
+    (mu_i, nu_i) of two stacks of P measures, their atoms (points (P, n, d),
+    weights (P, n)) checked by the caller (`measures.check_atoms`), a measure
+    of fewer atoms padded by atoms of weight zero. penalty(mu, nu) is the
+    pairs' penalty (P,), `w2_penalty` or `feature_cost_penalty`. One
+    `_mixture_gaps` and one penalty pass per block of at most _BLOCK_PAIRS
+    pairs; each pair's deficit is the one it has alone.
 
     Nonpositive (up to 1e-9) means the convexity holds on that pair.
     """
     t = np.asarray(DEFAULT_T_GRID)
-    worst = np.empty(sum(len(index) for index, _, _ in stacks))
-    for index, mu, nu in stacks:
-        gaps = _mixture_gaps(energy, mu, nu)
-        worst[index] = np.max(gaps - t * (1.0 - t) * penalty(mu, nu)[:, None], axis=1)
+    worst = np.empty(len(mu[1]))
+    for start in range(0, len(worst), _BLOCK_PAIRS):
+        block = slice(start, start + _BLOCK_PAIRS)
+        mu_b, nu_b = (mu[0][block], mu[1][block]), (nu[0][block], nu[1][block])
+        gaps = _mixture_gaps(energy, mu_b, nu_b)
+        worst[block] = np.max(gaps - t * (1.0 - t) * penalty(mu_b, nu_b)[:, None], axis=1)
     return worst
 
 
 def w2_penalty(lam: float):
-    """The semi-convexity penalty lambda/2 W2^2(mu, nu) of a group's pairs,
-    for `stack_deficits`."""
+    """The semi-convexity penalty lambda/2 W2^2(mu, nu) of the pairs of two
+    stacks, for `stack_deficits`."""
     return lambda mu, nu: 0.5 * lam * w2_squared_pairs(nu, mu)
 
 
 def feature_cost_penalty(energy: ParametrizedEnergy):
-    """The parametrized cost alpha_r |int phi d(nu - mu)|^2 of a group's
-    pairs, from the batched feature means, for `stack_deficits`."""
+    """The parametrized cost alpha_r |int phi d(nu - mu)|^2 of the pairs of
+    two stacks, from the batched feature means, for `stack_deficits`."""
     if not isinstance(energy, ParametrizedEnergy):
         raise TypeError("cost functional required for non-parametrized energies")
     return lambda mu, nu: energy._cost(*mu, *nu)
@@ -326,8 +332,8 @@ def check_semi_convexity(
     """
     if lam is None:
         lam = energy.declared_lambda
-    stack = ([0], (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None]))
-    return float(stack_deficits(energy, [stack], w2_penalty(lam))[0])
+    mu, nu = (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None])
+    return float(stack_deficits(energy, mu, nu, w2_penalty(lam))[0])
 
 
 def semi_convexity_lambda(

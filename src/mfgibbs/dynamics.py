@@ -3,7 +3,7 @@
 ULA is the Euler-Maruyama discretization of the overdamped Langevin
 dynamics dX = -grad U_N dt + sqrt(2) dB; MALA adds a Metropolis-Hastings
 correction and is unbiased. The exact Ornstein-Uhlenbeck flow of a
-quadratic-mean energy, the oracle for both, is `spectral1d.ou_exact_flow`.
+quadratic-mean energy, their oracle, is `spectral1d.ou_exact_flow_stacks`.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ for a Hessian. A primitive calls each callable once, on all its rows.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -466,17 +467,27 @@ def _gauss_product(xs, points, rhs):
     return np.concatenate([_gauss_rows(xs[b], points[b]) @ rhs[b] for b in blocks])
 
 
+@functools.lru_cache(maxsize=2)
+def _gauss_spectrum(n: int, h: float) -> np.ndarray:
+    """rfft of the power-of-two circulant embedding of exp(-(k h)^2), k < n,
+    read-only: kept for a fixed point's grid and its refinement alike."""
+    size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1
+    column = np.zeros(size)
+    column[:n] = np.exp(-np.square(np.arange(n) * h))
+    column[size - n + 1 :] = column[n - 1 : 0 : -1]
+    spectrum = np.fft.rfft(column)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def _gauss_toeplitz(h, weights):
     """exp(-(x_i - x_j)^2) @ weights over n uniform nodes of spacing h, (n,):
     a symmetric Toeplitz product, taken by FFT over a circulant embedding of
     power-of-two length (Golub & Van Loan, Matrix Computations, 4.7), exact
     up to round-off."""
-    n = len(weights)
-    size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1
-    column = np.zeros(size)
-    column[:n] = np.exp(-np.square(np.arange(n) * h))
-    column[size - n + 1 :] = column[n - 1 : 0 : -1]
-    return np.fft.irfft(np.fft.rfft(column) * np.fft.rfft(weights, size), size)[:n]
+    spectrum = _gauss_spectrum(len(weights), h)
+    size = 2 * len(spectrum) - 2
+    return np.fft.irfft(spectrum * np.fft.rfft(weights, size), size)[: len(weights)]
 
 
 @dataclass(frozen=True)

@@ -231,21 +231,17 @@ def entropy_decay_gaussian(
     flags = {}
     if np.max(ents) <= 1e-15:
         return EntropyDecayCurve(times, ents, math.nan, 0.0, {"identically_zero": True})
-    # least squares on log(H - floor), scanning the floor
-    positive = ents > 0
-    h_min = float(np.min(ents[positive]))
-
-    def residual(floor: float) -> tuple[float, float]:
-        excess = ents - floor
-        ok = excess > 1e-300
-        y = np.log(excess[ok])
-        t = times[ok]
-        slope, intercept = np.polyfit(t, y, 1)
-        return float(np.sum((y - (slope * t + intercept)) ** 2)), float(-slope)
-
-    floors = np.concatenate([[0.0], np.linspace(0.0, 0.999 * h_min, 64)[1:]])
-    scored = [(residual(f), f) for f in floors]
-    (res, rate), floor = min(scored, key=lambda p: p[0][0])
+    # least squares on log(H - floor), scanning the floor. Every floor lies
+    # below 0.999 h_min, so each keeps the times the highest keeps (unless
+    # h_min is below about 1e-297), and one Vandermonde solve fits them all.
+    floors = np.linspace(0.0, 0.999 * float(np.min(ents[ents > 0])), 64)
+    keep = ents - floors[-1] > 1e-300
+    t = times[keep]
+    logs = np.log(ents[keep] - floors[:, None])  # one row per floor
+    slope, intercept = np.polyfit(t, logs.T, 1)
+    res = np.sum((logs - (slope[:, None] * t + intercept[:, None])) ** 2, axis=1)
+    best = int(np.argmin(res))
+    rate, floor = float(-slope[best]), float(floors[best])
     if rho_star is not None:
         flags["rate_geq_2rho_star"] = rate >= 2.0 * rho_star - 1e-9
     return EntropyDecayCurve(times, ents, rate, floor, flags)

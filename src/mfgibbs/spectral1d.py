@@ -21,7 +21,6 @@ __all__ = [
     "proximal_gibbs_fixed_point",
     "trapezoid_moments",
     "gaussian_exact",
-    "ou_exact_flow",
     "ou_exact_flow_stacks",
     "gaussian_kl",
 ]
@@ -258,20 +257,13 @@ def gaussian_exact(system: ParticleSystem) -> GaussianExact:
     return GaussianExact(precision=A, poincare=lam_min, lsi=lam_min)
 
 
-def ou_exact_flow(system: ParticleSystem, mean0, cov0, times):
+def ou_exact_flow_stacks(system: ParticleSystem, mean0, cov0, times) -> tuple:
     """Exact Gaussian law of the Langevin dynamics for quadratic-mean energies.
 
     mean_t = exp(-A t) mean0; cov_t = exp(-A t) cov0 exp(-A t)
-    + A^{-1} (I - exp(-2 A t)), with A = grad^2 U_N constant. A list of
-    (mean_t, cov_t), one pair per time.
+    + A^{-1} (I - exp(-2 A t)), with A = grad^2 U_N constant: the means
+    (T, n) and the covariances (T, n, n) at the T times.
     """
-    return list(zip(*ou_exact_flow_stacks(system, mean0, cov0, times)))
-
-
-def ou_exact_flow_stacks(system: ParticleSystem, mean0, cov0, times) -> tuple:
-    """`ou_exact_flow` as two stacks, the means (T, n) and the covariances
-    (T, n, n) at the T times: one buffer each, where a list of pairs holds
-    2T arrays."""
     A = _gaussian_precision(system)
     n = system.N * system.d
     mean0 = np.asarray(mean0, dtype=float).reshape(n)

@@ -25,29 +25,24 @@ SHARPNESS_A = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 SHARPNESS_N = (10, 50, 200)
 
 
-def _random_stack(rng, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms (count, n, 1) and weights (count, n) of `count` random
-    measures of n atoms on the line, each checked by `check_atoms`."""
-    w = rng.random((count, n)) + 0.05
-    stack = rng.normal(size=(count, n, 1)) * 2.0, w / w.sum(axis=1, keepdims=True)
-    measures.check_atoms(*stack)
-    return stack
-
-
-def _random_stacks(rng, count: int) -> list:
-    """`count` random pairs (mu, nu), 1..6 atoms each, as the (pair indices,
-    mu stack, nu stack) groups of `bounds.stack_deficits`. The atom counts
-    of all pairs come first, mu's then nu's; then, group by group in
-    increasing (n_mu, n_nu), mu's weights and atoms, then nu's."""
+def _random_stacks(rng, count: int) -> tuple:
+    """`count` random pairs (mu, nu) on the line, 1..6 atoms each, as two
+    checked stacks (points (count, 6, 1), weights (count, 6)), padded by
+    atoms at 0 of weight 0. The draws: the atom counts of all mu, then of
+    all nu; then, for each (n_mu, n_nu) in increasing order, mu's weights
+    and atoms, then nu's."""
     n_mu, n_nu = rng.integers(1, 7, size=count), rng.integers(1, 7, size=count)
     key = 7 * n_mu + n_nu
-    stacks = []
+    mu, nu = ((np.zeros((count, 6, 1)), np.zeros((count, 6))) for _ in range(2))
     for k in np.unique(key):
         index = np.flatnonzero(key == k)
-        mu = _random_stack(rng, len(index), int(k) // 7)
-        nu = _random_stack(rng, len(index), int(k) % 7)
-        stacks.append((index, mu, nu))
-    return stacks
+        for (points, weights), n in ((mu, k // 7), (nu, k % 7)):
+            w = rng.random((len(index), n)) + 0.05
+            weights[index, :n] = w / w.sum(axis=1, keepdims=True)
+            points[index, :n] = rng.normal(size=(len(index), n, 1)) * 2.0
+    measures.check_atoms(*mu)
+    measures.check_atoms(*nu)
+    return mu, nu
 
 
 def suite_sharpness():
@@ -83,11 +78,11 @@ def _random_deficits():
     checks = []
     for name, energy in _concrete_energies():
         penalty = bounds.w2_penalty(energy.declared_lambda)
-        deficits = bounds.stack_deficits(energy, _random_stacks(rng, 1000), penalty)
+        deficits = bounds.stack_deficits(energy, *_random_stacks(rng, 1000), penalty)
         checks.append((f"semi-convexity {name}", deficits))
     par = quadratic_as_parametrized(0.5)  # cost-convexity for the parametrized route
     penalty = bounds.feature_cost_penalty(par)
-    deficits = bounds.stack_deficits(par, _random_stacks(rng, 200), penalty)
+    deficits = bounds.stack_deficits(par, *_random_stacks(rng, 200), penalty)
     return checks + [("cost-convexity parametrized", deficits)]
 
 
@@ -110,9 +105,9 @@ def suite_curvature():
     quad = QuadraticMeanEnergy(0.5)
     # equality case on the Dirac pairs (0, 2), (-1, 3) and (0.5, 0.5), one stack
     ones = np.ones((3, 1))
-    diracs = ([0, 1, 2], (np.array([0.0, -1.0, 0.5])[:, None, None], ones),
-              (np.array([2.0, 3.0, 0.5])[:, None, None], ones))
-    deficits = bounds.stack_deficits(quad, [diracs], bounds.w2_penalty(quad.declared_lambda))
+    mu = np.array([0.0, -1.0, 0.5])[:, None, None], ones
+    nu = np.array([2.0, 3.0, 0.5])[:, None, None], ones
+    deficits = bounds.stack_deficits(quad, mu, nu, bounds.w2_penalty(quad.declared_lambda))
     worst = float(np.max(np.abs(deficits)))
     results.append(("quadratic Dirac equality", worst <= 1e-12, f"|deficit|={worst:.2e}"))
     # sensitivity: an understated modulus must be caught

@@ -436,13 +436,13 @@ class TestCheckers:
     def test_cost_convexity_dirac_equality(self):
         par = quadratic_as_parametrized(0.5)
         stacks = one_pair(empirical([[0.0]]), empirical([[2.0]]))
-        (deficit,) = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
+        (deficit,) = bounds.stack_deficits(par, *stacks, bounds.feature_cost_penalty(par))
         assert abs(deficit) < 1e-12
 
     def test_cost_convexity_random(self):
         par = quadratic_as_parametrized(0.5)
         stacks = verify._random_stacks(np.random.default_rng(21), 200)
-        deficits = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
+        deficits = bounds.stack_deficits(par, *stacks, bounds.feature_cost_penalty(par))
         assert deficits.shape == (200,) and np.max(deficits) <= 1e-9
 
     def test_cost_convexity_exact_identity(self):
@@ -450,8 +450,8 @@ class TestCheckers:
         # concavity: the deficit vanishes on every pair, in any dimension
         par = quadratic_as_parametrized(0.5)
         rng = np.random.default_rng(22)
-        for stacks in (verify._random_stacks(rng, 100), [two_dimensional_stack(rng, 40, 3)]):
-            deficits = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
+        for stacks in (verify._random_stacks(rng, 100), two_dimensional_stacks(rng, 40, 3)):
+            deficits = bounds.stack_deficits(par, *stacks, bounds.feature_cost_penalty(par))
             assert np.max(np.abs(deficits)) <= 1e-9
 
     def test_hessian_block_norm_is_the_largest_block_norm(self):
@@ -580,33 +580,53 @@ def feature_cost(par, mu, nu):
 
 
 def one_pair(mu, nu):
-    """The pair (mu, nu) as the stacks of one pair of `bounds.stack_deficits`."""
-    return [([0], (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None]))]
+    """The pair (mu, nu) as the two stacks of one pair of `bounds.stack_deficits`."""
+    return (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None])
 
 
-def two_dimensional_stack(rng, count, n):
-    """`count` pairs of uniform measures of n atoms in the plane as one
-    (pair indices, mu stack, nu stack) group: d=2 takes the assignment W2,
-    which needs equal uniform supports."""
+def two_dimensional_stacks(rng, count, n):
+    """`count` pairs of uniform measures of n atoms in the plane as two
+    stacks: d=2 takes the assignment W2, which needs equal uniform supports."""
     weights = np.full((count, n), 1.0 / n)
     mu, nu = (rng.normal(size=(count, n, 2)) * 1.5 for _ in range(2))
-    return np.arange(count), (mu, weights), (nu, weights)
+    return (mu, weights), (nu, weights)
 
 
 def unstacked(stacks):
-    """The pairs of (pair indices, mu stack, nu stack) groups as
-    DiscreteMeasures, in pair-index order."""
-    pairs = [None] * sum(len(index) for index, _, _ in stacks)
-    for index, (mu_p, mu_w), (nu_p, nu_w) in stacks:
-        for k, i in enumerate(index):
-            pairs[i] = DiscreteMeasure(mu_p[k], mu_w[k]), DiscreteMeasure(nu_p[k], nu_w[k])
-    return pairs
+    """The pairs of two stacks (mu, nu) as DiscreteMeasures, in order, each
+    with every atom of its row: the padding of weight zero stays."""
+    (mu_p, mu_w), (nu_p, nu_w) = stacks
+    return [
+        (DiscreteMeasure(x, w), DiscreteMeasure(y, v))
+        for x, w, y, v in zip(mu_p, mu_w, nu_p, nu_w)
+    ]
+
+
+def unpadded(stacks):
+    """The pairs of two stacks as DiscreteMeasures of their atoms of positive
+    weight alone: each pair as it was drawn."""
+
+    def trim(m):
+        keep = m.weights > 0
+        return DiscreteMeasure(m.points[keep], m.weights[keep])
+
+    return [(trim(mu), trim(nu)) for mu, nu in unstacked(stacks)]
+
+
+def alone(energy, stacks, penalty):
+    """`stack_deficits` of each pair of two stacks, as a stack of one."""
+    return [
+        bounds.stack_deficits(energy, *one_pair(mu, nu), penalty)[0]
+        for mu, nu in unstacked(stacks)
+    ]
 
 
 class TestBatchedCheckers:
-    """`stack_deficits` gives each pair of a stack, whatever group it falls
-    in, the deficit of the per-pair loop bit for bit, and the one-pair
-    checker on DiscreteMeasures is its stack of one."""
+    """`stack_deficits` gives each pair of two stacks, padded or not, the
+    deficit it has alone bit for bit, which is `check_semi_convexity` on
+    the pair as DiscreteMeasures; the per-pair loop on the pairs as drawn,
+    without their zero-weight atoms, agrees within 1e-12 (bit for bit on
+    stacks with no padding)."""
 
     ENERGIES = {
         "quadratic": lambda: QuadraticMeanEnergy(0.5),
@@ -624,14 +644,30 @@ class TestBatchedCheckers:
     def test_mixed_atom_counts(self, name):
         energy = self.ENERGIES[name]()
         stacks = verify._random_stacks(np.random.default_rng(30), 80)
-        assert len(stacks) > 10
-        got = bounds.stack_deficits(energy, stacks, bounds.w2_penalty(energy.declared_lambda))
+        (mu_p, mu_w), (nu_p, nu_w) = stacks
+        assert mu_p.shape == nu_p.shape == (80, 6, 1) and mu_w.shape == nu_w.shape == (80, 6)
+        for w in (mu_w, nu_w):  # every atom count, padded by atoms at 0 of weight 0
+            counts = np.sum(w > 0, axis=1)
+            assert set(counts) == set(range(1, 7))
+            assert np.all(w[np.arange(6) >= counts[:, None]] == 0.0)
+        got = bounds.stack_deficits(energy, *stacks, bounds.w2_penalty(energy.declared_lambda))
         assert got.shape == (80,)
-        pairs = unstacked(stacks)
-        ref = self._semi_reference(energy, pairs, energy.declared_lambda)
-        np.testing.assert_array_equal(got, ref)
-        for (mu, nu), deficit in zip(pairs[:10], got):
-            assert bounds.check_semi_convexity(energy, mu, nu) == deficit
+        want = [bounds.check_semi_convexity(energy, mu, nu) for mu, nu in unstacked(stacks)]
+        np.testing.assert_array_equal(got, want)
+        ref = self._semi_reference(energy, unpadded(stacks), energy.declared_lambda)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(ENERGIES))
+    def test_blocks_are_the_pairs_alone(self, name, monkeypatch):
+        # more pairs than one block holds; any block size gives the same bits
+        energy = self.ENERGIES[name]()
+        stacks = verify._random_stacks(np.random.default_rng(37), 2 * bounds._BLOCK_PAIRS + 5)
+        penalty = bounds.w2_penalty(energy.declared_lambda)
+        got = bounds.stack_deficits(energy, *stacks, penalty)
+        np.testing.assert_array_equal(got, alone(energy, stacks, penalty))
+        for size in (1, 7, 10_000):
+            monkeypatch.setattr(bounds, "_BLOCK_PAIRS", size)
+            np.testing.assert_array_equal(bounds.stack_deficits(energy, *stacks, penalty), got)
 
     @pytest.mark.parametrize("name", list(ENERGIES))
     def test_one_pair_alone(self, name):
@@ -639,15 +675,15 @@ class TestBatchedCheckers:
         rng = np.random.default_rng(31)
         mu, nu = random_measure(rng), random_measure(rng)
         penalty = bounds.w2_penalty(energy.declared_lambda)
-        (got,) = bounds.stack_deficits(energy, one_pair(mu, nu), penalty)
+        (got,) = bounds.stack_deficits(energy, *one_pair(mu, nu), penalty)
         assert got == self._semi_reference(energy, [(mu, nu)], energy.declared_lambda)[0]
         assert bounds.check_semi_convexity(energy, mu, nu) == got
 
     @pytest.mark.parametrize("name", list(ENERGIES))
     def test_two_dimensional_uniform_pairs(self, name):
         energy = self.ENERGIES[name]()
-        stacks = [two_dimensional_stack(np.random.default_rng(32), 40, 3)]
-        got = bounds.stack_deficits(energy, stacks, bounds.w2_penalty(energy.declared_lambda))
+        stacks = two_dimensional_stacks(np.random.default_rng(32), 40, 3)
+        got = bounds.stack_deficits(energy, *stacks, bounds.w2_penalty(energy.declared_lambda))
         pairs = unstacked(stacks)
         ref = self._semi_reference(energy, pairs, energy.declared_lambda)
         np.testing.assert_array_equal(got, ref)
@@ -657,20 +693,23 @@ class TestBatchedCheckers:
     def test_lam_override(self):
         kern = self.ENERGIES["kernel"]()
         stacks = verify._random_stacks(np.random.default_rng(33), 40)
-        got = bounds.stack_deficits(kern, stacks, bounds.w2_penalty(0.7))
-        pairs = unstacked(stacks)
-        np.testing.assert_array_equal(got, self._semi_reference(kern, pairs, 0.7))
-        assert bounds.check_semi_convexity(kern, *pairs[0], lam=0.7) == got[0]
+        got = bounds.stack_deficits(kern, *stacks, bounds.w2_penalty(0.7))
+        want = [bounds.check_semi_convexity(kern, mu, nu, lam=0.7) for mu, nu in unstacked(stacks)]
+        np.testing.assert_array_equal(got, want)
+        ref = self._semi_reference(kern, unpadded(stacks), 0.7)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_feature_cost_penalty_is_the_parametrized_cost(self):
         par = self.ENERGIES["parametrized"]()
         stacks = verify._random_stacks(np.random.default_rng(35), 40)
-        got = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
+        penalty = bounds.feature_cost_penalty(par)
+        got = bounds.stack_deficits(par, *stacks, penalty)
+        np.testing.assert_array_equal(got, alone(par, stacks, penalty))
         ref = [
             per_pair_deficit(par, mu, nu, feature_cost(par, mu, nu))
-            for mu, nu in unstacked(stacks)
+            for mu, nu in unpadded(stacks)
         ]
-        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
         with pytest.raises(TypeError, match="cost functional required"):
             bounds.feature_cost_penalty(self.ENERGIES["kernel"]())
 

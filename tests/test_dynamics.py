@@ -27,7 +27,7 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.errors import BlowUpError, GibbsUndefinedError
-from mfgibbs.spectral1d import ou_exact_flow
+from mfgibbs.spectral1d import ou_exact_flow_stacks
 
 
 def ou_system(kappa=1.0, N=1):
@@ -911,7 +911,7 @@ class TestExactFlow:
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 1)
         A = system.hess_u_n(np.zeros((3, 1)))
         cov_inf = np.linalg.inv(A)
-        (m, S), = ou_exact_flow(system, np.zeros(3), cov_inf, [2.7])
+        (m,), (S,) = ou_exact_flow_stacks(system, np.zeros(3), cov_inf, [2.7])
         np.testing.assert_allclose(m, 0.0, atol=1e-12)
         np.testing.assert_allclose(S, cov_inf, atol=1e-12)
 
@@ -919,9 +919,9 @@ class TestExactFlow:
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 3, 1)
         mean0 = np.array([1.0, -2.0, 0.5])
         cov0 = 0.3 * np.eye(3)
-        (m1, S1), = ou_exact_flow(system, mean0, cov0, [0.4])
-        (m2, S2), = ou_exact_flow(system, m1, S1, [0.6])
-        (m_direct, S_direct), = ou_exact_flow(system, mean0, cov0, [1.0])
+        (m1,), (S1,) = ou_exact_flow_stacks(system, mean0, cov0, [0.4])
+        (m2,), (S2,) = ou_exact_flow_stacks(system, m1, S1, [0.6])
+        (m_direct,), (S_direct,) = ou_exact_flow_stacks(system, mean0, cov0, [1.0])
         np.testing.assert_allclose(m2, m_direct, atol=1e-12)
         np.testing.assert_allclose(S2, S_direct, atol=1e-12)
 
@@ -930,7 +930,7 @@ class TestExactFlow:
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 1, 1)
         A = 0.5
         t, m0, v0 = 0.7, 2.0, 0.1
-        (m, S), = ou_exact_flow(system, [m0], [[v0]], [t])
+        (m,), (S,) = ou_exact_flow_stacks(system, [m0], [[v0]], [t])
         assert abs(m[0] - np.exp(-A * t) * m0) < 1e-14
         expected = np.exp(-2 * A * t) * v0 + (1 - np.exp(-2 * A * t)) / A
         assert abs(S[0, 0] - expected) < 1e-14
@@ -938,7 +938,7 @@ class TestExactFlow:
     def test_time_zero_identity(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.2), 2, 1)
         cov0 = np.array([[0.5, 0.1], [0.1, 0.4]])
-        (m, S), = ou_exact_flow(system, [1.0, 2.0], cov0, [0.0])
+        (m,), (S,) = ou_exact_flow_stacks(system, [1.0, 2.0], cov0, [0.0])
         np.testing.assert_allclose(m, [1.0, 2.0], atol=1e-14)
         np.testing.assert_allclose(S, cov0, atol=1e-14)
 
@@ -950,7 +950,7 @@ class TestExactFlow:
         cov0 = B @ B.T + 0.1 * np.eye(5)
         times = [0.0, 0.35, 2.0]
         evals, V = np.linalg.eigh(system.hess_u_n(np.zeros((5, 1))))
-        for t, (m, S) in zip(times, ou_exact_flow(system, mean0, cov0, times)):
+        for t, m, S in zip(times, *ou_exact_flow_stacks(system, mean0, cov0, times)):
             decay = np.exp(-evals * t)
             E = V @ np.diag(decay) @ V.T
             stat = V @ np.diag((1.0 / evals) * (1.0 - decay**2)) @ V.T
@@ -960,8 +960,8 @@ class TestExactFlow:
     def test_undefined_gibbs(self):
         system = ParticleSystem(QuadraticMeanEnergy(1.5), 2, 1)
         with pytest.raises(GibbsUndefinedError):
-            ou_exact_flow(system, np.zeros(2), np.eye(2), [1.0])
+            ou_exact_flow_stacks(system, np.zeros(2), np.eye(2), [1.0])
 
     def test_non_quadratic_rejected(self):
         with pytest.raises(TypeError):
-            ou_exact_flow(ou_system(), [0.0], [[1.0]], [1.0])
+            ou_exact_flow_stacks(ou_system(), [0.0], [[1.0]], [1.0])

@@ -14,7 +14,9 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
-from mfgibbs.energies import _gauss_product, _gauss_toeplitz, quadratic_as_parametrized
+from mfgibbs.energies import _gauss_product, _gauss_spectrum, _gauss_toeplitz
+from mfgibbs.energies import quadratic_as_parametrized
+from mfgibbs.spectral1d import proximal_gibbs_fixed_point
 
 
 def random_measure(rng, d=1, max_atoms=5):
@@ -830,6 +832,30 @@ class TestFlatOnGrid:
         # the Gaussian sums alone, each at most one
         gauss = _gauss_product(x[:, None], x[:, None], w[:, None])[:, 0]
         assert np.max(np.abs(_gauss_toeplitz(2.0 * span / (n - 1), w) - gauss)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 401])
+    def test_kernel_fft_sum_is_the_uncached_transform(self, n):
+        # the cached Gaussian spectrum gives the bits of transforming it anew
+        x = np.linspace(-8.0, 8.0, n)
+        h = (x[-1] - x[0]) / (n - 1)
+        w = _grid_weights("uniform", x)
+        size = 1 << (2 * n - 2).bit_length()
+        column = np.zeros(size)
+        column[:n] = np.exp(-np.square(np.arange(n) * h))
+        column[size - n + 1 :] = column[n - 1 : 0 : -1]
+        want = np.fft.irfft(np.fft.rfft(column) * np.fft.rfft(w, size), size)[:n]
+        _gauss_spectrum.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            assert np.array_equal(_gauss_toeplitz(h, w), want)
+        with pytest.raises(ValueError, match="read-only"):
+            _gauss_spectrum(n, h)[0] = 0.0
+
+    def test_fixed_point_transforms_each_grid_once(self):
+        _gauss_spectrum.cache_clear()
+        result = proximal_gibbs_fixed_point(_cos_perturbed_kernel(), -8.0, 8.0, 101)
+        info = _gauss_spectrum.cache_info()
+        assert info.misses == 2  # the grid and its refinement
+        assert info.hits >= result.iterations - 1
 
     @pytest.mark.parametrize(
         "build", [lambda: QuadraticMeanEnergy(0.5), lambda: quadratic_as_parametrized(0.5)],

@@ -18,7 +18,7 @@ from mfgibbs.estimators import (
     estimate_gap_autocorr,
     estimate_gap_variance_decay,
 )
-from mfgibbs.spectral1d import gaussian_exact, gaussian_kl, ou_exact_flow
+from mfgibbs.spectral1d import gaussian_exact, gaussian_kl, ou_exact_flow_stacks
 
 
 def ou_system(kappa=1.0, N=1):
@@ -213,6 +213,27 @@ class TestEntropyDecay:
         assert curve.floor < 1e-8
         assert curve.flags["rate_geq_2rho_star"]
 
+    @pytest.mark.parametrize(
+        "a, N, horizon, cov_scale",
+        [(0.2, 50, 4.0, 1.0), (0.5, 10, 2.0, 2.0), (0.7, 5, 8.0, 2.0), (0.1, 3, 20.0, 2.0)],
+    )
+    def test_floor_scan_is_the_per_floor_fit(self, a, N, horizon, cov_scale):
+        # the reference fits each floor on its own, on the times it keeps
+        system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
+        times = np.linspace(0.0, horizon, 60)
+        curve = entropy_decay_gaussian(system, np.ones(N), cov_scale * np.eye(N), times)
+        ents = curve.entropies
+        h_min = float(np.min(ents[ents > 0]))
+        scored = []
+        for floor in np.concatenate([[0.0], np.linspace(0.0, 0.999 * h_min, 64)[1:]]):
+            ok = ents - floor > 1e-300
+            y, t = np.log(ents[ok] - floor), times[ok]
+            slope, intercept = np.polyfit(t, y, 1)
+            scored.append((float(np.sum((y - (slope * t + intercept)) ** 2)), -slope, floor))
+        _, rate, floor = min(scored, key=lambda s: s[0])
+        assert curve.floor == floor and type(curve.floor) is float
+        assert abs(curve.rate - rate) <= 1e-12 * abs(rate) and type(curve.rate) is float
+
     def test_entropies_monotone(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 5, 1)
         times = np.linspace(0.0, 4.0, 30)
@@ -236,9 +257,9 @@ class TestEntropyDecay:
         times = np.linspace(0.0, 4.0, 60)
         curve = entropy_decay_gaussian(system, np.ones(50), np.eye(50), times)
         target = gaussian_exact(system).covariance
-        one = [gaussian_kl(m, c, np.zeros(50), target) for m, c in ou_exact_flow(
+        one = [gaussian_kl(m, c, np.zeros(50), target) for m, c in zip(*ou_exact_flow_stacks(
             system, np.ones(50), np.eye(50), times
-        )]
+        ))]
         np.testing.assert_array_equal(curve.entropies, one)
 
     def test_mixed_modes_dominated_by_slowest(self):

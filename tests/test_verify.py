@@ -2,13 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from test_bounds import unstacked
+from test_bounds import alone, unpadded, unstacked
 from test_measures import merge_loop_w2
 
 from mfgibbs import bounds, measures, verify
 from mfgibbs.cli import main
 from mfgibbs.energies import (
     PairwiseKernelEnergy,
+    ParametrizedEnergy,
     QuadraticMeanEnergy,
     quadratic_as_parametrized,
 )
@@ -157,18 +158,36 @@ def test_a_nan_deficit_fails_the_curvature_suite(monkeypatch, capsys):
 
 
 def test_the_stack_entry_is_the_one_pair_check():
-    # the suite's stacks against each of their pairs alone, as DiscreteMeasures
+    # the suite's padded stacks against each of their pairs alone, as
+    # DiscreteMeasures, and within 1e-12 of the per-pair loop on the pairs
+    # as drawn, whose mixtures drop the zero-weight atoms
     rng = np.random.default_rng(40)
     for _, energy in verify._concrete_energies():
         stacks = verify._random_stacks(rng, 300)
-        got = bounds.stack_deficits(energy, stacks, bounds.w2_penalty(energy.declared_lambda))
+        got = bounds.stack_deficits(energy, *stacks, bounds.w2_penalty(energy.declared_lambda))
         want = [bounds.check_semi_convexity(energy, mu, nu) for mu, nu in unstacked(stacks)]
         np.testing.assert_array_equal(got, want)
+        ref = per_pair_deficits(energy, unpadded(stacks), semi(energy.declared_lambda))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     par = quadratic_as_parametrized(0.5)
     stacks = verify._random_stacks(rng, 300)
-    got = bounds.stack_deficits(par, stacks, bounds.feature_cost_penalty(par))
-    want = per_pair_deficits(par, unstacked(stacks), feature_cost(par))
-    np.testing.assert_array_equal(got, want)
+    penalty = bounds.feature_cost_penalty(par)
+    got = bounds.stack_deficits(par, *stacks, penalty)
+    np.testing.assert_array_equal(got, alone(par, stacks, penalty))
+    want = per_pair_deficits(par, unpadded(stacks), feature_cost(par))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_the_random_pairs_are_the_drawn_pairs():
+    # the padded stacks hold the reference's measures, atom for atom
+    for count in (1, 80, 1000):
+        drawn = draw_pairs(np.random.default_rng(count), count)
+        stacks = verify._random_stacks(np.random.default_rng(count), count)
+        assert len(unpadded(stacks)) == count
+        for pair, want in zip(unpadded(stacks), drawn):
+            for got_m, want_m in zip(pair, want):
+                np.testing.assert_array_equal(got_m.points, want_m.points)
+                np.testing.assert_array_equal(got_m.weights, want_m.weights)
 
 
 def test_the_kernel_witness_is_sharp():
@@ -183,7 +202,7 @@ def test_the_kernel_witness_is_sharp():
     rng = np.random.default_rng(0)
     verify._random_stacks(rng, 1000)  # the quadratic check's pairs
     stacks = verify._random_stacks(rng, 1000)
-    assert np.max(bounds.stack_deficits(kern, stacks, bounds.w2_penalty(lam))) <= 1e-9
+    assert np.max(bounds.stack_deficits(kern, *stacks, bounds.w2_penalty(lam))) <= 1e-9
     assert bounds.check_semi_convexity(kern, mu, nu, lam=lam) > 1e-9
 
 
@@ -201,8 +220,26 @@ def test_the_random_checks_build_no_measure(monkeypatch):
     monkeypatch.setattr(DiscreteMeasure, "__post_init__", counted("DiscreteMeasure", post_init))
     checks = verify._random_deficits()
     assert calls["DiscreteMeasure"] == 0
-    # at most one call per side of each of the 6 x 6 atom-count groups
-    assert 0 < calls["check_atoms"] <= 2 * 36 * len(checks)
+    # one call per side of each check: one padded stack each
+    assert calls["check_atoms"] == 2 * len(checks)
+
+
+def test_the_random_checks_make_three_energy_calls_per_block(monkeypatch):
+    # the mixtures and the two endpoint stacks of each block of pairs, one
+    # call each, whatever the atom counts of the pairs in the block
+    sizes = []
+    for cls in (QuadraticMeanEnergy, PairwiseKernelEnergy, ParametrizedEnergy):
+        def counted(self, points, weights, _fn=cls._eval_batch):
+            sizes.append(len(weights))
+            return _fn(self, points, weights)
+
+        monkeypatch.setattr(cls, "_eval_batch", counted)
+    checks = verify._random_deficits()
+    block = bounds._BLOCK_PAIRS
+    blocks = [-(-len(deficits) // block) for _, deficits in checks]
+    assert blocks == [-(-1000 // block)] * 3 + [-(-200 // block)]
+    assert len(sizes) == 3 * sum(blocks)
+    assert max(sizes) == block
 
 
 def declaring(cls, **declared):
@@ -294,3 +331,14 @@ def test_the_parametrized_lines_are_sharp(monkeypatch, changed, failing):
         f"max block norm=0.500000 <= declared {par.declared_Mmm:.6f} "
         f"(slack {par.declared_Mmm - 0.5:.6f})"
     )
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_every_row_is_a_name_a_bool_and_a_detail(suite):
+    # a NumPy bool passes `if ok`, but is not the bool the table promises
+    rows = verify.SUITES[suite]()
+    assert rows
+    for row in rows:
+        assert type(row) is tuple and len(row) == 3, row
+        name, passed, detail = row
+        assert type(name) is str and type(passed) is bool and type(detail) is str, row
