@@ -1,9 +1,10 @@
-"""Monte-Carlo estimators confronting the theorem constants with dynamics.
+"""Estimators confronting the theorem constants with dynamics and oracles.
 
 Spectral gaps are estimated from sampled trajectories (autocorrelation
 decay, across-replica variance decay), entropy decay from the exact
 Gaussian flow, and the conditional Poincare assumption from grid gaps at
-sampled frozen configurations.
+frozen configurations of the others that the caller passes as one stack;
+that oracle runs no chain.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from .dynamics import SimConfig, Trajectory, run_chain
 from .energies import ParticleSystem
-from .spectral1d import Grid1D, conditional_potential, gaussian_exact, gaussian_kl, grid_poincare
-from .spectral1d import ou_exact_flow_stacks, trapezoid_moments
+from .spectral1d import conditional_potential, gaussian_exact, gaussian_kl, grid_poincare
+from .spectral1d import ou_exact_flow_stacks
 
 __all__ = [
     "GapEstimate",
@@ -34,8 +35,15 @@ __all__ = [
 #: e-folds. A fit spanning under ln(1/(2 cutoff)), a factor 2 short, is low_confidence.
 _WINDOW_CUTOFF = 0.05
 
-#: Nodes of the auto-windowed grid on which `conditional_gap_mc` takes each gap.
+#: Nodes of the windowed grid on which `conditional_gap_mc` takes each gap.
 _CONDITIONAL_GRID_N = 1201
+#: The window of a conditional gap: the nodes of an 801-node scan of
+#: [-25, 25] where the potential lies within `_WINDOW_LEVEL` of its minimum,
+#: widened by 8 scan spacings (0.5) on each side. A level set that reaches an
+#: end of the scan is scanned again on twice the interval, up to
+#: `_SCAN_DOUBLINGS` times, so that a law wider than the first scan (a
+#: Gaussian of sd 4 reaches it) keeps a window whose end density is negligible.
+_WINDOW_LEVEL, _SCAN_DOUBLINGS = 45.0, 6
 
 
 @dataclass(frozen=True)
@@ -258,39 +266,40 @@ class ConditionalGapResult:
     passed: bool | None  # False also when a grid did not converge
 
 
-def _auto_window(grid_scan: Grid1D) -> tuple[float, float]:
-    mean, var = trapezoid_moments(grid_scan.x, grid_scan.density(), grid_scan.spacing)
-    half = max(8.0 * math.sqrt(var), 4.0)
-    return mean - half, mean + half
+def _level_set_window(system: ParticleSystem, others: np.ndarray) -> tuple[float, float]:
+    half = 25.0
+    for _ in range(_SCAN_DOUBLINGS + 1):
+        scan = conditional_potential(system, others, -half, half, 801)
+        inside = scan.x[scan.potential <= _WINDOW_LEVEL]
+        if -half < inside[0] and inside[-1] < half:
+            break
+        half *= 2.0
+    margin = 8.0 * scan.spacing
+    return float(inside[0]) - margin, float(inside[-1]) + margin
 
 
 def conditional_gap_mc(
     system: ParticleSystem,
-    config: SimConfig,
-    n_frozen: int = 20,
+    frozen,
     claimed_rho_N: float | None = None,
     tolerance: float = 1e-3,
 ) -> ConditionalGapResult:
-    """Grid spectral gaps of the first particle's conditional law at frozen
-    configurations sampled from the chain, each with its grid-convergence
-    flag. The configurations come from replica 0 alone, so one chain runs
-    whatever `config.replicas` says; replica 0's stream does not depend on it."""
+    """Grid spectral gaps of the first particle's conditional law given each
+    frozen configuration of the others, a stack (K, N - 1), each with its
+    grid-convergence flag."""
     if system.d != 1:
         raise ValueError("conditional gap oracle needs d = 1")
-    traj = run_chain(
-        system,
-        dataclasses.replace(config, replicas=1),
-        observables={f"c{j}": (lambda x, j=j: float(x[j, 0])) for j in range(system.N)},
-    )
-    n_rec = traj.steps.shape[0]
-    picks = np.linspace(0, n_rec - 1, n_frozen).astype(int)
-    gaps = np.empty(n_frozen)
-    converged = np.empty(n_frozen, dtype=bool)
-    for k, idx in enumerate(picks):
-        frozen = np.array([traj.observables[f"c{j}"][0, idx] for j in range(1, system.N)])
-        scan = conditional_potential(system, frozen, -25.0, 25.0, 801)
-        lo, hi = _auto_window(scan)
-        res = grid_poincare(conditional_potential(system, frozen, lo, hi, _CONDITIONAL_GRID_N))
+    frozen = np.asarray(frozen, dtype=float)
+    if frozen.ndim != 2 or frozen.shape[0] == 0 or frozen.shape[1] != system.N - 1:
+        raise ValueError(
+            f"frozen must be a stack of shape (K, N - 1) = (K, {system.N - 1}) "
+            f"with K >= 1, got {frozen.shape}"
+        )
+    gaps = np.empty(len(frozen))
+    converged = np.empty(len(frozen), dtype=bool)
+    for k, others in enumerate(frozen):
+        lo, hi = _level_set_window(system, others)
+        res = grid_poincare(conditional_potential(system, others, lo, hi, _CONDITIONAL_GRID_N))
         gaps[k], converged[k] = res.gap, res.converged
     passed = None
     if claimed_rho_N is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import bounds, measures, spectral1d
-from .dynamics import SimConfig
 from .energies import (
     PairwiseKernelEnergy,
     ParticleSystem,
@@ -90,6 +89,18 @@ def _spread():
     """100 points evenly spaced on [-50, 50], where the Gaussian kernel
     barely couples neighbours: the atoms of both kernel witnesses."""
     return np.linspace(-50.0, 50.0, 100)[:, None]
+
+
+def _frozen_family(N):
+    """11 configurations of the N - 1 others, a stack (11, N - 1): all at one
+    point c in (0, 0.5, 1, 1.5, 2, 3), then floor((N - 1) / 2) of them at -c
+    and the rest at +c for c in (0.5, 1, 1.5, 2, 3). The kernel's least
+    conditional gap lies among them (at c = 0, for L = 1), where a chain's
+    draws miss it."""
+    first = np.arange(N - 1) < (N - 1) // 2
+    together = [np.full(N - 1, c) for c in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)]
+    split = [np.where(first, -c, c) for c in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    return np.array(together + split)
 
 
 def _kernel_witness():
@@ -184,13 +195,27 @@ def suite_hessian():
     return results
 
 
+def _gap_line(name, system, frozen):
+    """The conditional gap check of an energy: the least gap over `frozen`
+    against the declared rho_N, every grid converged."""
+    rho_N = system.energy.declared_rho_N(system.N)
+    res = conditional_gap_mc(system, frozen, claimed_rho_N=rho_N)
+    return (
+        f"{name} conditional gap >= rho",
+        bool(res.passed),
+        f"min={res.minimum:.6f} rho={rho_N:.6f}",
+    )
+
+
 def suite_conditional():
     results = []
-    a, N = 0.5, 20
-    system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
+    N = 20
+    system = ParticleSystem(QuadraticMeanEnergy(0.5), N, 1)
     rho_N = system.energy.declared_rho_N(N)
-    cfg = SimConfig(step=0.1, n_steps=400, burn_in=100, thin=10, seed=7, sampler="MALA")
-    res = conditional_gap_mc(system, cfg, n_frozen=8, claimed_rho_N=rho_N)
+    # the quadratic conditional law only shifts with the others, so three
+    # rows (c = 0, all at 3, split at -3 and 3) show it constant
+    shifts = _frozen_family(N)[[0, 5, 10]]
+    res = conditional_gap_mc(system, shifts, claimed_rho_N=rho_N)
     results.append(
         (
             "quadratic conditional gap",
@@ -199,17 +224,9 @@ def suite_conditional():
         )
     )
     kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
-    ksys = ParticleSystem(kern, 8, 1)
-    kcfg = SimConfig(step=0.05, n_steps=400, burn_in=100, thin=10, seed=8, sampler="MALA")
-    krho_N = kern.declared_rho_N(ksys.N)
-    kres = conditional_gap_mc(ksys, kcfg, n_frozen=8, claimed_rho_N=krho_N)
-    results.append(
-        (
-            "kernel conditional gap >= rho",
-            bool(kres.passed),
-            f"min={kres.minimum:.6f} rho={krho_N:.6f}",
-        )
-    )
+    results.append(_gap_line("kernel", ParticleSystem(kern, 8, 1), _frozen_family(8)))
+    par = ParticleSystem(quadratic_as_parametrized(0.5), N, 1)
+    results.append(_gap_line("parametrized", par, shifts))
     return results
 
 

@@ -5,8 +5,9 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from test_estimators import chain_frozen
 
-from mfgibbs import bounds
+from mfgibbs import bounds, verify
 from mfgibbs.dynamics import SimConfig, run_chain
 from mfgibbs.energies import (
     LinearPotentialEnergy,
@@ -267,9 +268,8 @@ def test_criterion_09_kernel_example():
             step=0.1, n_steps=6000, burn_in=1000, thin=10, replicas=1,
             seed=73, sampler="MALA",
         )
-        res = conditional_gap_mc(
-            system, cfg, n_frozen=50, claimed_rho_N=k.rho, tolerance=0.0
-        )
+        frozen = np.concatenate([chain_frozen(system, cfg, 50), verify._frozen_family(10)])
+        res = conditional_gap_mc(system, frozen, claimed_rho_N=k.rho, tolerance=0.0)
         assert res.passed
         assert res.minimum >= k.rho
 

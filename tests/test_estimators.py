@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mfgibbs import estimators
 from mfgibbs.dynamics import SimConfig, Trajectory, run_chain
 from mfgibbs.energies import (
     LinearPotentialEnergy,
+    PairwiseKernelEnergy,
     ParticleSystem,
     QuadraticMeanEnergy,
 )
@@ -274,23 +274,42 @@ class TestEntropyDecay:
         assert abs(curve.rate - 1.0) < 0.05
 
 
+def chain_frozen(system, config, count):
+    """`count` configurations of particles 2..N, a stack (count, N - 1), at
+    records evenly spaced over replica 0 of a chain: the configurations that
+    the conditional oracle drew from its own chain before it took a stack."""
+    others = range(1, system.N)
+    traj = run_chain(
+        system,
+        dataclasses.replace(config, replicas=1),
+        observables={f"c{j}": (lambda x, j=j: float(x[j, 0])) for j in others},
+    )
+    picks = np.linspace(0, traj.steps.shape[0] - 1, count).astype(int)
+    return np.stack([traj.observables[f"c{j}"][0, picks] for j in others], axis=1)
+
+
 class TestConditionalGapMc:
     def test_quadratic_constant_across_configs(self):
         a, N = 0.5, 20
         system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
-        cfg = SimConfig(
-            step=0.1, n_steps=4000, burn_in=1000, thin=10, replicas=1, seed=10
-        )
-        res = conditional_gap_mc(
-            system, cfg, n_frozen=8, claimed_rho_N=1.0 - a / N
-        )
+        frozen = np.random.default_rng(10).normal(size=(8, N - 1))
+        res = conditional_gap_mc(system, frozen, claimed_rho_N=1.0 - a / N)
         assert abs(res.median - (1.0 - a / N)) < 1e-3
         assert res.spread < 1e-6  # conditional curvature independent of config
-        assert res.converged.shape == (8,) and res.converged.all()
+        assert res.gaps.shape == res.converged.shape == (8,) and res.converged.all()
         assert res.passed
 
+    def test_each_gap_is_its_configuration_alone(self):
+        system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 4, 1)
+        frozen = np.random.default_rng(3).normal(size=(5, 3))
+        res = conditional_gap_mc(system, frozen)
+        for k, others in enumerate(frozen):
+            one = conditional_gap_mc(system, others[None])
+            assert (one.gaps[0], one.converged[0]) == (res.gaps[k], res.converged[k])
+        assert res.passed is None and res.minimum == float(np.min(res.gaps))
+
     def test_grid_too_coarse_to_converge_fails(self):
-        # V(x) = x^2/2 + cos(100 x): the auto-window's 1201 nodes, about 0.013
+        # V(x) = x^2/2 + cos(100 x): the window's 1201 nodes, about 0.017
         # apart, alias the ripple, so the gap moves when the grid is refined
         energy = LinearPotentialEnergy(
             v=lambda x: 0.5 * np.sum(x * x, axis=-1) + np.cos(100.0 * x[..., 0]),
@@ -298,42 +317,48 @@ class TestConditionalGapMc:
             v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[..., None]) * np.eye(1),
         )
         system = ParticleSystem(energy, 3, 1)
-        cfg = SimConfig(step=1e-4, n_steps=200, burn_in=50, thin=10, seed=12)
-        res = conditional_gap_mc(system, cfg, n_frozen=3, claimed_rho_N=0.0)
+        frozen = np.random.default_rng(12).normal(size=(3, 2))
+        res = conditional_gap_mc(system, frozen, claimed_rho_N=0.0)
         assert not res.converged.any()
         assert res.minimum >= 0.0 and res.passed is False
 
     def test_claim_too_strong_fails(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)
-        cfg = SimConfig(
-            step=0.1, n_steps=2000, burn_in=500, thin=10, replicas=1, seed=11
-        )
-        res = conditional_gap_mc(system, cfg, n_frozen=4, claimed_rho_N=1.5)
+        frozen = np.random.default_rng(11).normal(size=(4, 9))
+        res = conditional_gap_mc(system, frozen, claimed_rho_N=1.5)
         assert res.passed is False
 
-    def test_runs_replica_zero_alone(self, monkeypatch):
+    def test_window_holds_a_law_flatter_than_its_tails(self):
+        # kernel L = 3, N = 2, the other particle frozen at y in [0, 4]: the
+        # window of max(8 sd, 4) around the mean, which the level-set window
+        # replaced, left end densities above 1e-12 and raised ValueError on
+        # 37 of these 81 configurations (from y = 1.15, worst end ratio 7.7e-11)
+        system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=3.0, alpha=0.05), 2, 1)
+        res = conditional_gap_mc(system, np.linspace(0.0, 4.0, 81)[:, None])
+        assert np.all(np.isfinite(res.gaps)) and res.converged.all()
+        assert res.minimum > 0.5
+
+    @pytest.mark.parametrize("sd, centre", [(4.0, 0.0), (20.0, 0.0), (1.0, 60.0)])
+    def test_window_holds_a_law_beyond_the_first_scan(self, sd, centre):
+        # V = (x - centre)^2 / (2 sd^2): above sd = 3.4, or off centre, the
+        # level set reaches an end of the first scan of [-25, 25], whose
+        # window would leave end densities above 1e-12
+        kappa = sd**-2.0
+        energy = LinearPotentialEnergy(
+            v=lambda x: 0.5 * kappa * np.sum((x - centre) ** 2, axis=-1),
+            v_grad=lambda x: kappa * (x - centre),
+            v_hess=lambda x: kappa * np.eye(1) * np.ones(x.shape[:-1] + (1, 1)),
+        )
+        res = conditional_gap_mc(ParticleSystem(energy, 2, 1), np.zeros((1, 1)))
+        assert res.converged.all() and abs(res.minimum / kappa - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 5), (0, 4), (1, 1, 4), ()])
+    def test_frozen_must_be_a_stack_of_the_others(self, shape):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 5, 1)
-        cfg = SimConfig(step=0.1, n_steps=600, burn_in=100, thin=10, replicas=1, seed=10)
-        one = conditional_gap_mc(system, cfg, n_frozen=3, claimed_rho_N=0.9)
-        chains = []
-
-        def counted(system, config, observables=None):
-            chains.append(config.replicas)
-            return run_chain(system, config, observables)
-
-        monkeypatch.setattr(estimators, "run_chain", counted)
-        three = conditional_gap_mc(
-            system, dataclasses.replace(cfg, replicas=3), n_frozen=3, claimed_rho_N=0.9
-        )
-        assert chains == [1]
-        np.testing.assert_array_equal(three.gaps, one.gaps)
-        np.testing.assert_array_equal(three.converged, one.converged)
-        assert (three.minimum, three.median, three.spread, three.passed) == (
-            one.minimum, one.median, one.spread, one.passed
-        )
+        with pytest.raises(ValueError, match=r"\(K, N - 1\) = \(K, 4\)"):
+            conditional_gap_mc(system, np.zeros(shape))
 
     def test_requires_d1(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 4, 2)
-        cfg = SimConfig(step=0.1, n_steps=100, seed=0)
-        with pytest.raises(ValueError):
-            conditional_gap_mc(system, cfg, n_frozen=2)
+        with pytest.raises(ValueError, match="d = 1"):
+            conditional_gap_mc(system, np.zeros((2, 3)))

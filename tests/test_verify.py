@@ -1,18 +1,25 @@
+import ast
 import dataclasses
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_bounds import alone, unpadded, unstacked
+from test_estimators import chain_frozen
 from test_measures import merge_loop_w2
 
-from mfgibbs import bounds, measures, verify
+from mfgibbs import bounds, dynamics, estimators, measures, verify
 from mfgibbs.cli import main
+from mfgibbs.dynamics import SimConfig
 from mfgibbs.energies import (
     PairwiseKernelEnergy,
     ParametrizedEnergy,
+    ParticleSystem,
     QuadraticMeanEnergy,
     quadratic_as_parametrized,
 )
+from mfgibbs.estimators import conditional_gap_mc
 from mfgibbs.measures import DiscreteMeasure, empirical, mix
 
 # The reference below draws the suite's random numbers but builds every
@@ -331,6 +338,76 @@ def test_the_parametrized_lines_are_sharp(monkeypatch, changed, failing):
         f"max block norm=0.500000 <= declared {par.declared_Mmm:.6f} "
         f"(slack {par.declared_Mmm - 0.5:.6f})"
     )
+
+
+def conditional_lines():
+    return {name: (ok, detail) for name, ok, detail in verify.suite_conditional()}
+
+
+def test_the_frozen_family():
+    cs = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+    for N in (2, 8, 9, 50):
+        family = verify._frozen_family(N)
+        assert family.shape == (11, N - 1)
+        for row, c in zip(family[:6], cs):
+            assert np.all(row == c)
+        for row, c in zip(family[6:], cs[1:]):
+            assert sorted(row) == [-c] * ((N - 1) // 2) + [c] * (N // 2)
+
+
+def test_the_structured_family_catches_what_a_chain_misses():
+    # the eight configurations the oracle drew from its own MALA chain at
+    # N = 8 miss the kernel's least conditional gap, at the others all at 0:
+    # a rho_N of 0.77 between the two passes them and fails the family
+    system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 8, 1)
+    config = SimConfig(step=0.05, n_steps=400, burn_in=100, thin=10, seed=8, sampler="MALA")
+    sampled = conditional_gap_mc(system, chain_frozen(system, config, 8), claimed_rho_N=0.77)
+    structured = conditional_gap_mc(system, verify._frozen_family(8), claimed_rho_N=0.77)
+    assert sampled.passed and round(sampled.minimum, 4) == 0.7834
+    assert structured.passed is False and round(structured.minimum, 6) == 0.755296
+    assert structured.converged.all() and int(np.argmin(structured.gaps)) == 0
+    assert structured.minimum <= sampled.minimum
+
+
+def test_no_oracle_runs_a_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(estimators, "run_chain", refuse)
+    monkeypatch.setattr(dynamics, "run_chain", refuse)
+    assert all(ok for ok, _ in conditional_lines().values())
+    names = {
+        node.id for node in ast.walk(ast.parse(inspect.getsource(conditional_gap_mc)))
+        if isinstance(node, ast.Name)
+    }
+    assert not names & {"run_chain", "SimConfig"}
+    imports = [
+        node for node in ast.walk(ast.parse(Path(verify.__file__).read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    imported = {getattr(node, "module", None) for node in imports}
+    imported |= {alias.name for node in imports for alias in node.names}
+    assert not {name for name in imported if name and "dynamics" in name}
+
+
+def test_the_conditional_lines():
+    assert conditional_lines() == {
+        "quadratic conditional gap": (True, "median=0.974967 spread=2.08e-07"),
+        "kernel conditional gap >= rho": (True, "min=0.755296 rho=0.367879"),
+        "parametrized conditional gap >= rho": (True, "min=0.974966 rho=0.975000"),
+    }
+
+
+@pytest.mark.parametrize(
+    "cls, name, found",
+    [(PairwiseKernelEnergy, "kernel", 0.755296), (ParametrizedEnergy, "parametrized", 0.974966)],
+)
+def test_an_overstated_rho_N_fails(monkeypatch, capsys, cls, name, found):
+    monkeypatch.setattr(cls, "declared_rho_N", lambda self, N: found / 0.99)
+    lines = conditional_lines()
+    assert [n for n, (ok, _) in lines.items() if not ok] == [f"{name} conditional gap >= rho"]
+    assert main(["verify", "conditional"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "suite conditional: FAIL"
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))
