@@ -35,6 +35,7 @@ __all__ = [
     "corollary_report",
     "check_semi_convexity",
     "semi_convexity_lambda",
+    "semi_convexity_witness",
     "stack_deficits",
     "w2_penalty",
     "feature_cost_penalty",
@@ -344,12 +345,26 @@ def semi_convexity_lambda(
     2 (F(t mu + (1-t) nu) - t F(mu) - (1-t) F(nu)) / (t (1-t) W2^2(mu, nu)).
     A declared lambda below it fails on this pair. ValueError when mu and
     nu are one measure (W2 = 0), where no lambda is singled out."""
+    return semi_convexity_witness(energy, mu, nu)[1]
+
+
+def semi_convexity_witness(
+    energy: MeanFieldEnergy, mu: DiscreteMeasure, nu: DiscreteMeasure
+) -> tuple[float, float]:
+    """(`check_semi_convexity`, `semi_convexity_lambda`) of the pair (mu, nu)
+    of distinct measures, bit for bit, from one `_mixture_gaps` and one
+    W2^2: the deficit against the declared lambda, and the least lambda at
+    which the pair passes."""
     mu, nu = (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None])
     w2 = w2_squared_pairs(nu, mu)
     if w2[0] == 0.0:
         raise ValueError("mu and nu are one measure (W2 = 0): no least lambda")
     t = np.asarray(DEFAULT_T_GRID)
-    return float(np.max(2.0 * _mixture_gaps(energy, mu, nu) / (t * (1.0 - t) * w2[:, None])))
+    gaps = _mixture_gaps(energy, mu, nu)
+    penalty = 0.5 * energy.declared_lambda * w2
+    deficit = np.max(gaps - t * (1.0 - t) * penalty[:, None], axis=1)[0]
+    found = np.max(2.0 * gaps / (t * (1.0 - t) * w2[:, None]))
+    return float(deficit), float(found)
 
 
 def _stack(configs) -> np.ndarray:

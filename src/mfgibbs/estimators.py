@@ -37,8 +37,10 @@ _WINDOW_CUTOFF = 0.05
 
 #: Nodes of the windowed grid on which `conditional_gap_mc` takes each gap.
 _CONDITIONAL_GRID_N = 1201
-#: The window of a conditional gap: the nodes of an 801-node scan of
-#: [-25, 25] where the potential lies within `_WINDOW_LEVEL` of its minimum,
+#: The window of a conditional gap: the level set where the potential lies
+#: within `_WINDOW_LEVEL` of its minimum on an 801-node scan of [-25, 25],
+#: each end interpolated linearly between the scan nodes around it (so the
+#: window moves with a translated law, not in steps of the scan spacing),
 #: widened by 8 scan spacings (0.5) on each side. A level set that reaches an
 #: end of the scan is scanned again on twice the interval, up to
 #: `_SCAN_DOUBLINGS` times, so that a law wider than the first scan (a
@@ -270,12 +272,23 @@ def _level_set_window(system: ParticleSystem, others: np.ndarray) -> tuple[float
     half = 25.0
     for _ in range(_SCAN_DOUBLINGS + 1):
         scan = conditional_potential(system, others, -half, half, 801)
-        inside = scan.x[scan.potential <= _WINDOW_LEVEL]
-        if -half < inside[0] and inside[-1] < half:
+        inside = np.flatnonzero(scan.potential <= _WINDOW_LEVEL)
+        if 0 < inside[0] and inside[-1] < scan.n - 1:
             break
         half *= 2.0
+    x, u = scan.x, scan.potential
+
+    def crossing(outside: int, node: int) -> float:
+        # u crosses the level between the node above it and the one inside,
+        # linearly; a level set that reaches an end of the scan ends there
+        if not 0 <= outside < scan.n:
+            return float(x[node])
+        t = (u[outside] - _WINDOW_LEVEL) / (u[outside] - u[node])
+        return float(x[outside] + t * (x[node] - x[outside]))
+
     margin = 8.0 * scan.spacing
-    return float(inside[0]) - margin, float(inside[-1]) + margin
+    lo, hi = crossing(inside[0] - 1, inside[0]), crossing(inside[-1] + 1, inside[-1])
+    return lo - margin, hi + margin
 
 
 def conditional_gap_mc(

@@ -71,7 +71,9 @@ class Grid1D:
 @dataclass(frozen=True)
 class SpectralResult:
     gap: float
-    converged: bool  # gap stable under grid refinement
+    # the 2n - 1 refinement's index-1 eigenvalue lies within REFINE_TOL |gap|
+    # of the gap, and its index-0 one below that window
+    converged: bool
 
 
 def _generator(grid: Grid1D) -> tuple:
@@ -115,14 +117,20 @@ def grid_poincare(grid: Grid1D) -> SpectralResult:
     """Spectral gap (= Poincare constant) of exp(-U)/Z restricted to the grid.
 
     Uses a second-order symmetric discretization of f'' - U' f' with
-    reflecting boundaries. Requires negligible boundary mass.
+    reflecting boundaries. Requires negligible boundary mass. The gap is the
+    grid's own; it counts as converged when the 2n - 1 refinement has its
+    index-1 eigenvalue within tol = REFINE_TOL |gap| of it, with the index-0
+    one below the window: two eigenvalue counts on the refined generator
+    find that, with no second bisection. A gap at the bisection's resolution,
+    whose index-0 neighbour need not lie below gap - tol, reads not converged.
     """
     if not boundary_negligible(np.exp(-(grid.potential - grid.potential.min()))):
         raise ValueError("window too small: boundary density not negligible")
+    gap = _gap(grid)
+    tol = REFINE_TOL * max(abs(gap), 1e-300)
     fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
-    gap, gap_fine = _gap(grid), _gap(fine)
-    converged = abs(gap_fine - gap) <= REFINE_TOL * max(abs(gap), 1e-300)
-    return SpectralResult(gap=gap, converged=converged)
+    below, within = _eigen_counts(fine, (gap - tol, gap + tol))
+    return SpectralResult(gap=gap, converged=below == 1 and within >= 2)
 
 
 def _gap(grid: Grid1D) -> float:
@@ -133,6 +141,30 @@ def _gap(grid: Grid1D) -> float:
     diag, off = _generator(grid)
     vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(1, 1))
     return float(vals[0])
+
+
+def _eigen_counts(grid: Grid1D, points) -> list:
+    """The number of eigenvalues of the grid's generator at or below each
+    point, by Sturm counts (LAPACK ?stebz, RANGE='V'; Barth, Martin and
+    Wilkinson 1967): the interval runs from below the Gershgorin bound to the
+    point, and an absolute tolerance wider than it stops the bisection before
+    it refines any eigenvalue. The generator is built once for all points."""
+    from scipy.linalg.lapack import dstebz  # local: only a grid gap pays its import
+
+    diag, off = _generator(grid)
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
+    start = lower - (upper - lower)  # strictly below every eigenvalue
+    counts = []
+    for point in points:
+        width = 2.0 * (point - start)
+        m, _, _, _, info = dstebz(diag, off, 1, start, point, 0, 0, width, "E")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
+        counts.append(int(m))
+    return counts
 
 
 def _refine_potential(values: np.ndarray) -> np.ndarray:

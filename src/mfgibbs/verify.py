@@ -27,21 +27,19 @@ SHARPNESS_N = (10, 50, 200)
 def _random_stacks(rng, count: int) -> tuple:
     """`count` random pairs (mu, nu) on the line, 1..6 atoms each, as two
     checked stacks (points (count, 6, 1), weights (count, 6)), padded by
-    atoms at 0 of weight 0. The draws: the atom counts of all mu, then of
-    all nu; then, for each (n_mu, n_nu) in increasing order, mu's weights
-    and atoms, then nu's."""
+    atoms at 0 of weight 0. Each measure's weights are U(0, 1) + 0.05,
+    normalized, and its atoms N(0, 4). The draws: the atom counts of all mu,
+    then of all nu; then mu's weights and atoms, then nu's, six per measure,
+    of which those beyond its atom count are dropped."""
     n_mu, n_nu = rng.integers(1, 7, size=count), rng.integers(1, 7, size=count)
-    key = 7 * n_mu + n_nu
-    mu, nu = ((np.zeros((count, 6, 1)), np.zeros((count, 6))) for _ in range(2))
-    for k in np.unique(key):
-        index = np.flatnonzero(key == k)
-        for (points, weights), n in ((mu, k // 7), (nu, k % 7)):
-            w = rng.random((len(index), n)) + 0.05
-            weights[index, :n] = w / w.sum(axis=1, keepdims=True)
-            points[index, :n] = rng.normal(size=(len(index), n, 1)) * 2.0
-    measures.check_atoms(*mu)
-    measures.check_atoms(*nu)
-    return mu, nu
+    stacks = []
+    for n in (n_mu, n_nu):
+        used = np.arange(6) < n[:, None]
+        w = np.where(used, rng.random((count, 6)) + 0.05, 0.0)
+        points = np.where(used[..., None], rng.normal(size=(count, 6, 1)) * 2.0, 0.0)
+        stacks.append((points, w / w.sum(axis=1, keepdims=True)))
+        measures.check_atoms(*stacks[-1])
+    return tuple(stacks)
 
 
 def suite_sharpness():
@@ -129,9 +127,7 @@ def suite_curvature():
         worst = float(np.max(deficits))
         results.append((name, worst <= 1e-9, f"worst={worst:.2e}"))
     kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
-    mu, nu = _kernel_witness()
-    deficit = bounds.check_semi_convexity(kern, mu, nu)
-    found = bounds.semi_convexity_lambda(kern, mu, nu)
+    deficit, found = bounds.semi_convexity_witness(kern, *_kernel_witness())
     results.append((
         "semi-convexity kernel witness",
         deficit <= 1e-9,

@@ -5,8 +5,10 @@ import pytest
 
 from mfgibbs.config import GRID_N_MAX
 from mfgibbs.dynamics import SimConfig, run_chain
-from mfgibbs.energies import ParticleSystem, QuadraticMeanEnergy, PairwiseKernelEnergy
+from mfgibbs.energies import LinearPotentialEnergy, PairwiseKernelEnergy, ParticleSystem
+from mfgibbs.energies import QuadraticMeanEnergy
 from mfgibbs.errors import GibbsUndefinedError
+from mfgibbs.estimators import _CONDITIONAL_GRID_N, _level_set_window
 from mfgibbs.spectral1d import (
     REFINE_TOL,
     Grid1D,
@@ -16,7 +18,7 @@ from mfgibbs.spectral1d import (
     grid_poincare,
     proximal_gibbs_fixed_point,
 )
-from mfgibbs.spectral1d import _generator
+from mfgibbs.spectral1d import _generator, _refine_potential
 
 
 def ou_grid(kappa=1.0, lo=-10.0, hi=10.0, n=2001):
@@ -142,20 +144,100 @@ class TestGapAgainstDense:
         assert abs(gap - 1.0) < 1e-2
 
     def test_one_eigenvalue_per_grid(self, monkeypatch):
+        # one bisection, on the n-node grid alone, and two eigenvalue counts
+        # on the 2n - 1 grid, which report no eigenvalue
         import scipy.linalg
+        import scipy.linalg.lapack
 
-        calls = []
-        solve = scipy.linalg.eigh_tridiagonal
+        bisections, counts = [], []
+        solve, count = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstebz
 
-        def spy(diag, off, **kwargs):
-            calls.append((len(diag), kwargs))
+        def spy_solve(diag, off, **kwargs):
+            bisections.append((len(diag), kwargs))
             return solve(diag, off, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        def spy_count(diag, off, *args):
+            counts.append((len(diag), args[0]))
+            return count(diag, off, *args)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy_solve)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", spy_count)
         grid_poincare(ou_grid(n=301))
-        assert [n for n, _ in calls] == [301, 601]
-        for _, kwargs in calls:
-            assert kwargs == {"eigvals_only": True, "select": "i", "select_range": (1, 1)}
+        assert bisections == [
+            (301, {"eigvals_only": True, "select": "i", "select_range": (1, 1)})
+        ]
+        assert counts == [(601, 1), (601, 1)]  # RANGE = 'V', a value interval
+
+
+def _parent_rule(grid):
+    """The refinement check as a second bisection made it: the index-1
+    eigenvalue of the 2n - 1 grid within REFINE_TOL |gap| of the gap."""
+    from scipy.linalg import eigh_tridiagonal
+
+    def gap_of(g):
+        vals = eigh_tridiagonal(*_generator(g), eigvals_only=True, select="i", select_range=(1, 1))
+        return float(vals[0])
+
+    fine = Grid1D(grid.lo, grid.hi, 2 * grid.n - 1, _refine_potential(grid.potential))
+    gap = gap_of(grid)
+    return abs(gap_of(fine) - gap) <= REFINE_TOL * max(abs(gap), 1e-300)
+
+
+def _ripple_grids():
+    """The windowed grids of `conditional_gap_mc` for V = x^2/2 + cos(100 x),
+    N = 3, at the three configurations of test_grid_too_coarse_to_converge_fails."""
+    energy = LinearPotentialEnergy(
+        v=lambda x: 0.5 * np.sum(x * x, axis=-1) + np.cos(100.0 * x[..., 0]),
+        v_grad=lambda x: x - 100.0 * np.sin(100.0 * x),
+        v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[..., None]) * np.eye(1),
+    )
+    system = ParticleSystem(energy, 3, 1)
+    grids = []
+    for others in np.random.default_rng(12).normal(size=(3, 2)):
+        lo, hi = _level_set_window(system, others)
+        grids.append(conditional_potential(system, others, lo, hi, _CONDITIONAL_GRID_N))
+    return grids
+
+
+class TestRefinementCounts:
+    """`converged` from two eigenvalue counts on the 2n - 1 grid against the
+    rule they replace, a second bisection there."""
+
+    TABLE = {
+        "ou": (lambda: [ou_grid()], True),
+        "double-well": (lambda: [_grid(lambda x: (x * x - 1.0) ** 2, -6.0, 6.0, 4001)], True),
+        "tilted-well": (lambda: [_grid(*TestGapAgainstDense.GRIDS["tilted-well"])], True),
+        "steep-tail": (lambda: [_grid(*TestGapAgainstDense.GRIDS["steep-tail"])], False),
+        "coarse-ou-n21": (lambda: [_grid(lambda x: 0.5 * x * x, -12.0, 12.0, 21)], False),
+        "ripple": (_ripple_grids, False),
+    }
+
+    @pytest.mark.parametrize("name", TABLE)
+    def test_counts_equal_the_second_bisection(self, name):
+        build, expected = self.TABLE[name]
+        for grid in build():
+            assert grid_poincare(grid).converged is _parent_rule(grid) is expected
+
+    @pytest.mark.parametrize("barrier", [30.0, 40.0, 60.0])
+    def test_a_gap_at_the_bisection_resolution_is_not_converged(self, barrier):
+        # U = barrier (x^2 - 1)^2: the true gap, about e^{-barrier} times a
+        # prefactor below 100, lies far below eps times the generator's norm,
+        # so the bisection returns round-off, which no refinement confirms
+        grid = _grid(lambda x: barrier * (x * x - 1.0) ** 2, -2.5, 2.5, 801)
+        diag, off = _generator(grid)
+        norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+        res = grid_poincare(grid)
+        assert abs(res.gap) <= np.finfo(float).eps * norm
+        assert res.converged is False
+
+    def test_a_failed_count_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dstebz", lambda d, *args: (0, d, None, None, 1)
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+            grid_poincare(ou_grid(n=301))
 
 
 def _conditional_by_node(system, frozen, lo, hi, n):

@@ -29,29 +29,20 @@ from mfgibbs.measures import DiscreteMeasure, empirical, mix
 # batched deficits with the suite.
 
 
-def random_measures(rng, count, n):
-    """`count` random measures of n atoms on the line, drawn as the curvature
-    suite draws one stack: the weights of all of them, then their atoms."""
-    w = rng.random((count, n)) + 0.05
-    points = rng.normal(size=(count, n, 1)) * 2.0
-    return [DiscreteMeasure(x, v / v.sum()) for x, v in zip(points, w)]
+def random_measures(rng, counts):
+    """One random measure on the line per atom count n in `counts`, drawn as
+    the curvature suite draws one side's stack: six weights for each measure,
+    then six atoms for each, of which the measure keeps its first n."""
+    w = rng.random((len(counts), 6)) + 0.05
+    points = rng.normal(size=(len(counts), 6, 1)) * 2.0
+    return [DiscreteMeasure(x[:n], v[:n] / v[:n].sum()) for x, v, n in zip(points, w, counts)]
 
 
 def draw_pairs(rng, count):
     """`count` pairs in the suite's draw order: the atom counts of all mu,
-    then of all nu; then, for each (n_mu, n_nu) in increasing order, the
-    measures mu of its pairs, then their nu."""
+    then of all nu; then the measures mu, then the measures nu."""
     n_mu, n_nu = rng.integers(1, 7, size=count), rng.integers(1, 7, size=count)
-    pairs = [None] * count
-    for a in range(1, 7):
-        for b in range(1, 7):
-            index = [i for i in range(count) if n_mu[i] == a and n_nu[i] == b]
-            if not index:
-                continue
-            mus, nus = random_measures(rng, len(index), a), random_measures(rng, len(index), b)
-            for i, mu, nu in zip(index, mus, nus):
-                pairs[i] = (mu, nu)
-    return pairs
+    return list(zip(random_measures(rng, n_mu), random_measures(rng, n_nu)))
 
 
 def per_pair_deficits(energy, pairs, penalty_of):
@@ -195,6 +186,27 @@ def test_the_random_pairs_are_the_drawn_pairs():
             for got_m, want_m in zip(pair, want):
                 np.testing.assert_array_equal(got_m.points, want_m.points)
                 np.testing.assert_array_equal(got_m.weights, want_m.weights)
+
+
+def test_the_witness_line_is_both_checks_from_one_pass(monkeypatch):
+    # the deficit and the least lambda, bit for bit as their one-pair checks
+    # give them, from one `_mixture_gaps` and one W2^2
+    kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+    mu, nu = verify._kernel_witness()
+    deficit = bounds.check_semi_convexity(kern, mu, nu)
+    t = np.asarray(bounds.DEFAULT_T_GRID)
+    stack = lambda m: (m.points[None], m.weights[None])
+    w2 = measures.w2_squared_pairs(stack(nu), stack(mu))
+    found = float(np.max(2.0 * bounds._mixture_gaps(kern, stack(mu), stack(nu))
+                         / (t * (1.0 - t) * w2[:, None])))
+    line = ("semi-convexity kernel witness", True, f"lambda found={found:.6f} <= declared 0.1")
+    assert verify.suite_curvature()[-1] == line
+    calls = []
+    for name in ("_mixture_gaps", "w2_squared_pairs"):
+        fn = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert bounds.semi_convexity_witness(kern, mu, nu) == (deficit, found)
+    assert sorted(calls) == ["_mixture_gaps", "w2_squared_pairs"]
 
 
 def test_the_kernel_witness_is_sharp():
@@ -390,9 +402,19 @@ def test_no_oracle_runs_a_chain(monkeypatch):
     assert not {name for name in imported if name and "dynamics" in name}
 
 
+def test_the_quadratic_rows_are_shifts_of_one_grid():
+    # the quadratic conditional law only shifts with the others; with the
+    # window's ends interpolated between scan nodes, its three windows shift
+    # with it up to the interpolation's error, and the gaps agree to about
+    # 1e-10 (windows snapped to the 0.0625-spaced scan nodes read 2.08e-07)
+    system = ParticleSystem(QuadraticMeanEnergy(0.5), 20, 1)
+    res = conditional_gap_mc(system, verify._frozen_family(20)[[0, 5, 10]])
+    assert res.converged.all() and res.spread < 1e-8
+
+
 def test_the_conditional_lines():
     assert conditional_lines() == {
-        "quadratic conditional gap": (True, "median=0.974967 spread=2.08e-07"),
+        "quadratic conditional gap": (True, "median=0.974966 spread=2.57e-10"),
         "kernel conditional gap >= rho": (True, "min=0.755296 rho=0.367879"),
         "parametrized conditional gap >= rho": (True, "min=0.974966 rho=0.975000"),
     }
