@@ -34,7 +34,6 @@ __all__ = [
     "parametrized_cost_bound",
     "corollary_report",
     "check_semi_convexity",
-    "semi_convexity_lambda",
     "semi_convexity_witness",
     "stack_deficits",
     "w2_penalty",
@@ -207,7 +206,7 @@ class KernelExampleConstants:
     """Closed-form skeleton of the Gaussian-kernel pairwise example."""
 
     Mmm: float
-    rho: float  # proximal-Gibbs LSI constant eta exp(-v1_sup - L)
+    rho: float  # proximal-Gibbs LSI constant eta exp(-(2 v1_sup + L))
     rho_N: float  # conditional Poincare constant, same closed form
     condition_holds: bool  # uniform-LSI condition 4 alpha < rho
     beta_max: float  # inverse-temperature threshold; inf when alpha = 0
@@ -219,16 +218,16 @@ def kernel_example_constants(
     """Closed forms of the kernel example; PairwiseKernelEnergy checks the
     parameters and declares Mmm, rho and rho_N."""
     energy = PairwiseKernelEnergy(eta=eta, L=L, alpha=alpha, v1_sup=v1_sup)
-    rho = energy.declared_rho
+    rho, osc = energy.declared_rho, energy.perturbation_osc
     if alpha == 0.0:
         beta_max = math.inf
     elif 4.0 * alpha >= eta:
         beta_max = 0.0  # no admissible temperature
-    elif v1_sup + L == 0.0:
+    elif osc == 0.0:
         # the admissibility condition is temperature-free in this case
         beta_max = math.inf
     else:
-        beta_max = (math.log(eta) - math.log(4.0 * alpha)) / (v1_sup + L)
+        beta_max = (math.log(eta) - math.log(4.0 * alpha)) / osc
     return KernelExampleConstants(
         Mmm=energy.declared_Mmm,
         rho=rho,
@@ -337,24 +336,16 @@ def check_semi_convexity(
     return float(stack_deficits(energy, mu, nu, w2_penalty(lam))[0])
 
 
-def semi_convexity_lambda(
-    energy: MeanFieldEnergy, mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> float:
-    """The least lambda at which the pair (mu, nu) of distinct measures
-    passes the semi-convexity check: the max over t of `DEFAULT_T_GRID` of
-    2 (F(t mu + (1-t) nu) - t F(mu) - (1-t) F(nu)) / (t (1-t) W2^2(mu, nu)).
-    A declared lambda below it fails on this pair. ValueError when mu and
-    nu are one measure (W2 = 0), where no lambda is singled out."""
-    return semi_convexity_witness(energy, mu, nu)[1]
-
-
 def semi_convexity_witness(
     energy: MeanFieldEnergy, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> tuple[float, float]:
-    """(`check_semi_convexity`, `semi_convexity_lambda`) of the pair (mu, nu)
-    of distinct measures, bit for bit, from one `_mixture_gaps` and one
-    W2^2: the deficit against the declared lambda, and the least lambda at
-    which the pair passes."""
+    """(deficit, least lambda) of the pair (mu, nu) of distinct measures,
+    from one `_mixture_gaps` and one W2^2: the `check_semi_convexity`
+    deficit against the declared lambda, bit for bit, and the least lambda
+    at which the pair passes, the max over t of `DEFAULT_T_GRID` of
+    2 (F(t mu + (1-t) nu) - t F(mu) - (1-t) F(nu)) / (t (1-t) W2^2(mu, nu)).
+    A declared lambda below it fails on this pair. ValueError when mu and
+    nu are one measure (W2 = 0), where no lambda is singled out."""
     mu, nu = (mu.points[None], mu.weights[None]), (nu.points[None], nu.weights[None])
     w2 = w2_squared_pairs(nu, mu)
     if w2[0] == 0.0:

@@ -285,7 +285,7 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     """Confinement plus Gaussian-repulsion / quadratic-attraction pair kernel.
 
     F(mu) = int V dmu + 1/2 iint W(x - y) mu(dx) mu(dy) with
-    V = eta |x|^2 / 2 + V1 (V1 bounded, sup-norm `v1_sup`) and
+    V = eta |x|^2 / 2 + V1 (V1 bounded, sup-norm at most `v1_sup`) and
     W(z) = L exp(-|z|^2) + alpha |z|^2. The double integral keeps the
     diagonal self-interaction so that U_N = N F(mu_x) holds exactly
     (a configuration-independent L/(2N) per-particle constant).
@@ -317,8 +317,15 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         return 2.0 * self.L * (1.0 + 2.0 * math.exp(-1.0)) + 2.0 * self.alpha
 
     @property
-    def declared_rho(self) -> float:  # Holley-Stroock: eta |x|^2 / 2 perturbed by V1 and L
-        return self.eta * math.exp(-self.v1_sup - self.L)
+    def perturbation_osc(self) -> float:
+        """A bound on the oscillation (sup - inf) of what perturbs eta |x|^2 / 2:
+        osc V1 <= 2 v1_sup whatever its sign, and the pair term
+        L int exp(-|x - y|^2) dm(y) lies in [0, L]."""
+        return 2.0 * self.v1_sup + self.L
+
+    @property
+    def declared_rho(self) -> float:  # Holley-Stroock: the factor is exp(-osc)
+        return self.eta * math.exp(-self.perturbation_osc)
 
     @property
     def declared_cost(self) -> tuple[float, float]:  # attraction alpha int|x|^2 - alpha |int x|^2

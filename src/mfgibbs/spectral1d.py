@@ -1,9 +1,9 @@
 """Deterministic oracles: 1-D grid spectral gaps, proximal-Gibbs fixed points, and the
-Gaussian target of a quadratic-mean system (exact constants, exact OU flow, KL)."""
+Gaussian target of a quadratic-mean system (exact constants, exact OU flow, KL against
+its precision). Every tridiagonal eigenvalue question goes to one LAPACK routine, dstebz."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +134,10 @@ def grid_poincare(grid: Grid1D) -> SpectralResult:
 
 
 def _gap(grid: Grid1D) -> float:
-    """The index-1 eigenvalue of the grid's generator by bisection, alone:
-    no eigenvector and no other eigenvalue."""
-    from scipy.linalg import eigh_tridiagonal  # local: only a grid gap pays its import
-
-    diag, off = _generator(grid)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(1, 1))
+    """The index-1 eigenvalue of the grid's generator by bisection (LAPACK
+    ?stebz, RANGE='I', il = iu = 2), alone: no eigenvector and no other
+    eigenvalue."""
+    _, vals = _stebz(*_generator(grid), 2, 0.0, 1.0, 2, 2, 0.0)
     return float(vals[0])
 
 
@@ -149,22 +147,25 @@ def _eigen_counts(grid: Grid1D, points) -> list:
     Wilkinson 1967): the interval runs from below the Gershgorin bound to the
     point, and an absolute tolerance wider than it stops the bisection before
     it refines any eigenvalue. The generator is built once for all points."""
-    from scipy.linalg.lapack import dstebz  # local: only a grid gap pays its import
-
     diag, off = _generator(grid)
     radius = np.zeros_like(diag)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
     start = lower - (upper - lower)  # strictly below every eigenvalue
-    counts = []
-    for point in points:
-        width = 2.0 * (point - start)
-        m, _, _, _, info = dstebz(diag, off, 1, start, point, 0, 0, width, "E")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
-        counts.append(int(m))
-    return counts
+    return [int(_stebz(diag, off, 1, start, p, 0, 0, 2.0 * (p - start))[0]) for p in points]
+
+
+def _stebz(diag, off, *args) -> tuple:
+    """(m, w): the count and the eigenvalues that LAPACK dstebz finds for the
+    tridiagonal (diag, off), args (range, vl, vu, il, iu, abstol), in
+    ascending order; LinAlgError when it fails."""
+    from scipy.linalg.lapack import dstebz  # local: only a grid gap pays its import
+
+    m, w, _, _, info = dstebz(diag, off, *args, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
+    return m, w
 
 
 def _refine_potential(values: np.ndarray) -> np.ndarray:
@@ -259,13 +260,7 @@ def proximal_gibbs_fixed_point(
 @dataclass(frozen=True)
 class GaussianExact:
     precision: np.ndarray
-    poincare: float
-    lsi: float
-
-    @functools.cached_property
-    def covariance(self) -> np.ndarray:
-        """The inverse of the precision, computed on first use."""
-        return np.linalg.inv(self.precision)
+    poincare: float  # lambda_min of the precision: also the optimal LSI constant
 
 
 def _gaussian_precision(system: ParticleSystem) -> np.ndarray:
@@ -282,11 +277,10 @@ def gaussian_exact(system: ParticleSystem) -> GaussianExact:
     """Exact constants of the Gaussian Gibbs measure of a quadratic-mean system.
 
     Both the optimal Poincare and LSI constants equal lambda_min of the
-    precision matrix grad^2 U_N.
+    precision matrix grad^2 U_N, which `poincare` holds.
     """
     A = _gaussian_precision(system)
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    return GaussianExact(precision=A, poincare=lam_min, lsi=lam_min)
+    return GaussianExact(precision=A, poincare=float(np.linalg.eigvalsh(A)[0]))
 
 
 def ou_exact_flow_stacks(system: ParticleSystem, mean0, cov0, times) -> tuple:
@@ -315,35 +309,35 @@ def ou_exact_flow_stacks(system: ParticleSystem, mean0, cov0, times) -> tuple:
     return means, covs
 
 
-def gaussian_kl(mean_a, cov_a, mean_b, cov_b):
-    """KL divergence KL(N(mean_a, cov_a) || N(mean_b, cov_b)): a float, or an
-    array for a stack of first laws, means (..., k) and covariances
-    (..., k, k), whose items equal their one-law calls bit for bit."""
+def gaussian_kl(mean_a, cov_a, mean_b, precision_b):
+    """KL divergence KL(N(mean_a, cov_a) || N(mean_b, precision_b^{-1})),
+    the second law given by its precision: a float, or an array for a stack
+    of first laws, means (..., k) and covariances (..., k, k), whose items
+    equal their one-law calls bit for bit."""
     mean_a = np.atleast_1d(np.asarray(mean_a, dtype=float))
     mean_b = np.atleast_1d(np.asarray(mean_b, dtype=float))
     cov_a = np.atleast_2d(np.asarray(cov_a, dtype=float))
-    cov_b = np.atleast_2d(np.asarray(cov_b, dtype=float))
+    precision_b = np.atleast_2d(np.asarray(precision_b, dtype=float))
     k = mean_b.shape[-1]
-    shapes = (mean_a.shape[-1:], mean_b.shape, cov_b.shape, cov_a.shape)
+    shapes = (mean_a.shape[-1:], mean_b.shape, precision_b.shape, cov_a.shape)
     if shapes != ((k,), (k,), (k, k), mean_a.shape + (k,)):
-        raise ValueError("need means (..., k), (k,) and covariances (..., k, k), (k, k)")
+        raise ValueError("need means (..., k), (k,), covariances (..., k, k), a precision (k, k)")
     # one Cholesky factor at a time: a stack of factors would be a second
     # array the size of cov_a
-    logdet_a = np.array([_logdet(c, "first") for c in cov_a.reshape(-1, k, k)])
-    logdet_b = _logdet(cov_b, "second")
-    solve_b = np.linalg.inv(cov_b)
+    logdet_a = np.array([_logdet(c, "first covariance") for c in cov_a.reshape(-1, k, k)])
+    logdet_b = -_logdet(precision_b, "second precision")
     # one gemv and one dot per item, as for one law
     diff = (mean_b - mean_a)[..., None, :]
-    quad = (diff @ solve_b @ np.swapaxes(diff, -1, -2))[..., 0, 0]
-    trace = np.einsum("ij,...ji->...", solve_b, cov_a)
+    quad = (diff @ precision_b @ np.swapaxes(diff, -1, -2))[..., 0, 0]
+    trace = np.einsum("ij,...ji->...", precision_b, cov_a)
     kl = 0.5 * (trace - k + quad + logdet_b - logdet_a.reshape(trace.shape))
     return float(kl) if kl.ndim == 0 else kl
 
 
-def _logdet(cov: np.ndarray, which: str) -> float:
-    """log det of a positive-definite covariance, from its Cholesky factor."""
+def _logdet(matrix: np.ndarray, which: str) -> float:
+    """log det of a positive-definite matrix, from its Cholesky factor."""
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{which} covariance must be positive definite") from exc
+        raise ValueError(f"{which} must be positive definite") from exc
     return 2.0 * float(np.sum(np.log(np.diag(chol))))

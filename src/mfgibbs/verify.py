@@ -1,7 +1,9 @@
 """Verification batteries behind `mfgibbs verify <suite>`.
 
 Each battery returns a list of (check name, passed, detail) tuples so the
-CLI can print a table and pick an exit code.
+CLI can print a table and pick an exit code. The batteries are where a
+declared constant meets its oracle: the oracles only measure, and every
+threshold that turns a measurement into a verdict is written here.
 """
 
 from __future__ import annotations
@@ -193,13 +195,17 @@ def suite_hessian():
 
 def _gap_line(name, system, frozen):
     """The conditional gap check of an energy: the least gap over `frozen`
-    against the declared rho_N, every grid converged."""
+    at least the declared rho_N, less 1e-3, and every grid converged."""
     rho_N = system.energy.declared_rho_N(system.N)
-    res = conditional_gap_mc(system, frozen, claimed_rho_N=rho_N)
+    res = conditional_gap_mc(system, frozen)
+    unconverged = int(np.count_nonzero(~res.converged))
+    detail = f"min={res.minimum:.6f} rho={rho_N:.6f}"
+    if unconverged:
+        detail += f" ({unconverged} of {len(res.gaps)} grids not converged)"
     return (
         f"{name} conditional gap >= rho",
-        bool(res.passed),
-        f"min={res.minimum:.6f} rho={rho_N:.6f}",
+        res.minimum >= rho_N - 1e-3 and not unconverged,
+        detail,
     )
 
 
@@ -211,7 +217,7 @@ def suite_conditional():
     # the quadratic conditional law only shifts with the others, so three
     # rows (c = 0, all at 3, split at -3 and 3) show it constant
     shifts = _frozen_family(N)[[0, 5, 10]]
-    res = conditional_gap_mc(system, shifts, claimed_rho_N=rho_N)
+    res = conditional_gap_mc(system, shifts)
     results.append(
         (
             "quadratic conditional gap",
@@ -223,6 +229,12 @@ def suite_conditional():
     results.append(_gap_line("kernel", ParticleSystem(kern, 8, 1), _frozen_family(8)))
     par = ParticleSystem(quadratic_as_parametrized(0.5), N, 1)
     results.append(_gap_line("parametrized", par, shifts))
+    # V1 = 3 cos 5x changes sign: its Holley-Stroock factor is exp(-osc V1) =
+    # exp(-6), where its sup-norm alone gives exp(-3), above the true gap. At
+    # L = alpha = 0 the others do not enter: one configuration is all of them.
+    # The row reads U_N alone, so V1 comes without derivatives
+    cosine = PairwiseKernelEnergy(eta=1.0, v1=lambda x: 3.0 * np.cos(5.0 * x[..., 0]), v1_sup=3.0)
+    results.append(_gap_line("kernel V1", ParticleSystem(cosine, 8, 1), np.zeros((1, 7))))
     return results
 
 
@@ -232,13 +244,7 @@ def suite_entropy():
     system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
     report, _ = bounds.corollary_report(system.energy, N, 1, var_phi=1.0, epsilon=0.5)
     times = np.linspace(0.0, 4.0, 60)
-    curve = entropy_decay_gaussian(
-        system,
-        mean0=np.ones(N),
-        cov0=np.eye(N),
-        times=times,
-        rho_star=report.rho_star,
-    )
+    curve = entropy_decay_gaussian(system, mean0=np.ones(N), cov0=np.eye(N), times=times)
     target = 2.0 * (1.0 - a)
     ok_rate = abs(curve.rate - target) <= 0.01 * target
     results.append(
@@ -246,13 +252,11 @@ def suite_entropy():
     )
     results.append(("entropy floor ~ 0", curve.floor < 1e-8, f"floor={curve.floor:.2e}"))
     if report.rho_star is not None:
-        results.append(
-            (
-                "rate >= 2 rho_star",
-                bool(curve.flags.get("rate_geq_2rho_star", False)),
-                f"2 rho_star={2 * report.rho_star:.5f}",
-            )
-        )
+        results.append((
+            "rate >= 2 rho_star",
+            curve.rate >= 2.0 * report.rho_star - 1e-9,
+            f"2 rho_star={2 * report.rho_star:.5f}",
+        ))
     return results
 
 

@@ -192,12 +192,10 @@ def test_criterion_07_entropy_decay():
         rho_star = max(r for r in rho_stars if r is not None)
         mean0 = np.full(N, 1.0)
         cov0 = np.linalg.inv(system.hess_u_n(np.zeros((N, 1))))
-        curve = entropy_decay_gaussian(
-            system, mean0, cov0, np.linspace(0.0, 3.0, 40), rho_star=rho_star
-        )
+        curve = entropy_decay_gaussian(system, mean0, cov0, np.linspace(0.0, 3.0, 40))
         assert abs(curve.rate - 1.6) <= 0.016
         assert curve.floor < 1e-8
-        assert curve.flags["rate_geq_2rho_star"]
+        assert curve.rate >= 2.0 * rho_star - 1e-9
 
 
 def test_criterion_08_sampler_correctness():
@@ -269,8 +267,8 @@ def test_criterion_09_kernel_example():
             seed=73, sampler="MALA",
         )
         frozen = np.concatenate([chain_frozen(system, cfg, 50), verify._frozen_family(10)])
-        res = conditional_gap_mc(system, frozen, claimed_rho_N=k.rho, tolerance=0.0)
-        assert res.passed
+        res = conditional_gap_mc(system, frozen)
+        assert res.minimum >= k.rho - 0.0 and res.converged.all()
         assert res.minimum >= k.rho
 
 

@@ -205,6 +205,14 @@ class TestKernelExample:
         assert k.Mmm == 0.2  # 2 alpha, the quadratic-mean value at a = 2 alpha
         assert k.condition_holds == (4 * 0.1 < 1.0)
 
+    def test_v1_enters_by_its_oscillation(self):
+        # a V1 of sup-norm 0.3 may swing by 0.6: rho and beta_max read one
+        # exponent, 2 v1_sup + L
+        k = bounds.kernel_example_constants(0.5, 0.1, 2.0, v1_sup=0.3)
+        assert k.rho == k.rho_N == 2.0 * math.exp(-1.1)
+        assert abs(k.beta_max - (math.log(2.0) - math.log(0.4)) / 1.1) <= 1e-15
+        assert bounds.kernel_example_constants(0.0, 0.1, 2.0, v1_sup=0.0).beta_max == math.inf
+
     def test_condition_fails(self):
         k = bounds.kernel_example_constants(1.0, 0.2, 1.0)
         assert not k.condition_holds
@@ -346,7 +354,7 @@ class TestDeclarations:
         assert (par.declared_rho, par.declared_rho_N(20), par.declared_cost) == (
             1.0, 1.0 - 0.3 / 20, (0.15, 1.0)
         )
-        rho = 2.0 * math.exp(-0.8)
+        rho = 2.0 * math.exp(-1.1)  # osc V1 <= 2 v1_sup = 0.6, plus L = 0.5
         assert (kern.declared_rho, kern.declared_rho_N(20), kern.declared_cost) == (
             rho, rho, (0.1, 1.0)
         )
@@ -719,13 +727,13 @@ class TestBatchedCheckers:
         rng = np.random.default_rng(36)
         for _ in range(20):
             mu, nu = random_measure(rng), random_measure(rng)
-            found = bounds.semi_convexity_lambda(energy, mu, nu)
+            found = bounds.semi_convexity_witness(energy, mu, nu)[1]
             assert found <= energy.declared_lambda + 1e-9
             assert abs(bounds.check_semi_convexity(energy, mu, nu, lam=found)) <= 1e-12
 
     def test_semi_convexity_lambda_dirac_equality(self):
         # the quadratic energy's modulus is attained on any two distinct Diracs
-        found = bounds.semi_convexity_lambda(
+        _, found = bounds.semi_convexity_witness(
             self.ENERGIES["quadratic"](), empirical([[0.0]]), empirical([[2.0]])
         )
         assert abs(found - 0.5) <= 1e-12
@@ -738,4 +746,4 @@ class TestBatchedCheckers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="one measure"):
-                bounds.semi_convexity_lambda(self.ENERGIES[name](), mu, nu)
+                bounds.semi_convexity_witness(self.ENERGIES[name](), mu, nu)

@@ -168,7 +168,7 @@ class TestConstants:
         [
             ("type = quadratic\na = 0.5", 1.0 - 0.5 / 10),
             ("type = parametrized\na = 0.5", 1.0 - 0.5 / 10),
-            ("type = kernel\neta = 2\nl = 0.5\nalpha = 0.1\nv1_sup = 0.3", 2 * math.exp(-0.8)),
+            ("type = kernel\neta = 2\nl = 0.5\nalpha = 0.1\nv1_sup = 0.3", 2 * math.exp(-1.1)),
         ],
     )
     def test_poincare_bound_reads_the_built_energy(self, tmp_path, energy, rho_N):

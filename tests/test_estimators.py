@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mfgibbs.energies import (
     QuadraticMeanEnergy,
 )
 from mfgibbs.estimators import (
+    ConditionalGapResult,
     GapEstimate,
     conditional_gap_mc,
     entropy_decay_gaussian,
@@ -208,10 +210,10 @@ class TestEntropyDecay:
         mean0 = np.full(N, 1.0)  # uniform shift = soft eigendirection
         cov0 = np.linalg.inv(gaussian_exact(system).precision)
         times = np.linspace(0.0, 3.0, 40)
-        curve = entropy_decay_gaussian(system, mean0, cov0, times, rho_star=0.5)
+        curve = entropy_decay_gaussian(system, mean0, cov0, times)
         assert abs(curve.rate - 2.0 * (1.0 - a)) < 0.016  # 1%
         assert curve.floor < 1e-8
-        assert curve.flags["rate_geq_2rho_star"]
+        assert curve.rate >= 2.0 * 0.5 - 1e-9 and curve.flags == {}
 
     @pytest.mark.parametrize(
         "a, N, horizon, cov_scale",
@@ -256,7 +258,7 @@ class TestEntropyDecay:
         system = ParticleSystem(QuadraticMeanEnergy(0.2), 50, 1)
         times = np.linspace(0.0, 4.0, 60)
         curve = entropy_decay_gaussian(system, np.ones(50), np.eye(50), times)
-        target = gaussian_exact(system).covariance
+        target = gaussian_exact(system).precision
         one = [gaussian_kl(m, c, np.zeros(50), target) for m, c in zip(*ou_exact_flow_stacks(
             system, np.ones(50), np.eye(50), times
         ))]
@@ -288,16 +290,30 @@ def chain_frozen(system, config, count):
     return np.stack([traj.observables[f"c{j}"][0, picks] for j in others], axis=1)
 
 
+def ripple():
+    """(system, frozen): V(x) = x^2/2 + cos(100 x) at N = 3, declaring
+    kappa = 0, and three configurations of the others. The conditional
+    window's 1201 nodes, about 0.017 apart, alias the ripple, so no gap is
+    stable when its grid is refined."""
+    energy = LinearPotentialEnergy(
+        v=lambda x: 0.5 * np.sum(x * x, axis=-1) + np.cos(100.0 * x[..., 0]),
+        v_grad=lambda x: x - 100.0 * np.sin(100.0 * x),
+        v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[..., None]) * np.eye(1),
+        kappa=0.0,
+    )
+    return ParticleSystem(energy, 3, 1), np.random.default_rng(12).normal(size=(3, 2))
+
+
 class TestConditionalGapMc:
     def test_quadratic_constant_across_configs(self):
         a, N = 0.5, 20
         system = ParticleSystem(QuadraticMeanEnergy(a), N, 1)
         frozen = np.random.default_rng(10).normal(size=(8, N - 1))
-        res = conditional_gap_mc(system, frozen, claimed_rho_N=1.0 - a / N)
+        res = conditional_gap_mc(system, frozen)
         assert abs(res.median - (1.0 - a / N)) < 1e-3
         assert res.spread < 1e-6  # conditional curvature independent of config
         assert res.gaps.shape == res.converged.shape == (8,) and res.converged.all()
-        assert res.passed
+        assert res.minimum >= 1.0 - a / N - 1e-3
 
     def test_each_gap_is_its_configuration_alone(self):
         system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 4, 1)
@@ -306,27 +322,13 @@ class TestConditionalGapMc:
         for k, others in enumerate(frozen):
             one = conditional_gap_mc(system, others[None])
             assert (one.gaps[0], one.converged[0]) == (res.gaps[k], res.converged[k])
-        assert res.passed is None and res.minimum == float(np.min(res.gaps))
+        assert res.minimum == float(np.min(res.gaps))
 
-    def test_grid_too_coarse_to_converge_fails(self):
-        # V(x) = x^2/2 + cos(100 x): the window's 1201 nodes, about 0.017
-        # apart, alias the ripple, so the gap moves when the grid is refined
-        energy = LinearPotentialEnergy(
-            v=lambda x: 0.5 * np.sum(x * x, axis=-1) + np.cos(100.0 * x[..., 0]),
-            v_grad=lambda x: x - 100.0 * np.sin(100.0 * x),
-            v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[..., None]) * np.eye(1),
-        )
-        system = ParticleSystem(energy, 3, 1)
-        frozen = np.random.default_rng(12).normal(size=(3, 2))
-        res = conditional_gap_mc(system, frozen, claimed_rho_N=0.0)
+    def test_grid_too_coarse_to_converge_is_flagged(self):
+        system, frozen = ripple()
+        res = conditional_gap_mc(system, frozen)
         assert not res.converged.any()
-        assert res.minimum >= 0.0 and res.passed is False
-
-    def test_claim_too_strong_fails(self):
-        system = ParticleSystem(QuadraticMeanEnergy(0.5), 10, 1)
-        frozen = np.random.default_rng(11).normal(size=(4, 9))
-        res = conditional_gap_mc(system, frozen, claimed_rho_N=1.5)
-        assert res.passed is False
+        assert res.minimum >= 0.0
 
     def test_window_holds_a_law_flatter_than_its_tails(self):
         # kernel L = 3, N = 2, the other particle frozen at y in [0, 4]: the
@@ -362,3 +364,13 @@ class TestConditionalGapMc:
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 4, 2)
         with pytest.raises(ValueError, match="d = 1"):
             conditional_gap_mc(system, np.zeros((2, 3)))
+
+
+def test_the_oracles_take_no_claim_and_return_no_verdict():
+    # a claimed constant meets its oracle in `verify` alone
+    assert list(inspect.signature(conditional_gap_mc).parameters) == ["system", "frozen"]
+    assert list(inspect.signature(entropy_decay_gaussian).parameters) == [
+        "system", "mean0", "cov0", "times"
+    ]
+    fields = [f.name for f in dataclasses.fields(ConditionalGapResult)]
+    assert fields == ["gaps", "converged", "minimum", "median", "spread"]

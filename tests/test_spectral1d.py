@@ -2,10 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from test_estimators import ripple
 
 from mfgibbs.config import GRID_N_MAX
 from mfgibbs.dynamics import SimConfig, run_chain
-from mfgibbs.energies import LinearPotentialEnergy, PairwiseKernelEnergy, ParticleSystem
+from mfgibbs.energies import PairwiseKernelEnergy, ParticleSystem
 from mfgibbs.energies import QuadraticMeanEnergy
 from mfgibbs.errors import GibbsUndefinedError
 from mfgibbs.estimators import _CONDITIONAL_GRID_N, _level_set_window
@@ -18,7 +19,7 @@ from mfgibbs.spectral1d import (
     grid_poincare,
     proximal_gibbs_fixed_point,
 )
-from mfgibbs.spectral1d import _generator, _refine_potential
+from mfgibbs.spectral1d import _gap, _generator, _refine_potential
 
 
 def ou_grid(kappa=1.0, lo=-10.0, hi=10.0, n=2001):
@@ -144,29 +145,38 @@ class TestGapAgainstDense:
         assert abs(gap - 1.0) < 1e-2
 
     def test_one_eigenvalue_per_grid(self, monkeypatch):
-        # one bisection, on the n-node grid alone, and two eigenvalue counts
-        # on the 2n - 1 grid, which report no eigenvalue
-        import scipy.linalg
+        # one LAPACK routine for all three calls: a bisection for the index-1
+        # eigenvalue alone (RANGE = 'I', il = iu = 2) on the n-node grid, and
+        # two eigenvalue counts (RANGE = 'V') on the 2n - 1 grid, which
+        # refine no eigenvalue
         import scipy.linalg.lapack
 
-        bisections, counts = [], []
-        solve, count = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstebz
+        calls = []
+        stebz = scipy.linalg.lapack.dstebz
 
-        def spy_solve(diag, off, **kwargs):
-            bisections.append((len(diag), kwargs))
-            return solve(diag, off, **kwargs)
+        def spy(diag, off, *args):
+            calls.append((len(diag), args[0], args[3:5]))
+            return stebz(diag, off, *args)
 
-        def spy_count(diag, off, *args):
-            counts.append((len(diag), args[0]))
-            return count(diag, off, *args)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy_solve)
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", spy_count)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", spy)
         grid_poincare(ou_grid(n=301))
-        assert bisections == [
-            (301, {"eigvals_only": True, "select": "i", "select_range": (1, 1)})
-        ]
-        assert counts == [(601, 1), (601, 1)]  # RANGE = 'V', a value interval
+        assert calls == [(301, 2, (2, 2)), (601, 1, (0, 0)), (601, 1, (0, 0))]
+
+    @pytest.mark.parametrize("n", [21, 301, 1201, 2401])
+    def test_the_gap_is_the_select_range_bisection(self, n):
+        # dstebz with RANGE = 'I' is the call eigh_tridiagonal makes for
+        # select="i": the same gap, bit for bit, on smooth and rough potentials
+        from scipy.linalg import eigh_tridiagonal
+
+        x = np.linspace(-12.0, 12.0, n)
+        potentials = (0.5 * x * x, 0.5 * x * x + 3.0 * np.cos(5.0 * x),
+                      0.25 * x**4 - x * x, 0.5 * x * x + np.cos(100.0 * x))
+        for potential in potentials:
+            grid = Grid1D(-12.0, 12.0, n, potential)
+            (ref,) = eigh_tridiagonal(
+                *_generator(grid), eigvals_only=True, select="i", select_range=(1, 1)
+            )
+            assert _gap(grid) == float(ref)
 
 
 def _parent_rule(grid):
@@ -185,15 +195,10 @@ def _parent_rule(grid):
 
 def _ripple_grids():
     """The windowed grids of `conditional_gap_mc` for V = x^2/2 + cos(100 x),
-    N = 3, at the three configurations of test_grid_too_coarse_to_converge_fails."""
-    energy = LinearPotentialEnergy(
-        v=lambda x: 0.5 * np.sum(x * x, axis=-1) + np.cos(100.0 * x[..., 0]),
-        v_grad=lambda x: x - 100.0 * np.sin(100.0 * x),
-        v_hess=lambda x: np.eye(1) - 1e4 * np.cos(100.0 * x[..., None]) * np.eye(1),
-    )
-    system = ParticleSystem(energy, 3, 1)
+    N = 3, at the three configurations of `test_estimators.ripple`."""
+    system, frozen = ripple()
     grids = []
-    for others in np.random.default_rng(12).normal(size=(3, 2)):
+    for others in frozen:
         lo, hi = _level_set_window(system, others)
         grids.append(conditional_potential(system, others, lo, hi, _CONDITIONAL_GRID_N))
     return grids
@@ -364,8 +369,6 @@ class TestGaussianExact:
         res = gaussian_exact(system)
         np.testing.assert_allclose(res.precision, [[0.75, -0.25], [-0.25, 0.75]])
         assert abs(res.poincare - 0.5) < 1e-12
-        assert res.lsi == res.poincare
-        np.testing.assert_allclose(res.precision @ res.covariance, np.eye(2), atol=1e-12)
 
     def test_matches_quadratic_formula(self):
         for a in (0.2, 0.8):
@@ -385,7 +388,7 @@ class TestGaussianExact:
 
 class TestGaussianKL:
     def test_identical_zero(self):
-        assert abs(gaussian_kl([0.0], [[2.0]], [0.0], [[2.0]])) < 1e-12
+        assert abs(gaussian_kl([0.0], [[2.0]], [0.0], [[0.5]])) < 1e-12
 
     def test_mean_shift_scalar(self):
         # KL(N(m,1) || N(0,1)) = m^2/2
@@ -415,13 +418,14 @@ class TestGaussianKL:
             b = rng.normal(size=(2, 2))
             kl = gaussian_kl(
                 rng.normal(size=2), a @ a.T + 0.1 * np.eye(2),
-                rng.normal(size=2), b @ b.T + 0.1 * np.eye(2),
+                rng.normal(size=2), np.linalg.inv(b @ b.T + 0.1 * np.eye(2)),
             )
             assert kl >= -1e-12
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_kl([0.0], [[1.0]], [0.0], [[0.0]])
+    @pytest.mark.parametrize("precision", [[[0.0]], [[-1.0]]])
+    def test_degenerate_rejected(self, precision):
+        with pytest.raises(ValueError, match="second precision"):
+            gaussian_kl([0.0], [[1.0]], [0.0], precision)
 
 
 class TestGaussianKLStack:
@@ -435,9 +439,10 @@ class TestGaussianKLStack:
         rng = np.random.default_rng(k)
         means, covs = self.laws(rng, 7, k)
         (mean_b,), (cov_b,) = self.laws(rng, 1, k)
-        stacked = gaussian_kl(means, covs, mean_b, cov_b)
+        precision_b = np.linalg.inv(cov_b)
+        stacked = gaussian_kl(means, covs, mean_b, precision_b)
         assert stacked.shape == (7,)
-        one = np.array([gaussian_kl(m, c, mean_b, cov_b) for m, c in zip(means, covs)])
+        one = np.array([gaussian_kl(m, c, mean_b, precision_b) for m, c in zip(means, covs)])
         assert np.all(np.abs(stacked - one) <= 1e-14 * np.abs(one))
 
     def test_stack_shape_kept(self):
@@ -459,7 +464,7 @@ class TestGaussianKLStack:
             gaussian_kl(np.zeros((3, 2)), stack, [0.0, 0.0], np.eye(2))
 
     @pytest.mark.parametrize(
-        "mean_a, cov_a, mean_b, cov_b",
+        "mean_a, cov_a, mean_b, precision_b",
         [
             (np.zeros((3, 2)), np.tile(np.eye(2), (4, 1, 1)), np.zeros(2), np.eye(2)),
             (np.zeros(3), np.eye(2), np.zeros(2), np.eye(2)),
@@ -469,9 +474,9 @@ class TestGaussianKLStack:
         ],
         ids=["stack-sizes", "first-mean", "first-cov", "second-mean", "second-cov"],
     )
-    def test_mismatched_shapes_rejected(self, mean_a, cov_a, mean_b, cov_b):
+    def test_mismatched_shapes_rejected(self, mean_a, cov_a, mean_b, precision_b):
         with pytest.raises(ValueError, match="need means"):
-            gaussian_kl(mean_a, cov_a, mean_b, cov_b)
+            gaussian_kl(mean_a, cov_a, mean_b, precision_b)
 
 
 class TestLsiFisherProperty:
@@ -489,20 +494,21 @@ class TestLsiFisherProperty:
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 4, 1)
         exact = gaussian_exact(system)
         A = exact.precision
-        rho = exact.lsi
+        rho = exact.poincare  # the optimal LSI constant too
+        covariance = np.linalg.inv(A)
         rng = np.random.default_rng(8)
         worst = 0.0
         for _ in range(100):
             m = 0.5 * rng.normal(size=4)
             B = rng.normal(size=(4, 4))
             S = 0.2 * (B @ B.T) + 0.5 * np.eye(4)
-            kl = gaussian_kl(m, S, np.zeros(4), exact.covariance)
+            kl = gaussian_kl(m, S, np.zeros(4), A)
             fi = self.fisher_info(m, S, A)
             assert 2.0 * rho * kl <= fi + 1e-10
             if fi > 0:
                 worst = max(worst, 2.0 * rho * kl / fi)
         # near-tight along the minimal eigendirection via small mean shifts
         v = np.linalg.eigh(A)[1][:, 0]
-        kl = gaussian_kl(1e-3 * v, exact.covariance, np.zeros(4), exact.covariance)
-        fi = self.fisher_info(1e-3 * v, exact.covariance, A)
+        kl = gaussian_kl(1e-3 * v, covariance, np.zeros(4), A)
+        fi = self.fisher_info(1e-3 * v, covariance, A)
         assert abs(2.0 * rho * kl / fi - 1.0) < 1e-6

@@ -1,12 +1,13 @@
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from test_bounds import alone, unpadded, unstacked
-from test_estimators import chain_frozen
+from test_estimators import chain_frozen, ripple
 from test_measures import merge_loop_w2
 
 from mfgibbs import bounds, dynamics, estimators, measures, verify
@@ -213,7 +214,7 @@ def test_the_kernel_witness_is_sharp():
     kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
     mu, nu = verify._kernel_witness()
     assert bounds.check_semi_convexity(kern, mu, nu) <= 1e-9
-    found = bounds.semi_convexity_lambda(kern, mu, nu)
+    found = bounds.semi_convexity_witness(kern, mu, nu)[1]
     assert found <= kern.declared_lambda
     assert bounds.check_semi_convexity(kern, mu, nu, lam=0.99 * found) > 1e-9
     # the suite's random kernel pairs miss an understatement by a tenth; the witness does not
@@ -370,13 +371,15 @@ def test_the_frozen_family():
 def test_the_structured_family_catches_what_a_chain_misses():
     # the eight configurations the oracle drew from its own MALA chain at
     # N = 8 miss the kernel's least conditional gap, at the others all at 0:
-    # a rho_N of 0.77 between the two passes them and fails the family
+    # a rho_N of 0.77 between the two passes them and fails the family, by
+    # the rule of `verify._gap_line`: min >= rho_N - 1e-3, every grid converged
     system = ParticleSystem(PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 8, 1)
     config = SimConfig(step=0.05, n_steps=400, burn_in=100, thin=10, seed=8, sampler="MALA")
-    sampled = conditional_gap_mc(system, chain_frozen(system, config, 8), claimed_rho_N=0.77)
-    structured = conditional_gap_mc(system, verify._frozen_family(8), claimed_rho_N=0.77)
-    assert sampled.passed and round(sampled.minimum, 4) == 0.7834
-    assert structured.passed is False and round(structured.minimum, 6) == 0.755296
+    sampled = conditional_gap_mc(system, chain_frozen(system, config, 8))
+    structured = conditional_gap_mc(system, verify._frozen_family(8))
+    assert sampled.minimum >= 0.77 - 1e-3 and sampled.converged.all()
+    assert round(sampled.minimum, 4) == 0.7834
+    assert structured.minimum < 0.77 - 1e-3 and round(structured.minimum, 6) == 0.755296
     assert structured.converged.all() and int(np.argmin(structured.gaps)) == 0
     assert structured.minimum <= sampled.minimum
 
@@ -417,6 +420,7 @@ def test_the_conditional_lines():
         "quadratic conditional gap": (True, "median=0.974966 spread=2.57e-10"),
         "kernel conditional gap >= rho": (True, "min=0.755296 rho=0.367879"),
         "parametrized conditional gap >= rho": (True, "min=0.974966 rho=0.975000"),
+        "kernel V1 conditional gap >= rho": (True, "min=0.040426 rho=0.002479"),
     }
 
 
@@ -425,11 +429,46 @@ def test_the_conditional_lines():
     [(PairwiseKernelEnergy, "kernel", 0.755296), (ParametrizedEnergy, "parametrized", 0.974966)],
 )
 def test_an_overstated_rho_N_fails(monkeypatch, capsys, cls, name, found):
-    monkeypatch.setattr(cls, "declared_rho_N", lambda self, N: found / 0.99)
+    # the cosine kernel row keeps its declaration 0.002479: at its gap of
+    # 0.040426 the line's 1e-3 slack is 2.5 %, so 0.99 x the gap passes there
+    declared = cls.declared_rho_N
+    monkeypatch.setattr(
+        cls,
+        "declared_rho_N",
+        lambda self, N: found / 0.99 if declared(self, N) > 0.1 else declared(self, N),
+    )
     lines = conditional_lines()
     assert [n for n, (ok, _) in lines.items() if not ok] == [f"{name} conditional gap >= rho"]
     assert main(["verify", "conditional"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "suite conditional: FAIL"
+
+
+def test_the_cosine_row_fails_at_a_sup_norm_declaration(monkeypatch, capsys):
+    # rho = eta exp(-v1_sup - L), which reads V1 by its sup-norm, declares
+    # e^-3 = 0.049787 above the gap 0.040426 that V1 = 3 cos 5x leaves
+    monkeypatch.setattr(
+        PairwiseKernelEnergy,
+        "declared_rho",
+        property(lambda self: self.eta * math.exp(-self.v1_sup - self.L)),
+    )
+    lines = conditional_lines()
+    assert [n for n, (ok, _) in lines.items() if not ok] == [
+        "kernel V1 conditional gap >= rho"
+    ]
+    assert lines["kernel V1 conditional gap >= rho"][1] == "min=0.040426 rho=0.049787"
+    assert main(["verify", "conditional"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "suite conditional: FAIL"
+
+
+def test_an_unconverged_grid_fails_its_line_and_says_how_many():
+    # the declared rho_N = kappa = 0 holds for any gap: the line fails on
+    # convergence alone, and its detail says so
+    system, frozen = ripple()
+    name, ok, detail = verify._gap_line("ripple", system, frozen)
+    res = conditional_gap_mc(system, frozen)
+    assert name == "ripple conditional gap >= rho" and ok is False
+    assert res.minimum >= 0.0 and not res.converged.any()
+    assert detail == f"min={res.minimum:.6f} rho=0.000000 (3 of 3 grids not converged)"
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))
