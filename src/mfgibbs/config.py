@@ -30,8 +30,9 @@ class ConfigError(ValueError):
 
 #: Largest [analysis] grid_n. The proximal-Gibbs fixed point runs up to 200
 #: iterations on the grid and on its 2 grid_n - 1 refinement, each O(grid_n)
-#: or, for the kernel energy's FFT pair sum, O(grid_n log grid_n): about 0.1 s
-#: in all for the kernel at the cap. The cap dates from an O(grid_n^2) sum.
+#: or, for the kernel energy's FFT pair sum, O(grid_n log grid_n); its fitted
+#: steps take 8 of them for the kernel at L = 1, alpha = 0.05: about 0.04 s in
+#: all at the cap. The cap dates from an O(grid_n^2) sum.
 GRID_N_MAX = 10001
 
 #: The most float64 entries numpy can size in one array.

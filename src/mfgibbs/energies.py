@@ -295,8 +295,8 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
     L: float = 0.0
     alpha: float = 0.0
     v1: Callable | None = None  # bounded perturbation, rows (..., d) -> (...)
-    v1_grad: Callable | None = None
-    v1_hess: Callable | None = None
+    v1_grad: Callable | None = None  # (..., d) -> (..., d); required with v1
+    v1_hess: Callable | None = None  # (..., d) -> (..., d, d); required with v1
     v1_sup: float = 0.0
 
     def __post_init__(self):
@@ -307,6 +307,10 @@ class PairwiseKernelEnergy(MeanFieldEnergy):
         if self.v1 is None:
             object.__setattr__(self, "v1", _zero)
             object.__setattr__(self, "v1_grad", np.zeros_like)
+        else:
+            for name in ("v1_grad", "v1_hess"):
+                if getattr(self, name) is None:
+                    raise ValueError(f"a v1 perturbation needs its {name} callable")
 
     @property
     def declared_lambda(self) -> float:

@@ -25,8 +25,8 @@ __all__ = [
     "gaussian_kl",
 ]
 
-#: Damped fixed-point iteration: step cap, sup-norm tolerance, old-density share.
-_FP_MAX_ITER, _FP_TOL, _FP_DAMPING = 200, 1e-8, 0.5
+#: Fixed-point iteration: iteration cap, sup-norm tolerance, least fitted step.
+_FP_MAX_ITER, _FP_TOL, _FP_MIN_STEP = 200, 1e-8, 0.05
 #: Largest relative change under refinement to 2n - 1 nodes that counts as
 #: converged: of `grid_poincare`'s gap, and of a fixed point's variance.
 REFINE_TOL = 1e-3
@@ -218,12 +218,14 @@ def trapezoid_moments(x: np.ndarray, density: np.ndarray, dx: float) -> tuple[fl
 
 
 def _iterate_fixed_point(energy: MeanFieldEnergy, x: np.ndarray):
-    """(density, its variance, residual, iterations) of the damped iteration on the nodes x."""
+    """(density, its variance, residual, iterations) of the relaxed iteration
+    on the nodes x: dens <- dens + step * (target - dens), the step fitted by
+    `_fitted_step` from the last two residuals, 1 at first, never above 1."""
     n, h = len(x), x[1] - x[0]
     dens = np.full(n, 1.0 / (x[-1] - x[0]))
     trap = np.ones(n)
     trap[0] = trap[-1] = 0.5
-    residual = np.inf
+    residual, step, last = np.inf, 1.0, None
     for it in range(1, _FP_MAX_ITER + 1):
         w = dens * trap * h
         w = w / w.sum()
@@ -231,20 +233,45 @@ def _iterate_fixed_point(energy: MeanFieldEnergy, x: np.ndarray):
         flat -= flat.min()
         target = np.exp(-flat)
         target /= np.trapezoid(target, dx=h)
-        residual = float(np.max(np.abs(target - dens)))
+        r = target - dens
+        residual = float(np.max(np.abs(r)))
         if residual <= _FP_TOL:
             dens = target
             break
-        dens = _FP_DAMPING * dens + (1.0 - _FP_DAMPING) * target
+        mass = h * r  # at most 2 a node, whatever the window's width
+        if last is not None:
+            step = _fitted_step(step, last, mass)
+        dens = dens + step * r
+        last = mass
     return dens, trapezoid_moments(x, dens, h)[1], residual, it
+
+
+def _fitted_step(step: float, last: np.ndarray, r: np.ndarray) -> float:
+    """The next step from the previous one and the last two residuals
+    (Aitken dynamic relaxation; Irons and Tuck 1969): the secant fit
+    -step <last, r - last> / |r - last|^2, clipped to [_FP_MIN_STEP, 1].
+    A zero denominator keeps the previous step. The fit does not change
+    when both residuals are scaled alike; `_iterate_fixed_point` passes
+    them as masses, which no dot product here can overflow. The cap keeps
+    each update a convex combination of the density and its target, so a
+    fixed point where the map's linearization has an eigenvalue above 1
+    does not attract the iteration, as under a fixed step of 1/2."""
+    diff = r - last
+    denom = float(diff @ diff)
+    if denom == 0.0:
+        return step
+    return min(1.0, max(_FP_MIN_STEP, -step * float(last @ diff) / denom))
 
 
 def proximal_gibbs_fixed_point(
     energy: MeanFieldEnergy, lo: float, hi: float, n: int
 ) -> FixedPointResult:
-    """Damped iteration of m -> normalize(exp(-dF/dm(m, .))) on a 1-D grid.
+    """Relaxed iteration of m -> normalize(exp(-dF/dm(m, .))) on a 1-D grid.
 
-    The fixed point is the stationary mean-field measure m_inf. Densities
+    The fixed point is the stationary mean-field measure m_inf. Each update
+    moves the density toward its image by a step fitted from the last two
+    residuals (`_fitted_step`), 1 at first and capped at 1: a full step
+    where the map contracts fast, a shorter one where it oscillates. Densities
     are carried as trapezoid-rule discrete measures when evaluating the
     flat derivative by `_flat_on_grid`. The iteration runs again on the
     2n - 1 refinement, as `grid_poincare` does, to see the variance move.

@@ -597,6 +597,16 @@ def test_nan_parameter_rejected(build):
         build(float("nan"))
 
 
+@pytest.mark.parametrize("missing", ["v1_grad", "v1_hess"])
+def test_a_v1_without_its_derivatives_is_rejected(missing):
+    # without them every gradient would raise a TypeError deep in the pair sums
+    cos = _cos_perturbed_kernel()
+    derivatives = {"v1_grad": cos.v1_grad, "v1_hess": cos.v1_hess}
+    del derivatives[missing]
+    with pytest.raises(ValueError, match=missing):
+        PairwiseKernelEnergy(eta=1.0, v1=cos.v1, v1_sup=0.3, **derivatives)
+
+
 class TestParticleSystem:
     def test_un_quadratic_values(self):
         system = ParticleSystem(QuadraticMeanEnergy(0.5), 2, 1)

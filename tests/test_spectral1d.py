@@ -2,12 +2,15 @@ import time
 
 import numpy as np
 import pytest
+from test_energies import _cos_perturbed_kernel
 from test_estimators import ripple
 
+from mfgibbs import spectral1d
 from mfgibbs.config import GRID_N_MAX
 from mfgibbs.dynamics import SimConfig, run_chain
 from mfgibbs.energies import PairwiseKernelEnergy, ParticleSystem
-from mfgibbs.energies import QuadraticMeanEnergy
+from mfgibbs.energies import LinearPotentialEnergy, ParametrizedEnergy, QuadraticMeanEnergy
+from mfgibbs.energies import _eye, _identity, quadratic_as_parametrized
 from mfgibbs.errors import GibbsUndefinedError
 from mfgibbs.estimators import _CONDITIONAL_GRID_N, _level_set_window
 from mfgibbs.spectral1d import (
@@ -18,13 +21,51 @@ from mfgibbs.spectral1d import (
     gaussian_kl,
     grid_poincare,
     proximal_gibbs_fixed_point,
+    trapezoid_moments,
 )
-from mfgibbs.spectral1d import _gap, _generator, _refine_potential
+from mfgibbs.spectral1d import _FP_MIN_STEP, _fitted_step, _gap, _generator, _refine_potential
 
 
 def ou_grid(kappa=1.0, lo=-10.0, hi=10.0, n=2001):
     x = np.linspace(lo, hi, n)
     return Grid1D(lo, hi, n, 0.5 * kappa * x * x)
+
+
+def _half_damped_fixed_point(energy, lo, hi, n):
+    """(density, nodes): the fixed-point iteration with a step of 1/2 every
+    time, its density mixed half and half with its target until the two
+    agree within 1e-8."""
+    x = np.linspace(lo, hi, n)
+    h = x[1] - x[0]
+    trap = np.full(n, h)
+    trap[[0, -1]] *= 0.5
+    dens = np.full(n, 1.0 / (hi - lo))
+    for _ in range(200):
+        flat = energy._flat_on_grid(x, dens * trap / np.sum(dens * trap))
+        target = np.exp(-(flat - flat.min()))
+        target /= np.trapezoid(target, dx=h)
+        if np.max(np.abs(target - dens)) <= 1e-8:
+            return target, x
+        dens = 0.5 * (dens + target)
+    raise AssertionError("the half-damped iteration did not converge")
+
+
+def _double_well(k, tilt):
+    """V = x^4/4 - x^2 + tilt x with the attraction R(m) = -(k/2) m^2 on the mean."""
+    return ParametrizedEnergy(
+        base=LinearPotentialEnergy(
+            lambda x: 0.25 * x[..., 0] ** 4 - x[..., 0] ** 2 + tilt * x[..., 0],
+            lambda x: x**3 - 2.0 * x + tilt,
+            lambda x: (3.0 * x**2 - 2.0)[..., None],
+        ),
+        phi=_identity,
+        phi_jac=_eye,
+        r=lambda m: -0.5 * k * np.sum(m * m, axis=-1),
+        r_grad=lambda m: -k * m,
+        r_hess=lambda m: -k * _eye(m),
+        alpha_r=k / 2.0,
+        r_hess_bound=k,
+    )
 
 
 class TestGrid1D:
@@ -320,19 +361,106 @@ class TestFixedPoint:
         trap = np.full(len(x), h)
         trap[[0, -1]] *= 0.5
         dens = np.full(len(x), 1.0 / 16.0)
+        step, last = 1.0, None
         for it in range(1, 201):
             w = dens * trap / np.sum(dens * trap)
             flat = kern._flat(x[:, None], w, x[:, None])
             target = np.exp(-(flat - flat.min()))
             target /= np.trapezoid(target, dx=h)
-            done = np.max(np.abs(target - dens)) <= 1e-8
-            dens = target if done else 0.5 * (dens + target)
-            if done:
+            r = target - dens
+            if np.max(np.abs(r)) <= 1e-8:
+                dens = target
                 break
+            if last is not None:
+                diff = r - last
+                step = min(1.0, max(0.05, -step * (last @ diff) / (diff @ diff)))
+            dens = dens + step * r
+            last = r
         assert res.converged and res.grid_converged and res.iterations == it
         mean = np.trapezoid(x * dens, dx=h)
         var = np.trapezoid((x - mean) ** 2 * dens, dx=h)
         assert abs(res.variance() - var) <= 1e-12 * var
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [
+            (lambda: QuadraticMeanEnergy(0.2), 1201),
+            (lambda: QuadraticMeanEnergy(0.5), 1201),
+            (lambda: QuadraticMeanEnergy(0.9), 1201),
+            (lambda: quadratic_as_parametrized(0.2), 401),
+            (lambda: PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 1201),
+            (lambda: PairwiseKernelEnergy(eta=1.0, L=3.0, alpha=0.05), 1201),
+            (lambda: PairwiseKernelEnergy(eta=1.0, L=0.1, alpha=0.01), 1201),
+            (_cos_perturbed_kernel, 1201),
+        ],
+        ids=[
+            "quadratic-0.2", "quadratic-0.5", "quadratic-0.9", "parametrized-0.2",
+            "kernel-1-0.05", "kernel-3-0.05", "kernel-0.1-0.01", "kernel-v1=cos",
+        ],
+    )
+    def test_variance_matches_the_half_damped_iteration(self, build, n):
+        energy = build()
+        res = proximal_gibbs_fixed_point(energy, -8.0, 8.0, n)
+        dens, x = _half_damped_fixed_point(energy, -8.0, 8.0, n)
+        var = trapezoid_moments(x, dens, x[1] - x[0])[1]
+        assert res.converged and res.grid_converged
+        assert abs(res.variance() - var) <= 1e-8 * var
+
+    @pytest.mark.parametrize(
+        "energy, n, most",
+        [
+            (QuadraticMeanEnergy(0.2), 1201, 3),
+            (PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05), 1201, 12),
+        ],
+        ids=["quadratic", "kernel"],
+    )
+    def test_iterations_on_the_analysis_grid(self, energy, n, most):
+        # a step of 1/2 every time took 27 and 26
+        assert proximal_gibbs_fixed_point(energy, -8.0, 8.0, n).iterations <= most
+
+    def test_a_tilted_double_well_reaches_the_damped_fixed_point(self, monkeypatch):
+        # V = x^4/4 - x^2 + 0.05 x with attraction R(m) = -m^2/2 has several
+        # fixed points. On the way the fit asks for steps above 1 (up to 1.6
+        # uncapped) and below 0.05: both ends of the clip bind
+        steps = []
+
+        def spy(*args):
+            steps.append(_fitted_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(spectral1d, "_fitted_step", spy)
+        energy = _double_well(k=1.0, tilt=0.05)
+        res = proximal_gibbs_fixed_point(energy, -8.0, 8.0, 401)
+        assert (min(steps), max(steps)) == (_FP_MIN_STEP, 1.0)
+        dens, x = _half_damped_fixed_point(energy, -8.0, 8.0, 401)
+        h = x[1] - x[0]
+        damped_mean = trapezoid_moments(x, dens, h)[0]
+        assert abs(damped_mean + 1.500470) < 1e-6
+        assert res.converged and res.grid_converged
+        assert abs(trapezoid_moments(res.grid_x, res.density, h)[0] - damped_mean) < 1e-8
+
+    def test_the_fitted_step_stays_in_its_range(self):
+        rng = np.random.default_rng(3)
+        for step in (_FP_MIN_STEP, 0.3, 1.0):
+            for _ in range(200):
+                last, r = rng.normal(size=(2, 50)) * rng.lognormal(size=(2, 1))
+                assert _FP_MIN_STEP <= _fitted_step(step, last, r) <= 1.0
+        # the secant fit of a linear map with slope -1 is 1/2, 1 / (1 - slope)
+        assert _fitted_step(1.0, np.ones(5), -np.ones(5)) == 0.5
+
+    def test_a_zero_denominator_keeps_the_step(self):
+        r = np.linspace(-1.0, 1.0, 7)
+        with np.errstate(all="raise"):
+            assert _fitted_step(0.37, r, r.copy()) == 0.37
+            assert _fitted_step(0.37, np.zeros(7), np.zeros(7)) == 0.37
+
+    def test_a_narrow_window_overflows_no_step(self):
+        # densities near 1e200 on a window of width 1e-200: the step's dot
+        # products, taken on masses, stay finite
+        kern = PairwiseKernelEnergy(eta=1.0, L=1.0, alpha=0.05)
+        with np.errstate(over="raise", invalid="raise"):
+            res = proximal_gibbs_fixed_point(kern, 0.0, 1e-200, 11)
+        assert np.all(np.isfinite(res.density))
 
     def test_kernel_at_the_grid_cap_is_fast(self):
         # the exact O(n^2) sum took about 6 s for the first fixed point alone

@@ -426,17 +426,24 @@ def test_the_conditional_lines():
 
 @pytest.mark.parametrize(
     "cls, name, found",
-    [(PairwiseKernelEnergy, "kernel", 0.755296), (ParametrizedEnergy, "parametrized", 0.974966)],
+    [
+        (PairwiseKernelEnergy, "kernel", 0.755296),
+        (ParametrizedEnergy, "parametrized", 0.974966),
+        (PairwiseKernelEnergy, "kernel V1", 0.040426),
+    ],
 )
 def test_an_overstated_rho_N_fails(monkeypatch, capsys, cls, name, found):
-    # the cosine kernel row keeps its declaration 0.002479: at its gap of
-    # 0.040426 the line's 1e-3 slack is 2.5 %, so 0.99 x the gap passes there
+    # the row whose declaration lies on its gap's side of 0.1 declares the
+    # gap / 0.99; the other kernel row keeps its own. On the cosine row an
+    # absolute 1e-3 slack would be 2.5 % of the gap 0.040426; the line's
+    # 1e-3 min(1, rho_N) is 4.1e-5
     declared = cls.declared_rho_N
-    monkeypatch.setattr(
-        cls,
-        "declared_rho_N",
-        lambda self, N: found / 0.99 if declared(self, N) > 0.1 else declared(self, N),
-    )
+
+    def overstated(self, N):
+        rho = declared(self, N)
+        return found / 0.99 if (rho > 0.1) == (found > 0.1) else rho
+
+    monkeypatch.setattr(cls, "declared_rho_N", overstated)
     lines = conditional_lines()
     assert [n for n, (ok, _) in lines.items() if not ok] == [f"{name} conditional gap >= rho"]
     assert main(["verify", "conditional"]) == 1
